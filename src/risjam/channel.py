@@ -36,6 +36,11 @@ _STREAM_PERTURB = 14
 
 ENV_FORMAT_VERSION = 1
 
+# Surface elements per step of ris_subchannels_batch.  Bounds its
+# intermediates to _BATCH_BLOCK*(M*Ux + Uy*M + Uy*Ux) complex values; of
+# 8, 16, 32, 64 and 128, 8 was fastest on the desk heatmap grid.
+_BATCH_BLOCK = 8
+
 
 class Position(NamedTuple):
     """A point in meters; z enters path loss only, the scattered field is 2-D."""
@@ -392,29 +397,30 @@ def ris_subchannel(env: Environment, element: int, position,
         raise IndexError(
             f"element index {element} out of range [0, {env.n_elements})"
         )
-    pos = as_position(position)
-    d = env.attacker_position.distance_to(pos)
-    amp = math.sqrt(path_loss_gain(env, d))
-    weights = None
-    if device is not None and device in env._pattern:
-        weights = env._pattern[device][element]
-    diffuse = _diffuse_field(env._ris_kx[element], env._ris_ky[element],
-                             env._ris_cis[element], pos.x, pos.y, weights)
-    gain = _combine_rician(env, diffuse, env._ris_los[element, 0],
-                           env._ris_los[element, 1], pos.x, pos.y)
-    return complex(amp * gain)
+    return complex(ris_subchannels(env, position, device)[element])
 
 
-def ris_subchannels_batch(env: Environment, positions, device: str | None = None,
-                          chunk: int = 16) -> np.ndarray:
-    """Vectorized ris_subchannels over many positions; returns (P, L)."""
-    pts = np.asarray([tuple(as_position(p)) for p in positions], dtype=float)
+def ris_subchannels_batch(env: Environment, positions,
+                          device: str | None = None) -> np.ndarray:
+    """ris_subchannels over many positions; returns (P, L).
+
+    A plane wave's phase separates, exp(i(kx*x + ky*y)) = exp(i*kx*x) *
+    exp(i*ky*y), so the scattered sum over the distinct x values ux and
+    distinct y values uy of the points is, per element, the product of a
+    (Uy, M) and an (M, Ux) matrix.  Cost: (Ux + Uy)*L*M complex
+    exponentials plus one batched (Uy, M) @ (M, Ux) matmul per block of
+    _BATCH_BLOCK elements, i.e. Ux*Uy*L*M multiply-adds.  A square grid of
+    P points thus needs 2*sqrt(P)*L*M exponentials where a per-point sum
+    needs P*L*M: pass a whole grid in one call, not row by row.  Scattered
+    points (Ux*Uy near P**2) pay P**2*L*M multiply-adds.
+
+    Values agree with ris_subchannels to rounding, not bit for bit, and a
+    point's value can differ in the last bits with the grid it is
+    evaluated in (the matmul's summation order depends on its shape).
+    """
+    pts = np.asarray([tuple(as_position(p)) for p in positions],
+                     dtype=float).reshape(-1, 3)
     L, M = env.n_elements, env.scatter_count
-    kx = env._ris_kx.reshape(-1)
-    ky = env._ris_ky.reshape(-1)
-    cis = env._ris_cis.reshape(-1)
-    if device is not None and device in env._pattern:
-        cis = cis * env._pattern[device].reshape(-1)
     att = np.array(tuple(env.attacker_position))
     dists = np.linalg.norm(pts - att, axis=1)
     if np.any(dists <= MIN_ENTITY_DISTANCE):
@@ -422,12 +428,19 @@ def ris_subchannels_batch(env: Environment, positions, device: str | None = None
     ref = (env.wavelength_m / (4.0 * math.pi)) ** 2
     amps = np.sqrt(ref * dists ** (-env.path_loss_exponent))
 
+    ux, ix = np.unique(pts[:, 0], return_inverse=True)
+    uy, iy = np.unique(pts[:, 1], return_inverse=True)
+    cis = env._ris_cis
+    if device is not None and device in env._pattern:
+        cis = cis * env._pattern[device]
     out = np.empty((len(pts), L), dtype=complex)
-    for start in range(0, len(pts), chunk):
-        sl = slice(start, start + chunk)
-        phase = np.outer(pts[sl, 0], kx) + np.outer(pts[sl, 1], ky)
-        terms = (cis[None, :] * np.exp(1j * phase)).reshape(-1, L, M)
-        out[sl] = terms.sum(axis=-1) / math.sqrt(M)
+    for start in range(0, L, _BATCH_BLOCK):
+        sl = slice(start, start + _BATCH_BLOCK)
+        ex = np.exp(1j * (env._ris_kx[sl, :, None] * ux))          # (b, M, Ux)
+        ey = cis[sl, None, :] * np.exp(
+            1j * (uy[:, None] * env._ris_ky[sl, None, :]))          # (b, Uy, M)
+        out[:, sl] = (ey @ ex)[:, iy, ix].T
+    out /= math.sqrt(M)
     if env.rician_k > 0:
         k = env.rician_k
         kap = env.kappa

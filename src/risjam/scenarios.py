@@ -14,6 +14,7 @@ is bit-reproducible.
 from __future__ import annotations
 
 import math
+import numbers
 import re
 from dataclasses import dataclass, field, replace
 from typing import Mapping, Sequence
@@ -71,6 +72,9 @@ AUTO_POWER_MARGIN_DB = 3.0  # headroom above the target's disruption knee
 THROUGHPUT_POWER_MARGIN_DB = 2.0
 LINK_SIM_WINDOWS = 40
 _TINY_GAIN = 1e-30
+# Largest heatmap grid or displacement rail, in points.  The scan holds a
+# (points, n_elements) complex sub-channel array: 1.2 GB at 768 elements.
+MAX_SCAN_POINTS = 100_000
 
 
 class ScenarioError(ValueError):
@@ -193,6 +197,12 @@ class ScenarioSpec:
             else tuple(k for k, _ in devices)
         return ids
 
+    def _position(self, device: str) -> Position:
+        devices = self.environment.devices
+        if not isinstance(devices, Mapping):
+            devices = dict(devices)
+        return as_position(devices[device])
+
     def _check_mode_params(self):
         params = self.mode_params
         if self.mode == "exclusion":
@@ -213,10 +223,21 @@ class ScenarioSpec:
                 raise ScenarioError("counts must be sorted ascending",
                                     "mode_params.counts")
         elif self.mode == "displacement":
-            if not params.get("minimized"):
+            minimized = params.get("minimized")
+            if not minimized:
                 raise ScenarioError("displacement mode needs "
                                     "mode_params.minimized",
                                     "mode_params.minimized")
+            if minimized not in self._device_ids() \
+                    or minimized in self.targets:
+                raise ScenarioError("minimized device must be a distinct "
+                                    "roster device", "mode_params.minimized")
+            _displacement_offsets_m(params)
+        elif self.mode == "heatmap":
+            if len(self.targets) != 1:
+                raise ScenarioError("heatmap mode needs exactly one target",
+                                    "targets")
+            _heatmap_window(params, self._position(self.targets[0]))
 
     # -- helpers -----------------------------------------------------------
 
@@ -812,45 +833,89 @@ def random_config_eval(spec: ScenarioSpec, n_configs: int = 20) -> dict:
     return {"devices": devices, "rssi_dbm": rssi, "configs": configs}
 
 
-def heatmap_scan(spec: ScenarioSpec, grid: Mapping | None = None) -> RunResult:
+def _scan_param(params: Mapping, key: str, default=None) -> float:
+    value = params.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ScenarioError("must be a finite number", f"mode_params.{key}")
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        raise ScenarioError("must be a finite number", f"mode_params.{key}")
+    return number
+
+
+def _heatmap_window(params: Mapping, focus: Position
+                    ) -> tuple[float, float, float, float, float]:
+    """Validated (step, x0, x1, y0, y1) of a heatmap scan around ``focus``."""
+    step = _scan_param(params, "step_m", 0.01)
+    if step <= 0:
+        raise ScenarioError("must be > 0", "mode_params.step_m")
+    if "x_min_m" in params:
+        x0, x1, y0, y1 = (_scan_param(params, key) for key in
+                          ("x_min_m", "x_max_m", "y_min_m", "y_max_m"))
+        if x1 < x0:
+            raise ScenarioError("must be >= x_min_m", "mode_params.x_max_m")
+        if y1 < y0:
+            raise ScenarioError("must be >= y_min_m", "mode_params.y_max_m")
+    else:
+        x_extent = _scan_param(params, "x_extent_m", 0.75)
+        y_extent = _scan_param(params, "y_extent_m", 0.50)
+        if x_extent < 0:
+            raise ScenarioError("must be >= 0", "mode_params.x_extent_m")
+        if y_extent < 0:
+            raise ScenarioError("must be >= 0", "mode_params.y_extent_m")
+        x0, x1 = focus.x - x_extent / 2, focus.x + x_extent / 2
+        y0, y1 = focus.y - y_extent / 2, focus.y + y_extent / 2
+    nx, ny = (x1 - x0) / step, (y1 - y0) / step
+    if not (nx < MAX_SCAN_POINTS and ny < MAX_SCAN_POINTS) \
+            or (round(nx) + 1) * (round(ny) + 1) > MAX_SCAN_POINTS:
+        raise ScenarioError(f"grid exceeds {MAX_SCAN_POINTS} points",
+                            "mode_params.step_m")
+    return step, x0, x1, y0, y1
+
+
+def _displacement_offsets_m(params: Mapping) -> np.ndarray:
+    """Validated displacements (m) of a displacement scan."""
+    step_mm = _scan_param(params, "step_mm", 4.0)
+    max_mm = _scan_param(params, "max_mm", 48.0)
+    if step_mm <= 0:
+        raise ScenarioError("must be > 0", "mode_params.step_mm")
+    if max_mm < 0:
+        raise ScenarioError("must be >= 0", "mode_params.max_mm")
+    if not (max_mm + step_mm / 2) / step_mm <= MAX_SCAN_POINTS:
+        raise ScenarioError(f"rail exceeds {MAX_SCAN_POINTS} points",
+                            "mode_params.step_mm")
+    return np.arange(0.0, max_mm + step_mm / 2, step_mm) / 1000.0
+
+
+def heatmap_scan(spec: ScenarioSpec) -> RunResult:
     """Normalized attacker power on a planar grid around the optimized focus."""
     if len(spec.targets) != 1:
         raise ScenarioError("heatmap mode needs exactly one target", "targets")
     env = spec.build_environment()
     target = spec.targets[0]
     focus = env.devices[target]
-    params = dict(spec.mode_params)
-    if grid is not None:
-        params.update(grid)
-    step = float(params.get("step_m", 0.01))
-    if "x_min_m" in params:
-        x0, x1 = float(params["x_min_m"]), float(params["x_max_m"])
-        y0, y1 = float(params["y_min_m"]), float(params["y_max_m"])
-    else:
-        x_extent = float(params.get("x_extent_m", 0.75))
-        y_extent = float(params.get("y_extent_m", 0.50))
-        x0, x1 = focus.x - x_extent / 2, focus.x + x_extent / 2
-        y0, y1 = focus.y - y_extent / 2, focus.y + y_extent / 2
+    step, x0, x1, y0, y1 = _heatmap_window(spec.mode_params, focus)
     if not (x0 <= focus.x <= x1 and y0 <= focus.y <= y1):
         raise ScenarioError("grid excludes the optimization point",
                             "mode_params")
+    xs = x0 + step * np.arange(int(round((x1 - x0) / step)) + 1)
+    ys = y0 + step * np.arange(int(round((y1 - y0) / step)) + 1)
 
     run_idx = _run_index(spec, target)
     config, trace, _ = _optimize(env, spec, spec.targets, run_idx)
     coeff = config.coefficients()
 
-    xs = x0 + step * np.arange(int(round((x1 - x0) / step)) + 1)
-    ys = y0 + step * np.arange(int(round((y1 - y0) / step)) + 1)
     focus_gain = abs(compose_channel(
         config, ris_subchannels(env, focus, device=target)))
     focus_db = 20.0 * math.log10(max(focus_gain, _TINY_GAIN))
 
-    grid_db = np.empty((len(ys), len(xs)))
-    for iy, y in enumerate(ys):
-        pts = [Position(float(x), float(y), focus.z) for x in xs]
-        sub = ris_subchannels_batch(env, pts, device=target)
-        gains = np.abs(sub @ coeff)
-        grid_db[iy] = 20.0 * np.log10(np.maximum(gains, _TINY_GAIN)) - focus_db
+    pts = [Position(float(x), float(y), focus.z) for y in ys for x in xs]
+    gains = np.abs(ris_subchannels_batch(env, pts, device=target) @ coeff)
+    grid_db = (20.0 * np.log10(np.maximum(gains, _TINY_GAIN))
+               - focus_db).reshape(len(ys), len(xs))
 
     row, extras = _evaluate_row(env, spec, config, spec.targets, run_idx)
     extras.update({
@@ -882,9 +947,7 @@ def displacement_scan(spec: ScenarioSpec) -> RunResult:
     if minimized not in env.devices or minimized == maximized:
         raise ScenarioError("minimized device must be a distinct roster "
                             "device", "mode_params.minimized")
-    step_mm = float(spec.mode_params.get("step_mm", 4.0))
-    max_mm = float(spec.mode_params.get("max_mm", 48.0))
-    disp_m = np.arange(0.0, max_mm + step_mm / 2, step_mm) / 1000.0
+    disp_m = _displacement_offsets_m(spec.mode_params)
 
     run_idx = _run_index(spec, maximized)
     config, trace, _ = _optimize(env, spec, spec.targets, run_idx)

@@ -109,6 +109,29 @@ def test_batch_matches_single(small_env):
                                    rtol=1e-12)
 
 
+_GRID = [Position(x, y, 1.0) for y in np.linspace(0.8, 1.2, 5)
+         for x in np.linspace(1.7, 2.3, 7)]
+_SCATTERED = [Position(x, y, z) for x, y, z in
+              np.random.default_rng(3).uniform((0.5, 0.5, 0.5),
+                                               (3.0, 3.0, 1.5), (20, 3))]
+# Shared x values, shared y values and one point given twice.
+_REPEATED = [Position(2.0, 1.0, 1.0), Position(2.0, 1.3, 1.0),
+             Position(1.4, 1.3, 0.7), Position(1.4, 2.2, 1.0),
+             Position(2.0, 1.0, 1.0), Position(0.9, 1.0, 1.2)]
+
+
+@pytest.mark.parametrize("points", [_GRID, _SCATTERED, _REPEATED],
+                         ids=["grid", "scattered", "repeated"])
+def test_batch_matches_per_point_evaluator(points):
+    env = synthesize_environment(
+        make_small_spec(rician_k=2.0, pattern_diversity=0.5), 99)
+    batch = ris_subchannels_batch(env, points, device="A")
+    ref = np.stack([ris_subchannels(env, p, device="A") for p in points])
+    rms = np.sqrt(np.mean(np.abs(ref) ** 2))
+    assert batch.shape == (len(points), env.n_elements)
+    assert np.max(np.abs(batch - ref)) <= 1e-12 * rms
+
+
 def test_energy_law_matches_path_loss():
     # Ensemble-average |h|^2 over many elements approaches PL(d).
     spec = make_small_spec(n_elements=768, scatter_count=256)

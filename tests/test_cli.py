@@ -14,6 +14,7 @@ from risjam.cli import (
     parse_scenario,
     scenario_hash,
 )
+from risjam import scenarios
 from risjam.scenarios import ScenarioError, scenario_to_dict
 
 MINI_SCENARIO = {
@@ -208,6 +209,50 @@ def test_runtime_error_exit_code(tmp_path):
     path = write_scenario(tmp_path, doc)
     rc = main(["run", str(path), "--out", str(tmp_path / "never")])
     assert rc == EXIT_RUNTIME
+
+
+@pytest.fixture
+def no_search(monkeypatch):
+    """Makes any optimizer run fail the test."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a search started before validation finished")
+    monkeypatch.setattr(scenarios, "run_optimizer", refuse)
+
+
+@pytest.mark.parametrize("mode,params", [
+    ("heatmap", {"step_m": 0}),
+    ("heatmap", {"step_m": float("nan")}),
+    ("heatmap", {"step_m": -0.01}),
+    ("heatmap", {"step_m": 1e-5}),
+    ("displacement", {"minimized": "B", "step_mm": 0}),
+    ("displacement", {"minimized": ["B"]}),
+], ids=["step-0", "step-nan", "step-negative", "grid-oversized",
+        "displacement-step-0", "displacement-minimized-list"])
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_bad_scan_grid_exits_2_before_search(tmp_path, capsys, no_search,
+                                             command, mode, params):
+    path = write_scenario(tmp_path, dict(MINI_SCENARIO, mode=mode,
+                                         mode_params=params))
+    argv = [command, str(path)]
+    if command == "run":
+        argv += ["--out", str(tmp_path / "out")]
+    assert main(argv) == EXIT_VALIDATION
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert json.loads(err[0])["error"] == "ScenarioError"
+
+
+def test_grid_excluding_focus_exits_2_before_search(tmp_path, capsys,
+                                                    no_search):
+    doc = dict(MINI_SCENARIO, mode="heatmap",
+               mode_params={"x_min_m": 0.0, "x_max_m": 0.5,
+                            "y_min_m": 0.0, "y_max_m": 0.5})
+    path = write_scenario(tmp_path, doc)
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) \
+        == EXIT_VALIDATION
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert "excludes" in json.loads(err[0])["message"]
 
 
 def test_missing_file_is_validation_error(tmp_path):

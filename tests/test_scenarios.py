@@ -3,7 +3,13 @@ import json
 import numpy as np
 import pytest
 
-from risjam.channel import EnvironmentSpec, Position, move_device
+from risjam.channel import (
+    EnvironmentSpec,
+    Position,
+    move_device,
+    ris_subchannels,
+)
+from risjam.ris import compose_channel
 from risjam.scenarios import (
     DESK_CLUSTERS,
     DESK_DEVICES,
@@ -299,6 +305,53 @@ def test_heatmap_grid_must_contain_focus():
                                       "y_min_m": 0.0, "y_max_m": 0.5})
     with pytest.raises(ScenarioError, match="excludes"):
         heatmap_scan(spec)
+
+
+def test_heatmap_matches_per_point_reference():
+    spec = mini_scenario(mode="heatmap",
+                         mode_params={"x_extent_m": 0.2, "y_extent_m": 0.1,
+                                      "step_m": 0.01})
+    first = heatmap_scan(spec)
+    second = heatmap_scan(spec)
+    hm = first.extras["heatmap"]
+    assert second.extras["heatmap"]["normalized_db"] == hm["normalized_db"]
+
+    env = spec.build_environment()
+    config = first.extras["config"]
+
+    def gain_db(x, y, z):
+        sub = ris_subchannels(env, Position(x, y, z), device="A")
+        return 20.0 * np.log10(abs(compose_channel(config, sub)))
+
+    fx, fy, fz = hm["focus"]
+    ref = [[gain_db(x, y, fz) - gain_db(fx, fy, fz) for x in hm["x_m"]]
+           for y in hm["y_m"]]
+    np.testing.assert_allclose(hm["normalized_db"], ref, rtol=0, atol=1e-9)
+
+
+@pytest.mark.parametrize("mode,params", [
+    ("heatmap", {"step_m": 0}),
+    ("heatmap", {"step_m": -0.01}),
+    ("heatmap", {"step_m": float("nan")}),
+    ("heatmap", {"step_m": "0.01"}),
+    ("heatmap", {"step_m": True}),
+    ("heatmap", {"x_extent_m": float("inf")}),
+    ("heatmap", {"y_extent_m": -0.1}),
+    ("heatmap", {"step_m": 1e-5}),
+    ("heatmap", {"x_extent_m": 10 ** 400}),
+    ("heatmap", {"x_min_m": 1.0, "x_max_m": 2.0, "y_min_m": 3.0,
+                 "y_max_m": 2.5}),
+    ("heatmap", {"x_min_m": 1.0, "x_max_m": 2.0, "y_min_m": 2.0}),
+    ("displacement", {"minimized": "B", "step_mm": 0}),
+    ("displacement", {"minimized": "B", "max_mm": -4.0}),
+    ("displacement", {"minimized": "B", "step_mm": 1e-4}),
+    ("displacement", {"minimized": "B", "max_mm": None}),
+    ("displacement", {"minimized": "A"}),
+    ("displacement", {"minimized": ["B"]}),
+])
+def test_bad_scan_grid_rejected_at_construction(mode, params):
+    with pytest.raises(ScenarioError, match="mode_params"):
+        mini_scenario(mode=mode, mode_params=params)
 
 
 def test_displacement_scan_shapes_and_notch():
