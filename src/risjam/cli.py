@@ -7,8 +7,10 @@ error.  Failures emit a single machine-readable JSON object on stderr.
 from __future__ import annotations
 
 import argparse
+import csv
 import datetime
 import hashlib
+import itertools
 import json
 import sys
 from dataclasses import dataclass
@@ -125,7 +127,9 @@ def execute(spec: ScenarioSpec, out_dir, threads: int = 1,
         result.write_csv(results_csv)
         written.append(results_csv)
 
-    written.extend(_write_mode_extras(result, out))
+    for name, header, rows in _extra_tables(result):
+        _write_table(out / name, header, rows)
+        written.append(out / name)
 
     for i, trace in enumerate(result.traces()):
         if trace is None:
@@ -147,73 +151,43 @@ def execute(spec: ScenarioSpec, out_dir, threads: int = 1,
     return manifest
 
 
-def _write_mode_extras(result: RunResult, out: Path) -> list[Path]:
-    import csv as _csv
-    written = []
-    extras = result.extras
-
+def _extra_tables(result: RunResult):
+    """(file name, header, rows) of each mode-specific CSV table."""
+    extras, devices = result.extras, result.devices
     if "sweep" in extras:
-        path = out / "sweep.csv"
         sweep = extras["sweep"]
-        with open(path, "w", newline="") as fh:
-            writer = _csv.writer(fh)
-            writer.writerow(["power_dbm", "device", "packet_rate"])
-            for i, power in enumerate(sweep["powers_dbm"]):
-                for device in result.devices:
-                    writer.writerow([format(power, ".10g"), device,
-                                     format(sweep["rates"][device][i], ".10g")])
-        written.append(path)
-
+        yield "sweep.csv", ["power_dbm", "device", "packet_rate"], (
+            [power, d, sweep["rates"][d][i]]
+            for i, power in enumerate(sweep["powers_dbm"]) for d in devices)
     if "heatmap" in extras:
-        path = out / "grid.csv"
         grid = extras["heatmap"]
-        with open(path, "w", newline="") as fh:
-            writer = _csv.writer(fh)
-            writer.writerow(["y_m\\x_m"] + [format(x, ".10g")
-                                            for x in grid["x_m"]])
-            for y, row in zip(grid["y_m"], grid["normalized_db"]):
-                writer.writerow([format(y, ".10g")]
-                                + [format(v, ".10g") for v in row])
-        written.append(path)
-
+        yield "grid.csv", ["y_m\\x_m", *grid["x_m"]], (
+            [y, *row] for y, row in zip(grid["y_m"], grid["normalized_db"]))
     if "displacement" in extras:
-        path = out / "curves.csv"
         disp = extras["displacement"]
-        with open(path, "w", newline="") as fh:
-            writer = _csv.writer(fh)
-            writer.writerow(["displacement_mm", "maximized_db",
-                             "minimized_db"])
-            for i, d in enumerate(disp["displacements_mm"]):
-                writer.writerow([format(d, ".10g"),
-                                 format(disp["maximized_db"][i], ".10g"),
-                                 format(disp["minimized_db"][i], ".10g")])
-        written.append(path)
-
+        header = ["displacement_mm", "maximized_db", "minimized_db"]
+        yield "curves.csv", header, zip(disp["displacements_mm"],
+                                        disp["maximized_db"],
+                                        disp["minimized_db"])
     if "element_sweep" in extras:
-        path = out / "separation.csv"
         sweep = extras["element_sweep"]
-        with open(path, "w", newline="") as fh:
-            writer = _csv.writer(fh)
-            writer.writerow(["active_elements", "repeat", "separation_db"])
-            for count in sweep["counts"]:
-                for rep, sep in enumerate(sweep["separation_db"][str(count)]):
-                    writer.writerow([count, rep, format(sep, ".10g")])
-        written.append(path)
-
+        header = ["active_elements", "repeat", "separation_db"]
+        yield "separation.csv", header, (
+            [count, rep, sep] for count in sweep["counts"]
+            for rep, sep in enumerate(sweep["separation_db"][str(count)]))
     if "timeseries" in extras:
-        path = out / "timeseries.csv"
         series = extras["timeseries"]
-        with open(path, "w", newline="") as fh:
-            writer = _csv.writer(fh)
-            writer.writerow(["time", "device", "packet_rate"])
-            for t in series["times"]:
-                for device in result.devices:
-                    writer.writerow([t, device,
-                                     format(series["rates"][device][t],
-                                            ".10g")])
-        written.append(path)
+        yield "timeseries.csv", ["time", "device", "packet_rate"], (
+            [t, d, series["rates"][d][t]] for t in series["times"]
+            for d in devices)
 
-    return written
+
+def _write_table(path: Path, header, rows) -> None:
+    """CSV with floats written ``.10g`` and every other cell as ``str``."""
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerows(
+            [format(v, ".10g") if isinstance(v, float) else str(v)
+             for v in row] for row in itertools.chain([header], rows))
 
 
 def compare_runs(manifest_a, manifest_b) -> dict:
@@ -359,11 +333,13 @@ def main(argv=None) -> int:
             print(json.dumps(report, sort_keys=True, indent=1))
             return EXIT_OK
         if args.command == "env" and args.env_command == "synth":
+            doc = {}
             if args.spec is not None:
-                doc = json.loads(Path(args.spec).read_text())
-                env_spec = _environment_spec_from_dict(doc)
-            else:
-                env_spec = _environment_spec_from_dict({})
+                try:
+                    doc = json.loads(Path(args.spec).read_text())
+                except json.JSONDecodeError as exc:
+                    raise ScenarioError(f"invalid JSON: {exc}") from exc
+            env_spec = _environment_spec_from_dict(doc)
             env = synthesize_environment(env_spec, args.seed)
             save_environment(env, args.out)
             print(json.dumps({"written": args.out,

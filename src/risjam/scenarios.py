@@ -17,6 +17,7 @@ import math
 import numbers
 import re
 from dataclasses import dataclass, field, replace
+from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -28,7 +29,9 @@ from .channel import (
     Position,
     as_position,
     direct_channel,
+    environment_from_dict,
     environment_to_dict,
+    load_environment,
     move_device,
     perturb_environment,
     received_rssi,
@@ -85,6 +88,36 @@ class ScenarioError(ValueError):
         self.fieldpath = fieldpath
 
 
+def _number_param(params: Mapping, key: str, default=None, *,
+                  prefix: str = "mode_params.", integer: bool = False,
+                  low: float = -math.inf, high: float = math.inf,
+                  strict: bool = False):
+    """The finite number (a non-bool int if ``integer``) at ``params[key]``.
+
+    It must lie in [low, high], or in (low, high) when ``strict``.  Errors
+    name the field as ``prefix + key``.
+    """
+    value = params.get(key, default)
+    path = f"{prefix}{key}"
+    kind = numbers.Integral if integer else numbers.Real
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise ScenarioError("must be an integer" if integer
+                            else "must be a finite number", path)
+    try:
+        number = int(value) if integer else float(value)
+    except OverflowError:
+        number = math.inf
+    if not (integer or math.isfinite(number)):
+        raise ScenarioError("must be a finite number", path)
+    if not ((low < number < high) if strict else (low <= number <= high)):
+        if high == math.inf:
+            raise ScenarioError(f"must be {'>' if strict else '>='} {low}",
+                                path)
+        raise ScenarioError(f"must be in {'(' if strict else '['}{low}, "
+                            f"{high}{')' if strict else ']'}", path)
+    return number
+
+
 @dataclass(frozen=True)
 class PowerSettings:
     jam_dbm: float | None = None      # None: auto, knee + margin
@@ -95,9 +128,14 @@ class PowerSettings:
     sweep_step_db: float = 1.0
 
     def __post_init__(self):
-        if self.sweep_step_db <= 0:
-            raise ScenarioError("sweep step must be positive",
-                                "powers.sweep_step_db")
+        fields = vars(self)
+        for key in ("ap_dbm", "device_tx_dbm", "sweep_from_dbm",
+                    "sweep_to_dbm"):
+            _number_param(fields, key, prefix="powers.")
+        if self.jam_dbm is not None:
+            _number_param(fields, "jam_dbm", prefix="powers.")
+        _number_param(fields, "sweep_step_db", prefix="powers.", low=0,
+                      strict=True)
         if self.sweep_to_dbm <= self.sweep_from_dbm:
             raise ScenarioError("sweep range must be increasing",
                                 "powers.sweep_to_dbm")
@@ -120,10 +158,21 @@ class OptimizerSettings:
     quantize: bool = True
 
     def __post_init__(self):
-        if self.table_size < 2:
-            raise ScenarioError("table_size must be >= 2", "optimizer.table_size")
-        if self.steps < 0:
-            raise ScenarioError("steps must be >= 0", "optimizer.steps")
+        fields = vars(self)
+        _number_param(fields, "table_size", prefix="optimizer.", integer=True,
+                      low=2)
+        for key in ("steps", "reeval_period"):
+            _number_param(fields, key, prefix="optimizer.", integer=True,
+                          low=0)
+        _number_param(fields, "epsilon", prefix="optimizer.", low=0,
+                      high=0.5, strict=True)
+        for key in ("w_mean", "w_extreme", "meas_sigma_db"):
+            _number_param(fields, key, prefix="optimizer.", low=0)
+        if abs(self.w_mean + self.w_extreme - 1.0) > 1e-9:
+            raise ScenarioError("w_mean + w_extreme must be 1",
+                                "optimizer.w_extreme")
+        if not isinstance(self.quantize, bool):
+            raise ScenarioError("must be true or false", "optimizer.quantize")
 
     def cost_weights(self) -> CostWeights:
         return CostWeights(self.w_mean, self.w_extreme)
@@ -150,6 +199,8 @@ class ScenarioSpec:
             raise ScenarioError(
                 f"unknown mode {self.mode!r}; valid modes: {', '.join(MODES)}",
                 "mode")
+        _number_param(vars(self), "seed", prefix="", integer=True, low=0,
+                      high=2 ** 64 - 1)
         devices = self._device_ids()
         if self.ap_id not in devices:
             raise ScenarioError(f"access point {self.ap_id!r} is not in the "
@@ -214,14 +265,25 @@ class ScenarioSpec:
                 raise ScenarioError(f"excluded device {exclude!r} must be a "
                                     f"non-AP roster device",
                                     "mode_params.exclude")
+            if len(self.eval_devices()) < 2:
+                raise ScenarioError("excluding it leaves no device to jam",
+                                    "mode_params.exclude")
         elif self.mode == "element-sweep":
             counts = params.get("counts")
-            if not counts:
-                raise ScenarioError("element-sweep mode needs "
-                                    "mode_params.counts", "mode_params.counts")
+            if not isinstance(counts, (list, tuple)) or not counts:
+                raise ScenarioError("element-sweep mode needs a non-empty "
+                                    "list mode_params.counts",
+                                    "mode_params.counts")
+            for count in counts:
+                _number_param({"counts": count}, "counts", integer=True, low=1)
             if list(counts) != sorted(counts):
                 raise ScenarioError("counts must be sorted ascending",
                                     "mode_params.counts")
+            size = self.environment.n_elements
+            if counts[-1] > size:
+                raise ScenarioError(f"count {counts[-1]} exceeds the surface "
+                                    f"size {size}", "mode_params.counts")
+            _number_param(params, "repeats", 1, integer=True, low=1)
         elif self.mode == "displacement":
             minimized = params.get("minimized")
             if not minimized:
@@ -238,6 +300,39 @@ class ScenarioSpec:
                 raise ScenarioError("heatmap mode needs exactly one target",
                                     "targets")
             _heatmap_window(params, self._position(self.targets[0]))
+        elif self.mode == "perturbation":
+            schedule = params.get("schedule", [])
+            if not isinstance(schedule, (list, tuple)):
+                raise ScenarioError("must be a list of events",
+                                    "mode_params.schedule")
+            for i, event in enumerate(schedule):
+                self._check_event(event, f"mode_params.schedule[{i}]")
+            if "duration" in params:
+                _number_param(params, "duration", integer=True, low=0)
+        elif self.mode == "directional-baseline":
+            _antenna(params)
+        elif self.mode == "throughput":
+            _number_param(params, "offered_load_mbps", 30.0, low=0,
+                          strict=True)
+
+    def _check_event(self, event, path: str):
+        """A perturbation event re-draws a scatterer fraction or moves a
+        roster device."""
+        if not isinstance(event, Mapping):
+            raise ScenarioError("must be an object", path)
+        _number_param(event, "time", prefix=f"{path}.")
+        if "fraction" in event:
+            _number_param(event, "fraction", prefix=f"{path}.", low=0, high=1)
+            _number_param(event, "seed", self.seed, prefix=f"{path}.",
+                          integer=True, low=0, high=2 ** 64 - 1)
+            return
+        if event.get("device") not in self._device_ids():
+            raise ScenarioError("needs a fraction or a roster device",
+                                f"{path}.device")
+        try:
+            as_position(event.get("position"))
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ScenarioError(str(exc), f"{path}.position") from exc
 
     # -- helpers -----------------------------------------------------------
 
@@ -547,13 +642,19 @@ def _optimize(env: Environment, spec: ScenarioSpec, targets: Sequence[str],
     return config, trace, oracle
 
 
+def _packet_rates(env: Environment, jam_dbm: np.ndarray, sig_dbm: np.ndarray,
+                  mcs: int = link.MONITOR_MCS) -> np.ndarray:
+    """Packet rates at fixed MCS for jamming and access-point levels (dBm)."""
+    ratio = link.sjnr_db(sig_dbm, jam_dbm, env.noise_floor_dbm)
+    return link.PACKETS_PER_SECOND * link.packet_success_prob(ratio, mcs)
+
+
 def _sweep_rates(env: Environment, jam_gain_db: np.ndarray,
                  sig_dbm: np.ndarray, powers: np.ndarray,
                  mcs: int = link.MONITOR_MCS) -> np.ndarray:
     """Packet rates over a (power grid x device) lattice, fixed MCS."""
-    jam_dbm = powers[:, None] + jam_gain_db[None, :]
-    ratio = link.sjnr_db(sig_dbm[None, :], jam_dbm, env.noise_floor_dbm)
-    return link.PACKETS_PER_SECOND * link.packet_success_prob(ratio, mcs)
+    return _packet_rates(env, powers[:, None] + jam_gain_db[None, :],
+                         sig_dbm[None, :], mcs)
 
 
 def _knee_dbm(powers: np.ndarray, rates: np.ndarray) -> float | None:
@@ -562,57 +663,70 @@ def _knee_dbm(powers: np.ndarray, rates: np.ndarray) -> float | None:
     return float(powers[hit[0]]) if hit.size else None
 
 
-def _sweep_and_knees(env, spec, jam_gain_db, sig_dbm, devices, targets,
-                     mcs=link.MONITOR_MCS, require_target_knee=True):
-    powers = spec.powers.sweep_grid()
-    rates = _sweep_rates(env, jam_gain_db, sig_dbm, powers, mcs)
-    knees = {d: _knee_dbm(powers, rates[:, i]) for i, d in enumerate(devices)}
-    target_knees = [knees[t] for t in targets]
-    nt_knees = [k for d, k in knees.items()
-                if d not in targets and k is not None]
-    first_nt = min(nt_knees) if nt_knees else None
-    if any(k is None for k in target_knees):
-        if require_target_knee:
-            missing = [t for t in targets if knees[t] is None]
-            raise RuntimeError(
-                f"sweep range {spec.powers.sweep_from_dbm}.."
-                f"{spec.powers.sweep_to_dbm} dBm never disrupts target(s) "
-                f"{missing}; extend the sweep")
-        return powers, rates, knees, None, first_nt, None
-    target_knee = max(target_knees)
-    # A non-target that survives the whole sweep bounds the margin from below.
-    margin = ((first_nt if first_nt is not None else spec.powers.sweep_to_dbm)
-              - target_knee)
-    return powers, rates, knees, target_knee, first_nt, margin
-
-
 def _evaluate_row(env: Environment, spec: ScenarioSpec, config: RisConfig,
                   targets: Sequence[str], run_idx: int, *,
-                  rates_mcs: int = link.MONITOR_MCS,
                   with_throughput: bool = False,
                   operating_override: float | None = None
                   ) -> tuple[TargetRow, dict]:
+    """Evaluate a surface configuration on every device.
+
+    Its composed gains go through ``_evaluate_gains``; the gains delivered to
+    the targets join the extras.
+    """
+    devices = spec.eval_devices()
+    jam_gain_db = _composed_gain_db(env, config, devices)
+    row, extras = _evaluate_gains(env, spec, jam_gain_db, targets, run_idx,
+                                  with_throughput=with_throughput,
+                                  operating_override=operating_override)
+    extras["delivered_gain_db"] = {t: float(jam_gain_db[devices.index(t)])
+                                   for t in row.targets}
+    return row, extras
+
+
+def _evaluate_gains(env: Environment, spec: ScenarioSpec,
+                    jam_gain_db: np.ndarray, targets: Sequence[str],
+                    run_idx: int, *, with_throughput: bool = False,
+                    operating_override: float | None = None
+                    ) -> tuple[TargetRow, dict]:
+    """Power sweep, knees, operating power, measured RSSI/JSR and packet
+    rates (plus adaptive throughput) for per-device jamming gains (dB)."""
     devices = spec.eval_devices()
     targets = tuple(targets)
-    jam_gain_db = _composed_gain_db(env, config, devices)
     sig_dbm = _ap_signal_dbm(env, spec, devices)
 
-    knee_mcs = 0 if with_throughput else rates_mcs
-    needs_knee = operating_override is None and spec.powers.jam_dbm is None
-    powers, rates, knees, target_knee, first_nt, margin = _sweep_and_knees(
-        env, spec, jam_gain_db, sig_dbm, devices, targets, mcs=knee_mcs,
-        require_target_knee=needs_knee)
+    knee_mcs = 0 if with_throughput else link.MONITOR_MCS
+    powers = spec.powers.sweep_grid()
+    rates = _sweep_rates(env, jam_gain_db, sig_dbm, powers, knee_mcs)
+    knees = {d: _knee_dbm(powers, rates[:, i]) for i, d in enumerate(devices)}
+    nt_knees = [k for d, k in knees.items()
+                if d not in targets and k is not None]
+    first_nt = min(nt_knees) if nt_knees else None
+    missing = [t for t in targets if knees[t] is None]
+    target_knee = margin = None
+    if not missing:
+        target_knee = max(knees[t] for t in targets)
+        # A non-target that survives the whole sweep bounds the margin from
+        # below.
+        margin = ((first_nt if first_nt is not None
+                   else spec.powers.sweep_to_dbm) - target_knee)
+
     if operating_override is not None:
         operating = float(operating_override)
     elif spec.powers.jam_dbm is not None:
         operating = float(spec.powers.jam_dbm)
+    elif missing:
+        raise RuntimeError(
+            f"sweep range {spec.powers.sweep_from_dbm}.."
+            f"{spec.powers.sweep_to_dbm} dBm never disrupts target(s) "
+            f"{missing}; extend the sweep")
     elif with_throughput:
         operating = target_knee + THROUGHPUT_POWER_MARGIN_DB
     else:
         operating = target_knee + AUTO_POWER_MARGIN_DB
 
+    jam_dbm = operating + jam_gain_db
     eval_rng = np.random.default_rng([spec.seed, _STREAM_EVAL, run_idx])
-    att_rssi = received_rssi(env, operating + jam_gain_db, eval_rng,
+    att_rssi = received_rssi(env, jam_dbm, eval_rng,
                              spec.optimizer.meas_sigma_db).astype(float)
     ap_rssi = received_rssi(env, sig_dbm, eval_rng,
                             spec.optimizer.meas_sigma_db).astype(float)
@@ -620,17 +734,13 @@ def _evaluate_row(env: Environment, spec: ScenarioSpec, config: RisConfig,
     ref = np.mean([jsr[devices.index(t)] for t in targets])
     norm = jsr - ref
 
-    jam_dbm = operating + jam_gain_db
-    ratio = link.sjnr_db(sig_dbm, jam_dbm, env.noise_floor_dbm)
-    pkt = link.PACKETS_PER_SECOND * link.packet_success_prob(ratio, rates_mcs)
-
     row = TargetRow(
         targets=targets,
         attacker_rssi_dbm=dict(zip(devices, att_rssi)),
         ap_rssi_dbm=dict(zip(devices, ap_rssi)),
         jsr_db=dict(zip(devices, jsr)),
         norm_jsr_db=dict(zip(devices, norm)),
-        packet_rate=dict(zip(devices, pkt)),
+        packet_rate=dict(zip(devices, _packet_rates(env, jam_dbm, sig_dbm))),
         operating_jam_dbm=operating,
         target_knee_dbm=target_knee,
         first_nontarget_knee_dbm=first_nt,
@@ -644,13 +754,12 @@ def _evaluate_row(env: Environment, spec: ScenarioSpec, config: RisConfig,
             "rates": {d: rates[:, i].tolist() for i, d in enumerate(devices)},
         },
         "knees_dbm": knees,
-        "delivered_gain_db": {t: float(jam_gain_db[devices.index(t)])
-                              for t in targets},
     }
 
     if with_throughput:
         link_rng = np.random.default_rng([spec.seed, _STREAM_LINK, run_idx])
         offered = spec.mode_params.get("offered_load_mbps", 30.0)
+        ratio = link.sjnr_db(sig_dbm, jam_dbm, env.noise_floor_dbm)
         jammed = {}
         baseline = {}
         for i, d in enumerate(devices):
@@ -682,88 +791,82 @@ def simulate_link_throughput(sjnr_value: float, offered_mbps: float,
 # ---------------------------------------------------------------------------
 
 
+def power_sweep(spec: ScenarioSpec) -> RunResult:
+    """Optimize against the target set and evaluate it on every device.
+
+    One or more targets share one search; the packet-rate power sweep, the
+    knees and, in throughput mode, the adaptive-rate links follow.
+    """
+    if not spec.targets:
+        raise ScenarioError("power_sweep needs at least one target", "targets")
+    env = spec.build_environment()
+    run_idx = _run_index(spec, spec.targets[0])
+    config, trace, _ = _optimize(env, spec, spec.targets, run_idx)
+    row, extras = _evaluate_row(env, spec, config, spec.targets, run_idx,
+                                with_throughput=spec.mode == "throughput")
+    extras["config"] = config
+    extras["_traces"] = [trace]
+    return RunResult(spec.name, spec.mode, spec.eval_devices(), [row], extras)
+
+
 def run_single_target(spec: ScenarioSpec) -> RunResult:
-    """Optimize against one target and evaluate the outcome on every device."""
+    """``power_sweep`` for exactly one target."""
     if len(spec.targets) != 1:
         raise ScenarioError("run_single_target needs exactly one target",
                             "targets")
-    env = spec.build_environment()
-    run_idx = _run_index(spec, spec.targets[0])
-    config, trace, _ = _optimize(env, spec, spec.targets, run_idx)
-    with_tp = spec.mode == "throughput"
-    row, extras = _evaluate_row(env, spec, config, spec.targets, run_idx,
-                                with_throughput=with_tp)
-    extras["config"] = config
-    extras["_traces"] = [trace]
-    return RunResult(spec.name, spec.mode, spec.eval_devices(), [row], extras)
+    return power_sweep(spec)
 
 
 def run_multi_target(spec: ScenarioSpec) -> RunResult:
-    """Optimize against two or more targets simultaneously."""
+    """``power_sweep`` for two or more targets optimized simultaneously."""
     if len(spec.targets) < 2:
         raise ScenarioError("run_multi_target needs at least two targets",
                             "targets")
-    env = spec.build_environment()
-    run_idx = _run_index(spec, spec.targets[0])
-    config, trace, _ = _optimize(env, spec, spec.targets, run_idx)
-    with_tp = spec.mode == "throughput"
-    row, extras = _evaluate_row(env, spec, config, spec.targets, run_idx,
-                                with_throughput=with_tp)
-    extras["config"] = config
-    extras["_traces"] = [trace]
-    return RunResult(spec.name, spec.mode, spec.eval_devices(), [row], extras)
+    return power_sweep(spec)
 
 
 def run_exclusion(spec: ScenarioSpec) -> RunResult:
     """Jam every non-AP device except the one named in mode_params.exclude."""
     exclude = spec.mode_params["exclude"]
     targets = tuple(d for d in spec.eval_devices() if d != exclude)
-    inner = replace(spec, targets=targets, non_targets=None, hidden=())
-    result = run_multi_target(inner)
-    result.mode = spec.mode
+    result = power_sweep(replace(spec, targets=targets, non_targets=None,
+                                 hidden=()))
     result.extras["excluded"] = exclude
     return result
 
 
-def power_sweep(spec: ScenarioSpec) -> RunResult:
-    """Per-device packet rate against jamming power for the optimized config."""
-    if len(spec.targets) == 1:
-        return run_single_target(spec)
-    return run_multi_target(spec)
+def _pool_map(build, items: Sequence, threads: int) -> list:
+    """``[build(item) for item in items]``, on ``threads`` threads if > 1."""
+    if threads > 1:
+        from concurrent.futures import ThreadPoolExecutor
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            return list(pool.map(build, items))
+    return [build(item) for item in items]
 
 
 def run_jsr_matrix(spec: ScenarioSpec, threads: int = 1) -> RunResult:
     """One single-target optimization per device; rows stack into the matrix."""
     env = spec.build_environment()
     targets = spec.targets or spec.eval_devices()
-    rows = [None] * len(targets)
-    all_extras = {"configs": {}, "_traces": [None] * len(targets),
-                  "knees_dbm": {}, "delivered_gain_db": {}}
 
-    def build(i: int):
-        target = targets[i]
+    def build(target: str):
         run_idx = _run_index(spec, target)
         sub = replace(spec, targets=(target,), non_targets=None,
                       hidden=tuple(h for h in spec.hidden if h != target))
         config, trace, _ = _optimize(env, sub, (target,), run_idx)
-        row, extras = _evaluate_row(env, sub, config, (target,), run_idx)
-        return i, config, trace, row, extras
+        return (config, trace,
+                *_evaluate_row(env, sub, config, (target,), run_idx))
 
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(build, range(len(targets))))
-    else:
-        results = [build(i) for i in range(len(targets))]
-
-    for i, config, trace, row, extras in results:
-        rows[i] = row
-        all_extras["configs"][targets[i]] = config
-        all_extras["_traces"][i] = trace
-        all_extras["knees_dbm"][targets[i]] = extras["knees_dbm"]
-        all_extras["delivered_gain_db"].update(extras["delivered_gain_db"])
-    return RunResult(spec.name, spec.mode, spec.eval_devices(), rows,
-                     all_extras)
+    results = _pool_map(build, targets, threads)
+    extras = {"configs": {}, "_traces": [], "knees_dbm": {},
+              "delivered_gain_db": {}}
+    for target, (config, trace, _, row_extras) in zip(targets, results):
+        extras["configs"][target] = config
+        extras["_traces"].append(trace)
+        extras["knees_dbm"][target] = row_extras["knees_dbm"]
+        extras["delivered_gain_db"].update(row_extras["delivered_gain_db"])
+    return RunResult(spec.name, spec.mode, spec.eval_devices(),
+                     [r[2] for r in results], extras)
 
 
 def hidden_device_eval(spec: ScenarioSpec, threads: int = 1) -> RunResult:
@@ -775,12 +878,8 @@ def hidden_device_eval(spec: ScenarioSpec, threads: int = 1) -> RunResult:
     """
     env = spec.build_environment()
     targets = spec.targets or spec.eval_devices()
-    rows = [None] * len(targets)
-    before_rows = [None] * len(targets)
-    extras = {"configs": {}, "_traces": [None] * len(targets)}
 
-    def build(i: int):
-        target = targets[i]
+    def build(target: str):
         run_idx = _run_index(spec, target)
         hidden = tuple(d for d in spec.eval_devices() if d != target)
         sub = replace(spec, targets=(target,), non_targets=None, hidden=hidden)
@@ -793,24 +892,17 @@ def hidden_device_eval(spec: ScenarioSpec, threads: int = 1) -> RunResult:
         row, _ = _evaluate_row(env, sub, config, (target,), run_idx)
         before, _ = _evaluate_row(env, sub, initial, (target,), run_idx,
                                   operating_override=row.operating_jam_dbm)
-        return i, config, trace, row, before
+        return config, trace, row, before
 
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(build, range(len(targets))))
-    else:
-        results = [build(i) for i in range(len(targets))]
-
-    for i, config, trace, row, before in results:
-        rows[i] = row
-        before_rows[i] = before
-        extras["configs"][targets[i]] = config
-        extras["_traces"][i] = trace
-    extras["before_norm_jsr_db"] = {
-        row.label(): row.norm_jsr_db for row in before_rows
+    results = _pool_map(build, targets, threads)
+    extras = {
+        "configs": {t: r[0] for t, r in zip(targets, results)},
+        "_traces": [r[1] for r in results],
+        "before_norm_jsr_db": {r[3].label(): r[3].norm_jsr_db
+                               for r in results},
     }
-    return RunResult(spec.name, spec.mode, spec.eval_devices(), rows, extras)
+    return RunResult(spec.name, spec.mode, spec.eval_devices(),
+                     [r[2] for r in results], extras)
 
 
 def random_config_eval(spec: ScenarioSpec, n_configs: int = 20) -> dict:
@@ -833,39 +925,20 @@ def random_config_eval(spec: ScenarioSpec, n_configs: int = 20) -> dict:
     return {"devices": devices, "rssi_dbm": rssi, "configs": configs}
 
 
-def _scan_param(params: Mapping, key: str, default=None) -> float:
-    value = params.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ScenarioError("must be a finite number", f"mode_params.{key}")
-    try:
-        number = float(value)
-    except OverflowError:
-        number = math.inf
-    if not math.isfinite(number):
-        raise ScenarioError("must be a finite number", f"mode_params.{key}")
-    return number
-
-
 def _heatmap_window(params: Mapping, focus: Position
                     ) -> tuple[float, float, float, float, float]:
     """Validated (step, x0, x1, y0, y1) of a heatmap scan around ``focus``."""
-    step = _scan_param(params, "step_m", 0.01)
-    if step <= 0:
-        raise ScenarioError("must be > 0", "mode_params.step_m")
+    step = _number_param(params, "step_m", 0.01, low=0, strict=True)
     if "x_min_m" in params:
-        x0, x1, y0, y1 = (_scan_param(params, key) for key in
+        x0, x1, y0, y1 = (_number_param(params, key) for key in
                           ("x_min_m", "x_max_m", "y_min_m", "y_max_m"))
         if x1 < x0:
             raise ScenarioError("must be >= x_min_m", "mode_params.x_max_m")
         if y1 < y0:
             raise ScenarioError("must be >= y_min_m", "mode_params.y_max_m")
     else:
-        x_extent = _scan_param(params, "x_extent_m", 0.75)
-        y_extent = _scan_param(params, "y_extent_m", 0.50)
-        if x_extent < 0:
-            raise ScenarioError("must be >= 0", "mode_params.x_extent_m")
-        if y_extent < 0:
-            raise ScenarioError("must be >= 0", "mode_params.y_extent_m")
+        x_extent = _number_param(params, "x_extent_m", 0.75, low=0)
+        y_extent = _number_param(params, "y_extent_m", 0.50, low=0)
         x0, x1 = focus.x - x_extent / 2, focus.x + x_extent / 2
         y0, y1 = focus.y - y_extent / 2, focus.y + y_extent / 2
     nx, ny = (x1 - x0) / step, (y1 - y0) / step
@@ -878,16 +951,21 @@ def _heatmap_window(params: Mapping, focus: Position
 
 def _displacement_offsets_m(params: Mapping) -> np.ndarray:
     """Validated displacements (m) of a displacement scan."""
-    step_mm = _scan_param(params, "step_mm", 4.0)
-    max_mm = _scan_param(params, "max_mm", 48.0)
-    if step_mm <= 0:
-        raise ScenarioError("must be > 0", "mode_params.step_mm")
-    if max_mm < 0:
-        raise ScenarioError("must be >= 0", "mode_params.max_mm")
+    step_mm = _number_param(params, "step_mm", 4.0, low=0, strict=True)
+    max_mm = _number_param(params, "max_mm", 48.0, low=0)
     if not (max_mm + step_mm / 2) / step_mm <= MAX_SCAN_POINTS:
         raise ScenarioError(f"rail exceeds {MAX_SCAN_POINTS} points",
                             "mode_params.step_mm")
     return np.arange(0.0, max_mm + step_mm / 2, step_mm) / 1000.0
+
+
+def _antenna(params: Mapping) -> tuple[dict, float]:
+    """Validated directional pattern keywords and diffuse level (dB)."""
+    pattern = {key: _number_param(params, key, default) for key, default in
+               (("gain_dbi", 19.0), ("front_back_db", 25.0))}
+    pattern["beamwidth_deg"] = _number_param(params, "beamwidth_deg", 10.0,
+                                             low=0, strict=True)
+    return pattern, _number_param(params, "diffuse_db", 0.0)
 
 
 def heatmap_scan(spec: ScenarioSpec) -> RunResult:
@@ -944,9 +1022,6 @@ def displacement_scan(spec: ScenarioSpec) -> RunResult:
     env = spec.build_environment()
     maximized = spec.targets[0]
     minimized = spec.mode_params["minimized"]
-    if minimized not in env.devices or minimized == maximized:
-        raise ScenarioError("minimized device must be a distinct roster "
-                            "device", "mode_params.minimized")
     disp_m = _displacement_offsets_m(spec.mode_params)
 
     run_idx = _run_index(spec, maximized)
@@ -983,8 +1058,10 @@ def displacement_scan(spec: ScenarioSpec) -> RunResult:
 def element_sweep(spec: ScenarioSpec) -> RunResult:
     """Target/non-target separation against the number of active elements.
 
-    Inactive elements are frozen at a random configuration.  With the full
-    surface active the run is exactly run_single_target's optimization.
+    Inactive elements are frozen at a random configuration.  The full-surface
+    run of repeat r draws from the optimizer and measurement streams of run
+    index r, so repeat 0 reproduces run_single_target's optimization exactly
+    when the target has run index 0 (it is first in eval_devices()).
     """
     if len(spec.targets) != 1:
         raise ScenarioError("element-sweep mode needs exactly one target",
@@ -993,11 +1070,6 @@ def element_sweep(spec: ScenarioSpec) -> RunResult:
     L = env.n_elements
     counts = [int(c) for c in spec.mode_params["counts"]]
     repeats = int(spec.mode_params.get("repeats", 1))
-    if counts[-1] > L:
-        raise ScenarioError(f"count {counts[-1]} exceeds the surface size {L}",
-                            "mode_params.counts")
-    if counts[0] < 1:
-        raise ScenarioError("counts must be >= 1", "mode_params.counts")
     target = spec.targets[0]
     devices = spec.eval_devices()
     non_targets = [d for d in devices if d != target]
@@ -1006,37 +1078,26 @@ def element_sweep(spec: ScenarioSpec) -> RunResult:
     configs = {}
     for rep in range(repeats):
         for count in counts:
-            if count == L:
-                # Full surface: same streams and oracle as run_single_target.
-                opt_seed = [spec.seed, _STREAM_OPTIMIZER, rep]
-                meas_seed = [spec.seed, _STREAM_MEASURE, rep]
-                inner = RssiOracle(
-                    env, (target,), spec.visible_non_targets(),
-                    spec.powers.device_tx_dbm,
-                    np.random.default_rng(meas_seed),
-                    sigma_db=spec.optimizer.meas_sigma_db,
-                    quantize=spec.optimizer.quantize)
-                oracle = inner
-                expand = lambda cfg: cfg
-            else:
+            # The full surface keeps run_single_target's stream tags.
+            tag = [rep] if count == L else [rep, count]
+            oracle = RssiOracle(
+                env, (target,), spec.visible_non_targets(),
+                spec.powers.device_tx_dbm,
+                np.random.default_rng([spec.seed, _STREAM_MEASURE, *tag]),
+                sigma_db=spec.optimizer.meas_sigma_db,
+                quantize=spec.optimizer.quantize)
+            expand = lambda cfg: cfg
+            if count < L:
                 mask_rng = np.random.default_rng(
                     [spec.seed, _STREAM_MASK, count, rep])
                 active = np.sort(mask_rng.choice(L, count, replace=False))
                 frozen = mask_rng.integers(0, 2, L, dtype=np.uint8)
-                opt_seed = [spec.seed, _STREAM_OPTIMIZER, rep, count]
-                meas_seed = [spec.seed, _STREAM_MEASURE, rep, count]
-                inner = RssiOracle(
-                    env, (target,), spec.visible_non_targets(),
-                    spec.powers.device_tx_dbm,
-                    np.random.default_rng(meas_seed),
-                    sigma_db=spec.optimizer.meas_sigma_db,
-                    quantize=spec.optimizer.quantize)
-                masked = MaskedOracle(inner, active, frozen)
-                oracle = masked
-                expand = masked.expand
+                oracle = MaskedOracle(oracle, active, frozen)
+                expand = oracle.expand
             best, _ = run_optimizer(
                 spec.optimizer.table_size, spec.optimizer.steps, count,
-                oracle, opt_seed, weights=spec.optimizer.cost_weights(),
+                oracle, [spec.seed, _STREAM_OPTIMIZER, *tag],
+                weights=spec.optimizer.cost_weights(),
                 epsilon=spec.optimizer.epsilon,
                 reeval_period=spec.optimizer.reeval_period,
                 noise_floor_dbm=env.noise_floor_dbm)
@@ -1072,22 +1133,17 @@ def directional_baseline(spec: ScenarioSpec) -> RunResult:
     The boresight points at the target; each device sees a pattern-weighted
     line-of-sight ray plus the attacker's diffuse multipath at a fixed
     relative level.  Everything downstream (sweeps, knees, rates) is the
-    shared pipeline.
+    shared evaluation tail, run with index 0.
     """
     if len(spec.targets) != 1:
         raise ScenarioError("directional-baseline mode needs exactly one "
                             "target", "targets")
     env = spec.build_environment()
-    params = spec.mode_params
-    gain_dbi = float(params.get("gain_dbi", 19.0))
-    beamwidth = float(params.get("beamwidth_deg", 10.0))
-    fbr = float(params.get("front_back_db", 25.0))
-    diffuse_db = float(params.get("diffuse_db", 0.0))
+    pattern, diffuse_db = _antenna(spec.mode_params)
 
     devices = spec.eval_devices()
-    target = spec.targets[0]
     att = np.array(tuple(env.attacker_position))
-    bore = np.array(tuple(env.devices[target])) - att
+    bore = np.array(tuple(env.devices[spec.targets[0]])) - att
     bore = bore / np.linalg.norm(bore)
 
     jam_gains = np.empty(len(devices), dtype=complex)
@@ -1096,7 +1152,7 @@ def directional_baseline(spec: ScenarioSpec) -> RunResult:
         dist = np.linalg.norm(vec)
         cos_t = float(np.clip(vec @ bore / dist, -1.0, 1.0))
         theta = math.degrees(math.acos(cos_t))
-        g_db = directional_gain_db(theta, gain_dbi, beamwidth, fbr)
+        g_db = directional_gain_db(theta, **pattern)
         pl_amp = math.sqrt(
             (env.wavelength_m / (4.0 * math.pi)) ** 2
             * dist ** (-env.path_loss_exponent))
@@ -1107,91 +1163,33 @@ def directional_baseline(spec: ScenarioSpec) -> RunResult:
                                  * unit_diffuse)
 
     jam_gain_db = 20.0 * np.log10(np.maximum(np.abs(jam_gains), _TINY_GAIN))
-    sig_dbm = _ap_signal_dbm(env, spec, devices)
-    powers, rates, knees, target_knee, first_nt, margin = _sweep_and_knees(
-        env, spec, jam_gain_db, sig_dbm, devices, (target,))
-    operating = (spec.powers.jam_dbm if spec.powers.jam_dbm is not None
-                 else target_knee + AUTO_POWER_MARGIN_DB)
-
-    eval_rng = np.random.default_rng([spec.seed, _STREAM_EVAL, 0])
-    att_rssi = received_rssi(env, operating + jam_gain_db, eval_rng,
-                             spec.optimizer.meas_sigma_db).astype(float)
-    ap_rssi = received_rssi(env, sig_dbm, eval_rng,
-                            spec.optimizer.meas_sigma_db).astype(float)
-    jsr = att_rssi - ap_rssi
-    norm = jsr - jsr[devices.index(target)]
-    jam_dbm = operating + jam_gain_db
-    ratio = link.sjnr_db(sig_dbm, jam_dbm, env.noise_floor_dbm)
-    pkt = link.PACKETS_PER_SECOND * link.packet_success_prob(
-        ratio, link.MONITOR_MCS)
-
-    row = TargetRow(
-        targets=(target,),
-        attacker_rssi_dbm=dict(zip(devices, att_rssi)),
-        ap_rssi_dbm=dict(zip(devices, ap_rssi)),
-        jsr_db=dict(zip(devices, jsr)),
-        norm_jsr_db=dict(zip(devices, norm)),
-        packet_rate=dict(zip(devices, pkt)),
-        operating_jam_dbm=operating,
-        target_knee_dbm=target_knee,
-        first_nontarget_knee_dbm=first_nt,
-        margin_db=margin,
-    )
-    extras = {
-        "antenna": {"gain_dbi": gain_dbi, "beamwidth_deg": beamwidth,
-                    "front_back_db": fbr, "diffuse_db": diffuse_db},
-        "sweep": {
-            "powers_dbm": powers.tolist(),
-            "mcs": link.MONITOR_MCS,
-            "rates": {d: rates[:, i].tolist() for i, d in enumerate(devices)},
-        },
-        "knees_dbm": knees,
-    }
+    row, extras = _evaluate_gains(env, spec, jam_gain_db, spec.targets, 0)
+    extras["antenna"] = {**pattern, "diffuse_db": diffuse_db}
     return RunResult(spec.name, spec.mode, devices, [row], extras)
 
 
-def perturbation_run(spec: ScenarioSpec,
-                     schedule: Sequence[Mapping] | None = None) -> RunResult:
+def perturbation_run(spec: ScenarioSpec) -> RunResult:
     """Fixed optimized configuration against an evolving environment.
 
     Schedule events: {"time": t, "fraction": f, "seed": s} re-draws a
     scatterer fraction; {"time": t, "device": id, "position": [x,y,z]}
     relocates a device.  Events apply cumulatively at the start of their
-    time step; packet rates are recorded per step.
+    time step; packet rates are recorded per step at the evaluated row's
+    operating power.
     """
     if not spec.targets:
         raise ScenarioError("perturbation mode needs a target set", "targets")
     env = spec.build_environment()
-    events = sorted((schedule if schedule is not None
-                     else spec.mode_params.get("schedule", [])),
+    events = sorted(spec.mode_params.get("schedule", []),
                     key=lambda e: e["time"])
     duration = int(spec.mode_params.get(
         "duration", (events[-1]["time"] + 2) if events else 5))
 
     run_idx = _run_index(spec, spec.targets[0])
     config, trace, _ = _optimize(env, spec, spec.targets, run_idx)
+    row, extras = _evaluate_row(env, spec, config, spec.targets, run_idx)
+    operating = row.operating_jam_dbm
     devices = spec.eval_devices()
-
-    def rates_for(current: Environment) -> np.ndarray:
-        jam_gain_db = _composed_gain_db(current, config, devices)
-        sig_dbm = np.array([
-            spec.powers.ap_dbm + 20.0 * math.log10(abs(
-                direct_channel(current, spec.ap_id, current.devices[d])))
-            for d in devices
-        ])
-        jam_dbm = operating + jam_gain_db
-        ratio = link.sjnr_db(sig_dbm, jam_dbm, current.noise_floor_dbm)
-        return link.PACKETS_PER_SECOND * link.packet_success_prob(
-            ratio, link.MONITOR_MCS)
-
-    if spec.powers.jam_dbm is not None:
-        operating = float(spec.powers.jam_dbm)
-    else:
-        jam_gain_db = _composed_gain_db(env, config, devices)
-        sig_dbm = _ap_signal_dbm(env, spec, devices)
-        _, _, _, target_knee, _, _ = _sweep_and_knees(
-            env, spec, jam_gain_db, sig_dbm, devices, spec.targets)
-        operating = target_knee + AUTO_POWER_MARGIN_DB
 
     series = np.empty((duration, len(devices)))
     current = env
@@ -1202,15 +1200,13 @@ def perturbation_run(spec: ScenarioSpec,
             if "fraction" in event:
                 current = perturb_environment(current, event["fraction"],
                                               event.get("seed", spec.seed))
-            elif "device" in event:
+            else:
                 current = move_device(current, event["device"],
                                       event["position"])
-            else:
-                raise ScenarioError(f"unintelligible schedule event {event}",
-                                    "mode_params.schedule")
-        series[t] = rates_for(current)
+        series[t] = _packet_rates(
+            current, operating + _composed_gain_db(current, config, devices),
+            _ap_signal_dbm(current, spec, devices))
 
-    row, extras = _evaluate_row(env, spec, config, spec.targets, run_idx)
     extras.update({
         "config": config,
         "_traces": [trace],
@@ -1234,22 +1230,15 @@ def run_scenario(spec: ScenarioSpec, threads: int = 1) -> RunResult:
         if spec.hidden and set(spec.hidden) == all_hidden:
             return hidden_device_eval(spec, threads=threads)
         return run_jsr_matrix(spec, threads=threads)
-    if spec.mode == "exclusion":
-        return run_exclusion(spec)
-    if spec.mode == "heatmap":
-        return heatmap_scan(spec)
-    if spec.mode == "element-sweep":
-        return element_sweep(spec)
-    if spec.mode == "displacement":
-        return displacement_scan(spec)
-    if spec.mode == "directional-baseline":
-        return directional_baseline(spec)
-    if spec.mode == "perturbation":
-        return perturbation_run(spec)
-    # packet-rate / throughput
-    if len(spec.targets) == 1:
-        return run_single_target(spec)
-    return run_multi_target(spec)
+    operation = {
+        "exclusion": run_exclusion,
+        "heatmap": heatmap_scan,
+        "element-sweep": element_sweep,
+        "displacement": displacement_scan,
+        "directional-baseline": directional_baseline,
+        "perturbation": perturbation_run,
+    }.get(spec.mode, power_sweep)     # packet-rate / throughput
+    return operation(spec)
 
 
 # ---------------------------------------------------------------------------
@@ -1311,10 +1300,6 @@ def scenario_to_dict(spec: ScenarioSpec) -> dict:
 
 def scenario_from_dict(doc: Mapping, base_dir=None) -> ScenarioSpec:
     """Build a validated spec from a plain JSON-style document."""
-    from pathlib import Path
-
-    from .channel import environment_from_dict, load_environment
-
     if not isinstance(doc, Mapping):
         raise ScenarioError("scenario document must be a JSON object")
     known = {"name", "mode", "seed", "ap_id", "targets", "non_targets",
@@ -1326,21 +1311,13 @@ def scenario_from_dict(doc: Mapping, base_dir=None) -> ScenarioSpec:
     if "mode" not in doc:
         raise ScenarioError("required field is missing", "mode")
 
-    if "environment_document" in doc:
-        environment = environment_from_dict(doc["environment_document"])
-    elif "environment_file" in doc:
-        path = Path(doc["environment_file"])
-        if base_dir is not None and not path.is_absolute():
-            path = Path(base_dir) / path
-        environment = load_environment(path)
+    if "environment_document" in doc or "environment_file" in doc:
+        environment = _stored_environment(doc, base_dir)
     else:
-        env_doc = doc.get("environment", {})
-        environment = _environment_spec_from_dict(env_doc)
+        environment = _environment_spec_from_dict(doc.get("environment", {}))
 
     def sub(name, cls, **defaults):
-        raw = doc.get(name, {})
-        if not isinstance(raw, Mapping):
-            raise ScenarioError("must be an object", name)
+        raw = _mapping(doc, name)
         allowed = {f for f in cls.__dataclass_fields__}
         bad = sorted(set(raw) - allowed)
         if bad:
@@ -1353,7 +1330,7 @@ def scenario_from_dict(doc: Mapping, base_dir=None) -> ScenarioSpec:
             environment=environment,
             mode=doc["mode"],
             targets=tuple(doc.get("targets", ())),
-            seed=int(doc.get("seed", 1)),
+            seed=doc.get("seed", 1),
             name=str(doc.get("name", "scenario")),
             ap_id=str(doc.get("ap_id", "D0")),
             non_targets=(tuple(doc["non_targets"])
@@ -1361,13 +1338,40 @@ def scenario_from_dict(doc: Mapping, base_dir=None) -> ScenarioSpec:
             hidden=tuple(doc.get("hidden", ())),
             powers=sub("powers", PowerSettings),
             optimizer=sub("optimizer", OptimizerSettings),
-            mode_params=dict(doc.get("mode_params", {})),
+            mode_params=dict(_mapping(doc, "mode_params")),
         )
     except TypeError as exc:
         raise ScenarioError(str(exc)) from exc
 
 
+def _mapping(doc: Mapping, key: str) -> Mapping:
+    value = doc.get(key, {})
+    if not isinstance(value, Mapping):
+        raise ScenarioError("must be an object", key)
+    return value
+
+
+def _stored_environment(doc: Mapping, base_dir) -> Environment:
+    """The world held by a scenario's environment_document or _file."""
+    if "environment_document" in doc:
+        key = "environment_document"
+        source = _mapping(doc, key)
+    else:
+        key, source = "environment_file", doc["environment_file"]
+        if not isinstance(source, str):
+            raise ScenarioError("must be a file path", key)
+    try:
+        if key == "environment_document":
+            return environment_from_dict(source)
+        return load_environment(Path(base_dir or ".") / source)
+    except (AttributeError, KeyError, OSError, OverflowError, TypeError,
+            ValueError) as exc:
+        raise ScenarioError(f"not a stored environment: {exc}", key) from exc
+
+
 def _environment_spec_from_dict(env_doc: Mapping) -> EnvironmentSpec:
+    if not isinstance(env_doc, Mapping):
+        raise ScenarioError("must be an object", "environment")
     if not env_doc:
         return desk_environment_spec()
     allowed = {"frequency_hz", "n_elements", "scatter_count",
@@ -1384,6 +1388,9 @@ def _environment_spec_from_dict(env_doc: Mapping) -> EnvironmentSpec:
     if devices is None:
         devices = dict(DESK_DEVICES)
         attacker = attacker if attacker is not None else DESK_ATTACKER
+    elif not isinstance(devices, Mapping):
+        raise ScenarioError("must map device ids to positions",
+                            "environment.devices")
     elif attacker is None:
         raise ScenarioError("attacker_position is required when devices are "
                             "given", "environment.attacker_position")
@@ -1393,5 +1400,5 @@ def _environment_spec_from_dict(env_doc: Mapping) -> EnvironmentSpec:
             attacker_position=as_position(attacker),
             **kwargs,
         )
-    except (TypeError, ValueError) as exc:
+    except (OverflowError, TypeError, ValueError) as exc:
         raise ScenarioError(str(exc), "environment") from exc

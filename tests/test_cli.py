@@ -1,7 +1,10 @@
+import contextlib
 import hashlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from risjam.channel import environments_equal, load_environment
 from risjam.cli import (
@@ -226,8 +229,28 @@ def no_search(monkeypatch):
     ("heatmap", {"step_m": 1e-5}),
     ("displacement", {"minimized": "B", "step_mm": 0}),
     ("displacement", {"minimized": ["B"]}),
+    ("element-sweep", {"counts": [16, 500]}),
+    ("element-sweep", {"counts": [16], "repeats": 0}),
+    ("element-sweep", {"counts": [16.5]}),
+    ("element-sweep", {"counts": "16"}),
+    ("perturbation", {"schedule": "x"}),
+    ("perturbation", {"schedule": [{"fraction": 0.1}]}),
+    ("perturbation", {"schedule": [{"time": 1, "device": "Z",
+                                    "position": [1.0, 1.0, 1.0]}]}),
+    ("perturbation", {"schedule": [{"time": 1, "device": "B",
+                                    "position": [1.0, 1.0]}]}),
+    ("perturbation", {"schedule": [{"time": 1, "fraction": 2.0}]}),
+    ("perturbation", {"duration": -1}),
+    ("directional-baseline", {"beamwidth_deg": 0}),
+    ("directional-baseline", {"gain_dbi": float("nan")}),
+    ("throughput", {"offered_load_mbps": 0}),
+    ("throughput", {"offered_load_mbps": float("inf")}),
 ], ids=["step-0", "step-nan", "step-negative", "grid-oversized",
-        "displacement-step-0", "displacement-minimized-list"])
+        "displacement-step-0", "displacement-minimized-list",
+        "counts-exceed-surface", "repeats-0", "counts-float", "counts-string",
+        "schedule-string", "event-without-time", "event-unknown-device",
+        "event-bad-position", "event-fraction-2", "duration-negative",
+        "beamwidth-0", "gain-nan", "offered-load-0", "offered-load-inf"])
 @pytest.mark.parametrize("command", ["validate", "run"])
 def test_bad_scan_grid_exits_2_before_search(tmp_path, capsys, no_search,
                                              command, mode, params):
@@ -253,6 +276,70 @@ def test_grid_excluding_focus_exits_2_before_search(tmp_path, capsys,
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1
     assert "excludes" in json.loads(err[0])["message"]
+
+
+def _replaced(doc, path, value):
+    """Copy of ``doc`` with the dotted field ``path`` set to ``value``."""
+    doc = json.loads(json.dumps(doc))
+    *parents, key = path.split(".")
+    node = doc
+    for name in parents:
+        node = node.setdefault(name, {})
+    node[key] = value
+    return doc
+
+
+@pytest.mark.parametrize("path,value,field", [
+    ("mode_params", "ab", "mode_params"),
+    ("environment", 5, "environment"),
+    ("environment.devices", 5, "environment.devices"),
+    ("environment_document", 5, "environment_document"),
+    ("environment_document", {}, "environment_document"),
+    ("environment_file", 5, "environment_file"),
+    ("environment_file", "absent.json", "environment_file"),
+    ("seed", -1, "seed"),
+    ("seed", 1.5, "seed"),
+    ("seed", True, "seed"),
+    ("seed", 2 ** 64, "seed"),
+    ("optimizer.steps", 2.5, "optimizer.steps"),
+    ("optimizer.table_size", 2.5, "optimizer.table_size"),
+    ("optimizer.reeval_period", "10", "optimizer.reeval_period"),
+    ("optimizer.epsilon", 2, "optimizer.epsilon"),
+    ("optimizer.w_mean", float("nan"), "optimizer.w_mean"),
+    ("optimizer.w_mean", 0.5, "optimizer.w_extreme"),
+    ("optimizer.quantize", "no", "optimizer.quantize"),
+    ("powers.jam_dbm", float("nan"), "powers.jam_dbm"),
+    ("powers.sweep_step_db", float("nan"), "powers.sweep_step_db"),
+    ("powers.ap_dbm", None, "powers.ap_dbm"),
+])
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_bad_document_exits_2_before_search(tmp_path, capsys, no_search,
+                                            command, path, value, field):
+    scenario = write_scenario(tmp_path, _replaced(MINI_SCENARIO, path, value))
+    argv = [command, str(scenario)]
+    if command == "run":
+        argv += ["--out", str(tmp_path / "out")]
+    assert main(argv) == EXIT_VALIDATION
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert json.loads(err[0])["field"] == field
+
+
+def test_exclusion_leaving_no_device_exits_2(tmp_path, capsys, no_search):
+    doc = _replaced(MINI_SCENARIO, "environment.devices",
+                    {"D0": [3.0, 3.6, 1.2], "A": [1.6, 3.0, 0.9]})
+    doc.update(mode="exclusion", targets=[], mode_params={"exclude": "A"})
+    assert main(["validate", str(write_scenario(tmp_path, doc))]) \
+        == EXIT_VALIDATION
+    assert json.loads(capsys.readouterr().err)["field"] \
+        == "mode_params.exclude"
+
+
+def test_seed_override_is_validated(tmp_path, capsys, no_search):
+    path = write_scenario(tmp_path)
+    assert main(["run", str(path), "--out", str(tmp_path / "out"),
+                 "--seed", "-1"]) == EXIT_VALIDATION
+    assert json.loads(capsys.readouterr().err)["field"] == "seed"
 
 
 def test_missing_file_is_validation_error(tmp_path):
@@ -323,9 +410,149 @@ def test_env_synth_round_trip(tmp_path):
     assert environments_equal(spec.environment, env)
 
 
+def test_env_synth_malformed_spec_exits_2(tmp_path, capsys):
+    spec_path = tmp_path / "envspec.json"
+    spec_path.write_text("{nope")
+    rc = main(["env", "synth", "--spec", str(spec_path), "--seed", "5",
+               "--out", str(tmp_path / "env.json")])
+    assert rc == EXIT_VALIDATION
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert "invalid JSON" in json.loads(err[0])["message"]
+    assert not (tmp_path / "env.json").exists()
+
+
 def test_env_synth_default_desk(tmp_path):
     out = tmp_path / "desk.json"
     rc = main(["env", "synth", "--seed", "28", "--out", str(out)])
     assert rc == EXIT_OK
     env = load_environment(out)
     assert len(env.devices) == 11
+
+
+# -- every mode through the CLI ------------------------------------------------------
+
+SMALL_RUN = {
+    "seed": 5,
+    "environment": dict(MINI_SCENARIO["environment"], n_elements=16),
+    "optimizer": {"steps": 20, "reeval_period": 10, "table_size": 8},
+    "powers": {"sweep_from_dbm": -60.0, "sweep_to_dbm": 40.0,
+               "sweep_step_db": 2.0},
+}
+RESULTS = "scenario,target_set,device,metric,value"
+SWEEP = ("power_dbm,device,packet_rate", 51 * 3)
+TRACE = ("step,best_cost,best_config_hex,table_worst_cost", 21)
+MATRIX = {"results.csv": (RESULTS, 3 * 5 * 3), "trace_00.csv": TRACE,
+          "trace_01.csv": TRACE, "trace_02.csv": TRACE}
+
+
+@pytest.mark.parametrize("fields,tables", [
+    ({"mode": "packet-rate", "targets": ["A"]},
+     {"results.csv": (RESULTS, 15), "sweep.csv": SWEEP,
+      "trace_00.csv": TRACE}),
+    ({"mode": "throughput", "targets": ["A"]},
+     {"results.csv": (RESULTS, 18), "sweep.csv": SWEEP,
+      "trace_00.csv": TRACE}),
+    ({"mode": "jsr-matrix"}, MATRIX),
+    ({"mode": "jsr-matrix", "hidden": ["A", "B", "C"]}, MATRIX),
+    ({"mode": "heatmap", "targets": ["A"],
+      "mode_params": {"x_extent_m": 0.04, "y_extent_m": 0.02,
+                      "step_m": 0.01}},
+     {"results.csv": (RESULTS, 15), "sweep.csv": SWEEP,
+      "grid.csv": ("y_m\\x_m,1.58,1.59,1.6,1.61,1.62", 3),
+      "trace_00.csv": TRACE}),
+    ({"mode": "element-sweep", "targets": ["A"],
+      "mode_params": {"counts": [4, 16], "repeats": 2}},
+     {"separation.csv": ("active_elements,repeat,separation_db", 4)}),
+    ({"mode": "displacement", "targets": ["A"],
+      "mode_params": {"minimized": "B", "step_mm": 8.0, "max_mm": 24.0}},
+     {"results.csv": (RESULTS, 15), "sweep.csv": SWEEP,
+      "curves.csv": ("displacement_mm,maximized_db,minimized_db", 4),
+      "trace_00.csv": TRACE}),
+    ({"mode": "exclusion", "mode_params": {"exclude": "C"}},
+     {"results.csv": (RESULTS, 15), "sweep.csv": SWEEP,
+      "trace_00.csv": TRACE}),
+    ({"mode": "directional-baseline", "targets": ["A"]},
+     {"results.csv": (RESULTS, 15), "sweep.csv": SWEEP}),
+    ({"mode": "perturbation", "targets": ["A"],
+      "mode_params": {"schedule": [{"time": 1, "fraction": 0.1}],
+                      "duration": 3}},
+     {"results.csv": (RESULTS, 15), "sweep.csv": SWEEP,
+      "timeseries.csv": ("time,device,packet_rate", 3 * 3),
+      "trace_00.csv": TRACE}),
+], ids=["packet-rate", "throughput", "jsr-matrix", "jsr-matrix-all-hidden",
+        "heatmap", "element-sweep", "displacement", "exclusion",
+        "directional-baseline", "perturbation"])
+def test_every_mode_writes_its_tables(tmp_path, fields, tables):
+    path = write_scenario(tmp_path, dict(SMALL_RUN, **fields))
+    out = tmp_path / "out"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["run", str(path), "--out", str(out)]) == EXIT_OK
+    manifest = json.loads((out / "manifest.json").read_text())
+    listed = {entry["path"] for entry in manifest["outputs"]}
+    assert listed == {"scenario.normalized.json", "result.json", *tables}
+    assert {p.name for p in out.iterdir()} == listed | {"manifest.json"}
+    for name, (header, n_rows) in tables.items():
+        lines = (out / name).read_text().splitlines()
+        assert lines[0] == header
+        assert len(lines) == 1 + n_rows
+
+
+# -- validate never crashes ----------------------------------------------------------
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=8)
+
+FUZZ_BASES = [dict(MINI_SCENARIO, **fields) for fields in (
+    {},
+    {"mode": "throughput"},
+    {"mode": "jsr-matrix", "targets": [], "hidden": ["B"]},
+    {"mode": "heatmap", "mode_params": {"x_extent_m": 0.1}},
+    {"mode": "element-sweep", "mode_params": {"counts": [8, 96]}},
+    {"mode": "displacement", "mode_params": {"minimized": "B"}},
+    {"mode": "exclusion", "targets": [], "mode_params": {"exclude": "C"}},
+    {"mode": "directional-baseline", "mode_params": {"beamwidth_deg": 5}},
+    {"mode": "perturbation", "mode_params": {
+        "schedule": [{"time": 1, "fraction": 0.1},
+                     {"time": 2, "device": "B",
+                      "position": [1.9, 2.9, 0.9]}], "duration": 3}},
+)]
+FUZZ_FIELDS = {
+    "": ["name", "mode", "seed", "ap_id", "targets", "non_targets", "hidden",
+         "powers", "optimizer", "mode_params", "environment",
+         "environment_file", "environment_document"],
+    "powers.": ["jam_dbm", "ap_dbm", "device_tx_dbm", "sweep_from_dbm",
+                "sweep_to_dbm", "sweep_step_db"],
+    "optimizer.": ["table_size", "steps", "reeval_period", "epsilon",
+                   "w_mean", "w_extreme", "meas_sigma_db", "quantize"],
+    "environment.": ["frequency_hz", "n_elements", "scatter_count",
+                     "rician_k", "attacker_id", "attacker_position",
+                     "devices"],
+    "mode_params.": ["step_m", "x_extent_m", "x_min_m", "counts", "repeats",
+                     "minimized", "step_mm", "exclude", "gain_dbi",
+                     "beamwidth_deg", "schedule", "duration",
+                     "offered_load_mbps"],
+}
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(base=st.sampled_from(FUZZ_BASES),
+       field=st.sampled_from([prefix + key for prefix, keys
+                              in FUZZ_FIELDS.items() for key in keys]),
+       value=JSON_VALUES)
+def test_validate_fuzz_exits_0_or_2(tmp_path_factory, base, field, value):
+    path = write_scenario(tmp_path_factory.mktemp("fuzz"),
+                          _replaced(base, field, value))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        rc = main(["validate", str(path)])
+    assert rc in (EXIT_OK, EXIT_VALIDATION)
+    if rc == EXIT_VALIDATION:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1
+        assert isinstance(json.loads(lines[0]), dict)

@@ -247,6 +247,18 @@ def test_exclusion_keeps_excluded_operational():
     assert max(row.packet_rate[t] for t in row.targets) <= 5.0
 
 
+def test_exclusion_leaving_one_device_runs_one_target_row():
+    env = EnvironmentSpec(devices={d: MINI_DEVICES[d]
+                                   for d in ("D0", "A", "B")},
+                          attacker_position=Position(0.4, 0.9, 1.0),
+                          n_elements=192, scatter_count=64)
+    spec = mini_scenario(mode="exclusion", targets=(), environment=env,
+                         mode_params={"exclude": "B"})
+    res = run_exclusion(spec)
+    assert [row.targets for row in res.rows] == [("A",)]
+    assert res.extras["excluded"] == "B"
+
+
 # -- matrix / hidden ------------------------------------------------------------
 
 
@@ -391,10 +403,8 @@ def test_element_sweep_counts_and_consistency():
 
 
 def test_element_sweep_count_exceeds_surface():
-    spec = mini_scenario(mode="element-sweep",
-                         mode_params={"counts": [16, 500]})
     with pytest.raises(ScenarioError, match="exceeds"):
-        element_sweep(spec)
+        mini_scenario(mode="element-sweep", mode_params={"counts": [16, 500]})
 
 
 def test_element_sweep_counts_sorted():
@@ -419,6 +429,18 @@ def test_directional_baseline_runs():
     assert row.packet_rate["A"] <= 5.0
     assert res.extras["antenna"]["gain_dbi"] == 19.0
     assert row.margin_db is not None
+
+
+def test_directional_baseline_fixed_power_needs_no_knee():
+    # The sweep never disrupts the target; a fixed power needs no knee.
+    spec = mini_scenario(mode="directional-baseline",
+                         powers=PowerSettings(jam_dbm=-20,
+                                              sweep_from_dbm=-200.0,
+                                              sweep_to_dbm=-190.0))
+    row = directional_baseline(spec).rows[0]
+    assert row.target_knee_dbm is None
+    assert row.operating_jam_dbm == -20.0
+    assert isinstance(row.operating_jam_dbm, float)
 
 
 # -- perturbation ----------------------------------------------------------------
