@@ -91,7 +91,8 @@ class Environment:
     """Immutable synthesized radio world.
 
     Do not mutate the arrays; operations that change the world
-    (perturbation, moving a device) return a new instance.
+    (perturbation, moving a device) return a new instance, which starts
+    with an empty gain-row memo (see ris_subchannels).
     """
 
     def __init__(
@@ -139,6 +140,7 @@ class Environment:
             for key, ens in direct.items()
         }
         self._pattern = {key: _freeze(arr) for key, arr in pattern_weights.items()}
+        self._rows: dict[tuple[str, Position], np.ndarray] = {}
         self._build_caches()
 
     # -- derived quantities ------------------------------------------------
@@ -378,16 +380,25 @@ def ris_subchannels(env: Environment, position, device: str | None = None) -> np
     to the attacker's antenna).  ``device`` applies that device's optional
     pattern-diversity weights; positions are evaluated continuously, so a
     registered device may be evaluated anywhere.
+
+    A roster device's row at its own roster position is memoised on the
+    environment (searches and evaluations ask for the same few rows again
+    and again); every call returns a fresh, writable array.
     """
     pos = as_position(position)
+    key = (device, pos)
+    if key in env._rows:
+        return env._rows[key].copy()
     d = env.attacker_position.distance_to(pos)
     amp = math.sqrt(path_loss_gain(env, d))
     weights = env._pattern.get(device) if device is not None else None
     diffuse = _diffuse_field(env._ris_kx, env._ris_ky, env._ris_cis,
                              pos.x, pos.y, weights)
-    gains = _combine_rician(env, diffuse, env._ris_los[:, 0],
-                            env._ris_los[:, 1], pos.x, pos.y)
-    return amp * gains
+    gains = amp * _combine_rician(env, diffuse, env._ris_los[:, 0],
+                                  env._ris_los[:, 1], pos.x, pos.y)
+    if device is not None and env.devices.get(device) == pos:
+        env._rows[key] = _freeze(gains.copy())
+    return gains
 
 
 def ris_subchannel(env: Environment, element: int, position,

@@ -103,7 +103,10 @@ def _file_entry(path: Path, root: Path) -> dict:
 
 def execute(spec: ScenarioSpec, out_dir, threads: int = 1,
             fmt: str = "csv") -> RunManifest:
-    """Run a scenario and write its artifact set plus a manifest."""
+    """Run a scenario and write its artifact set plus a manifest.
+
+    ``threads`` is accepted and has no effect.
+    """
     if fmt not in ("csv", "json"):
         raise ScenarioError(f"unknown format {fmt!r}; valid: csv, json")
     out = Path(out_dir)
@@ -278,7 +281,9 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--out", required=True, help="output directory")
     run.add_argument("--seed", type=int, default=None,
                      help="override the scenario master seed")
-    run.add_argument("--threads", type=int, default=1)
+    run.add_argument("--threads", type=int, default=1,
+                     help="accepted for compatibility; rows run in order "
+                          "and results do not depend on it")
     run.add_argument("--format", choices=("csv", "json"), default="csv")
 
     validate = sub.add_parser("validate",

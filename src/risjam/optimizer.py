@@ -177,17 +177,22 @@ def optimizer_step(state: OptimizerState, oracle: MeasurementOracle) -> Optimize
     bits = state.bits
     costs = state.costs
     founder = state.founder
+    next_step = state.step + 1
+    reeval = state.reeval_period and next_step % state.reeval_period == 0
     if cand_cost >= costs[-1]:
         # Ties evict the incumbent worst and rank the newcomer above its
-        # cost class: fresh genetic material wins ties.
-        bits = np.vstack([candidate, bits[:-1]])
-        costs = np.append(cand_cost, costs[:-1])
-        founder = np.append(False, founder[:-1])
-        order = np.argsort(-costs, kind="stable")
-        bits, costs, founder = bits[order], costs[order], founder[order]
+        # cost class: fresh genetic material wins ties.  The table is sorted,
+        # so the newcomer goes before the first entry it does not beat.
+        i = int(np.searchsorted(-costs[:-1], -cand_cost, side="left"))
+        if reeval:
+            # Oracle calls follow: update copies, not the state.
+            bits, costs, founder = bits.copy(), costs.copy(), founder.copy()
+        bits[i + 1:] = bits[i:-1]
+        costs[i + 1:] = costs[i:-1]
+        founder[i + 1:] = founder[i:-1]
+        bits[i], costs[i], founder[i] = candidate, cand_cost, False
 
-    next_step = state.step + 1
-    if state.reeval_period and next_step % state.reeval_period == 0:
+    if reeval:
         costs = np.array([
             _measure(oracle, bits[i], state.weights, state.noise_floor_dbm)
             for i in range(bits.shape[0])
@@ -195,7 +200,7 @@ def optimizer_step(state: OptimizerState, oracle: MeasurementOracle) -> Optimize
         order = np.argsort(-costs, kind="stable")
         bits, costs, founder = bits[order], costs[order], founder[order]
 
-    state.bits = np.ascontiguousarray(bits)
+    state.bits = bits
     state.costs = costs
     state.founder = founder
     state.step = next_step

@@ -75,8 +75,9 @@ AUTO_POWER_MARGIN_DB = 3.0  # headroom above the target's disruption knee
 THROUGHPUT_POWER_MARGIN_DB = 2.0
 LINK_SIM_WINDOWS = 40
 _TINY_GAIN = 1e-30
-# Largest heatmap grid or displacement rail, in points.  The scan holds a
-# (points, n_elements) complex sub-channel array: 1.2 GB at 768 elements.
+# Largest heatmap grid or displacement rail, in points; also the longest
+# power sweep and perturbation series.  The scan holds a (points,
+# n_elements) complex sub-channel array: 1.2 GB at 768 elements.
 MAX_SCAN_POINTS = 100_000
 
 
@@ -139,6 +140,10 @@ class PowerSettings:
         if self.sweep_to_dbm <= self.sweep_from_dbm:
             raise ScenarioError("sweep range must be increasing",
                                 "powers.sweep_to_dbm")
+        steps = (self.sweep_to_dbm - self.sweep_from_dbm) / self.sweep_step_db
+        if not steps < MAX_SCAN_POINTS or round(steps) + 1 > MAX_SCAN_POINTS:
+            raise ScenarioError(f"sweep grid exceeds {MAX_SCAN_POINTS} points",
+                                "powers.sweep_step_db")
 
     def sweep_grid(self) -> np.ndarray:
         n = int(round((self.sweep_to_dbm - self.sweep_from_dbm)
@@ -201,6 +206,7 @@ class ScenarioSpec:
                 "mode")
         _number_param(vars(self), "seed", prefix="", integer=True, low=0,
                       high=2 ** 64 - 1)
+        self._check_environment()
         devices = self._device_ids()
         if self.ap_id not in devices:
             raise ScenarioError(f"access point {self.ap_id!r} is not in the "
@@ -253,6 +259,23 @@ class ScenarioSpec:
         if not isinstance(devices, Mapping):
             devices = dict(devices)
         return as_position(devices[device])
+
+    def _check_environment(self):
+        """The numbers synthesize_environment will use (a stored world is
+        already synthesized)."""
+        if isinstance(self.environment, Environment):
+            return
+        fields = vars(self.environment)
+        _number_param(fields, "n_elements", prefix="environment.",
+                      integer=True, low=1)
+        _number_param(fields, "scatter_count", prefix="environment.",
+                      integer=True, low=16)
+        _number_param(fields, "frequency_hz", prefix="environment.", low=0,
+                      strict=True)
+        for key in ("rician_k", "pattern_diversity"):
+            _number_param(fields, key, prefix="environment.", low=0)
+        for key in ("path_loss_exponent", "noise_floor_dbm"):
+            _number_param(fields, key, prefix="environment.")
 
     def _check_mode_params(self):
         params = self.mode_params
@@ -307,8 +330,7 @@ class ScenarioSpec:
                                     "mode_params.schedule")
             for i, event in enumerate(schedule):
                 self._check_event(event, f"mode_params.schedule[{i}]")
-            if "duration" in params:
-                _number_param(params, "duration", integer=True, low=0)
+            _perturbation_duration(params)
         elif self.mode == "directional-baseline":
             _antenna(params)
         elif self.mode == "throughput":
@@ -431,23 +453,23 @@ class RssiOracle:
         self._h_non_targets = _gain_matrix(env, self.non_targets)
         self.calls = 0
 
-    def _rssi(self, matrix: np.ndarray, coeff: np.ndarray) -> np.ndarray:
-        if matrix.shape[0] == 0:
-            return np.empty(0)
-        gains = np.abs(matrix @ coeff)
-        power = self.device_tx_dbm + 20.0 * np.log10(np.maximum(gains, _TINY_GAIN))
-        if self.quantize:
-            return received_rssi(self.env, power, self.rng,
-                                 self.sigma_db).astype(float)
-        if self.sigma_db > 0:
-            power = power + self.rng.normal(0.0, self.sigma_db, power.shape)
-        return power
-
     def __call__(self, config: RisConfig) -> tuple[np.ndarray, np.ndarray]:
         coeff = config.coefficients()
         self.calls += 1
-        return self._rssi(self._h_targets, coeff), \
-            self._rssi(self._h_non_targets, coeff)
+        # Two matvecs: a stacked (K, L) product differs from them in the
+        # last bits, which would move every trace.  One noise draw over
+        # targets then non-targets equals a draw per set.
+        gains = np.abs(np.concatenate((self._h_targets @ coeff,
+                                       self._h_non_targets @ coeff)))
+        power = self.device_tx_dbm + 20.0 * np.log10(
+            np.maximum(gains, _TINY_GAIN))
+        if self.quantize:
+            power = received_rssi(self.env, power, self.rng,
+                                  self.sigma_db).astype(float)
+        elif self.sigma_db > 0:
+            power = power + self.rng.normal(0.0, self.sigma_db, power.shape)
+        n = len(self.targets)
+        return power[:n], power[n:]
 
 
 class MaskedOracle:
@@ -835,17 +857,12 @@ def run_exclusion(spec: ScenarioSpec) -> RunResult:
     return result
 
 
-def _pool_map(build, items: Sequence, threads: int) -> list:
-    """``[build(item) for item in items]``, on ``threads`` threads if > 1."""
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(build, items))
-    return [build(item) for item in items]
-
-
 def run_jsr_matrix(spec: ScenarioSpec, threads: int = 1) -> RunResult:
-    """One single-target optimization per device; rows stack into the matrix."""
+    """One single-target optimization per device; rows stack into the matrix.
+
+    Rows run in order.  ``threads`` is accepted and ignored: every row is
+    Python holding the GIL, so a thread pool only slowed it down.
+    """
     env = spec.build_environment()
     targets = spec.targets or spec.eval_devices()
 
@@ -857,7 +874,7 @@ def run_jsr_matrix(spec: ScenarioSpec, threads: int = 1) -> RunResult:
         return (config, trace,
                 *_evaluate_row(env, sub, config, (target,), run_idx))
 
-    results = _pool_map(build, targets, threads)
+    results = [build(target) for target in targets]
     extras = {"configs": {}, "_traces": [], "knees_dbm": {},
               "delivered_gain_db": {}}
     for target, (config, trace, _, row_extras) in zip(targets, results):
@@ -874,7 +891,8 @@ def hidden_device_eval(spec: ScenarioSpec, threads: int = 1) -> RunResult:
 
     Only the target and the access point are visible during optimization;
     the JSR is evaluated at all devices, hidden ones included, both for the
-    initial table head (before) and the final configuration (after).
+    initial table head (before) and the final configuration (after).  Rows
+    run in order; ``threads`` is accepted and ignored, as in run_jsr_matrix.
     """
     env = spec.build_environment()
     targets = spec.targets or spec.eval_devices()
@@ -894,7 +912,7 @@ def hidden_device_eval(spec: ScenarioSpec, threads: int = 1) -> RunResult:
                                   operating_override=row.operating_jam_dbm)
         return config, trace, row, before
 
-    results = _pool_map(build, targets, threads)
+    results = [build(target) for target in targets]
     extras = {
         "configs": {t: r[0] for t, r in zip(targets, results)},
         "_traces": [r[1] for r in results],
@@ -957,6 +975,20 @@ def _displacement_offsets_m(params: Mapping) -> np.ndarray:
         raise ScenarioError(f"rail exceeds {MAX_SCAN_POINTS} points",
                             "mode_params.step_mm")
     return np.arange(0.0, max_mm + step_mm / 2, step_mm) / 1000.0
+
+
+def _perturbation_duration(params: Mapping) -> int:
+    """Validated time steps of a perturbation run (default: last event + 2)."""
+    if "duration" in params:
+        return _number_param(params, "duration", integer=True, low=0,
+                             high=MAX_SCAN_POINTS)
+    times = [event["time"] for event in params.get("schedule", [])]
+    duration = int(max(times) + 2) if times else 5
+    if not 0 <= duration <= MAX_SCAN_POINTS:
+        raise ScenarioError(f"the default duration, last event time + 2, "
+                            f"must be in [0, {MAX_SCAN_POINTS}]",
+                            "mode_params.schedule")
+    return duration
 
 
 def _antenna(params: Mapping) -> tuple[dict, float]:
@@ -1182,8 +1214,7 @@ def perturbation_run(spec: ScenarioSpec) -> RunResult:
     env = spec.build_environment()
     events = sorted(spec.mode_params.get("schedule", []),
                     key=lambda e: e["time"])
-    duration = int(spec.mode_params.get(
-        "duration", (events[-1]["time"] + 2) if events else 5))
+    duration = _perturbation_duration(spec.mode_params)
 
     run_idx = _run_index(spec, spec.targets[0])
     config, trace, _ = _optimize(env, spec, spec.targets, run_idx)
@@ -1222,14 +1253,17 @@ def perturbation_run(spec: ScenarioSpec) -> RunResult:
 
 
 def run_scenario(spec: ScenarioSpec, threads: int = 1) -> RunResult:
-    """Dispatch a scenario to its mode's operation."""
+    """Dispatch a scenario to its mode's operation.
+
+    ``threads`` is accepted and has no effect; every mode runs in order.
+    """
     if spec.mode == "jsr-matrix":
         # Only the everything-hidden roster is the dedicated hidden-device
         # experiment; partial hidden sets stay with the plain matrix.
         all_hidden = set(spec.eval_devices()) - set(spec.targets)
         if spec.hidden and set(spec.hidden) == all_hidden:
-            return hidden_device_eval(spec, threads=threads)
-        return run_jsr_matrix(spec, threads=threads)
+            return hidden_device_eval(spec)
+        return run_jsr_matrix(spec)
     operation = {
         "exclusion": run_exclusion,
         "heatmap": heatmap_scan,

@@ -347,3 +347,67 @@ def test_rician_component_strengthens_mean():
 def test_bad_master_seed():
     with pytest.raises(ValueError, match="seed"):
         synthesize_environment(make_small_spec(), -1)
+
+
+# -- gain-row memo -----------------------------------------------------------------
+
+
+def _diverse_env(seed=23):
+    return synthesize_environment(
+        make_small_spec(pattern_diversity=0.5, rician_k=2.0, n_elements=48),
+        seed)
+
+
+def test_memo_hit_equals_fresh_row_and_is_a_writable_copy():
+    env, fresh = _diverse_env(), _diverse_env()
+    pos = env.devices["A"]
+    first = ris_subchannels(env, pos, device="A")
+    hit = ris_subchannels(env, list(pos), device="A")
+    assert ("A", pos) in env._rows
+    assert hit.tobytes() == first.tobytes()
+    assert hit.tobytes() == ris_subchannels(fresh, pos, device="A").tobytes()
+    assert hit.flags.writeable and hit is not first
+    hit[:] = 0.0
+    first[:] = 0.0
+    assert ris_subchannels(env, pos, device="A").tobytes() \
+        == ris_subchannels(fresh, pos, device="A").tobytes()
+
+
+def test_memo_keeps_off_roster_and_deviceless_rows_out():
+    env, fresh = _diverse_env(), _diverse_env()
+    roster = env.devices["A"]
+    ris_subchannels(env, roster, device="A")
+    off = Position(roster.x + 0.01, roster.y, roster.z)
+    for position, device in ((off, "A"), (roster, None), (roster, "B")):
+        got = ris_subchannels(env, position, device=device)
+        assert got.tobytes() == \
+            ris_subchannels(fresh, position, device=device).tobytes()
+    assert list(env._rows) == [("A", roster)]
+    # Pattern weights and position both change the row.
+    memo = ris_subchannels(env, roster, device="A")
+    assert not np.array_equal(memo, ris_subchannels(env, roster))
+    assert not np.array_equal(memo, ris_subchannels(env, off, device="A"))
+
+
+def test_new_worlds_do_not_reuse_memo_rows():
+    env = _diverse_env()
+    old = env.devices["A"]
+    ris_subchannels(env, old, device="A")
+    new = Position(old.x + 0.2, old.y, old.z)
+
+    moved = move_device(env, "A", new)
+    assert moved._rows == {}
+    row = ris_subchannels(moved, new, device="A")
+    assert not np.array_equal(row, ris_subchannels(env, old, device="A"))
+    assert row.tobytes() == ris_subchannels(
+        move_device(_diverse_env(), "A", new), new, device="A").tobytes()
+
+    for fraction in (0.0, 0.5):
+        perturbed = perturb_environment(env, fraction, 4)
+        assert perturbed._rows == {}
+        reference = perturb_environment(_diverse_env(), fraction, 4)
+        assert ris_subchannels(perturbed, old, device="A").tobytes() \
+            == ris_subchannels(reference, old, device="A").tobytes()
+    assert not np.array_equal(
+        ris_subchannels(perturb_environment(env, 0.5, 4), old, device="A"),
+        ris_subchannels(env, old, device="A"))

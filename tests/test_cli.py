@@ -241,6 +241,9 @@ def no_search(monkeypatch):
                                     "position": [1.0, 1.0]}]}),
     ("perturbation", {"schedule": [{"time": 1, "fraction": 2.0}]}),
     ("perturbation", {"duration": -1}),
+    ("perturbation", {"duration": 10 ** 13}),
+    ("perturbation", {"schedule": [{"time": 10 ** 13, "fraction": 0.1}]}),
+    ("perturbation", {"schedule": [{"time": -5, "fraction": 0.1}]}),
     ("directional-baseline", {"beamwidth_deg": 0}),
     ("directional-baseline", {"gain_dbi": float("nan")}),
     ("throughput", {"offered_load_mbps": 0}),
@@ -250,6 +253,7 @@ def no_search(monkeypatch):
         "counts-exceed-surface", "repeats-0", "counts-float", "counts-string",
         "schedule-string", "event-without-time", "event-unknown-device",
         "event-bad-position", "event-fraction-2", "duration-negative",
+        "duration-huge", "default-duration-huge", "default-duration-negative",
         "beamwidth-0", "gain-nan", "offered-load-0", "offered-load-inf"])
 @pytest.mark.parametrize("command", ["validate", "run"])
 def test_bad_scan_grid_exits_2_before_search(tmp_path, capsys, no_search,
@@ -311,6 +315,19 @@ def _replaced(doc, path, value):
     ("powers.jam_dbm", float("nan"), "powers.jam_dbm"),
     ("powers.sweep_step_db", float("nan"), "powers.sweep_step_db"),
     ("powers.ap_dbm", None, "powers.ap_dbm"),
+    ("powers.sweep_step_db", 1e-12, "powers.sweep_step_db"),
+    ("powers.sweep_to_dbm", 1e308, "powers.sweep_step_db"),
+    ("environment.scatter_count", "x", "environment.scatter_count"),
+    ("environment.scatter_count", 8, "environment.scatter_count"),
+    ("environment.n_elements", 2.5, "environment.n_elements"),
+    ("environment.n_elements", 0, "environment.n_elements"),
+    ("environment.frequency_hz", "x", "environment.frequency_hz"),
+    ("environment.frequency_hz", 0, "environment.frequency_hz"),
+    ("environment.rician_k", -1, "environment.rician_k"),
+    ("environment.pattern_diversity", "x", "environment.pattern_diversity"),
+    ("environment.path_loss_exponent", float("nan"),
+     "environment.path_loss_exponent"),
+    ("environment.noise_floor_dbm", None, "environment.noise_floor_dbm"),
 ])
 @pytest.mark.parametrize("command", ["validate", "run"])
 def test_bad_document_exits_2_before_search(tmp_path, capsys, no_search,

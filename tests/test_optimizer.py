@@ -145,6 +145,29 @@ def test_state_unchanged_on_oracle_error():
     assert state.step == step
 
 
+def test_state_unchanged_when_reeval_fails_after_acceptance():
+    calls = {"n": 0}
+
+    def failing_reeval(cfg):
+        # Rising costs: the step's candidate (call 11) beats the table; the
+        # re-evaluation it triggers fails on its second row (call 13).
+        calls["n"] += 1
+        if calls["n"] > 12:
+            raise RuntimeError("radio down")
+        return (np.array([-50.0 + calls["n"]]), np.array([-70.0]))
+
+    state = optimizer_init(10, 6, failing_reeval, 1, reeval_period=1)
+    bits, costs = state.bits.copy(), state.costs.copy()
+    founder = state.founder.copy()
+    with pytest.raises(RuntimeError):
+        optimizer_step(state, failing_reeval)
+    assert calls["n"] == 13
+    np.testing.assert_array_equal(state.bits, bits)
+    np.testing.assert_array_equal(state.costs, costs)
+    np.testing.assert_array_equal(state.founder, founder)
+    assert state.step == 0
+
+
 def test_probabilities_respect_exploration_floor():
     oracle = make_oracle()
     state = optimizer_init(10, 10, oracle, 2, epsilon=0.1)

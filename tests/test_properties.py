@@ -6,12 +6,14 @@ the sample sizes quoted with them.
 """
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import risjam.link as link
+import risjam.optimizer as optimizer
 from risjam.channel import (
     Position,
     ris_subchannels,
@@ -19,6 +21,7 @@ from risjam.channel import (
 )
 from risjam.optimizer import (
     CostWeights,
+    OptimizerState,
     aggregate_cost,
     brute_force_best,
     cost_margin_db,
@@ -272,6 +275,62 @@ def test_worst_cost_never_decreases_between_plain_steps():
             optimizer_step(state, oracle)
             assert state.worst_cost() >= prev - 1e-12
             prev = state.worst_cost()
+
+
+def _vstack_argsort_update(bits, costs, founder, candidate, cand_cost):
+    """Reference table update: prepend, drop the worst, stable re-sort."""
+    if cand_cost >= costs[-1]:
+        bits = np.vstack([candidate, bits[:-1]])
+        costs = np.append(cand_cost, costs[:-1])
+        founder = np.append(False, founder[:-1])
+        order = np.argsort(-costs, kind="stable")
+        bits, costs, founder = bits[order], costs[order], founder[order]
+    return bits, costs, founder
+
+
+tie_costs = st.sampled_from([-3.0, -1.0, -0.0, 0.0, 1.0, 2.0, 3.0])
+
+
+@settings(derandomize=True, max_examples=500, deadline=None)
+@given(table=st.lists(tie_costs, min_size=2, max_size=9),
+       cand_cost=tie_costs,
+       remeasured=st.lists(tie_costs, min_size=9, max_size=9),
+       reeval_period=st.sampled_from([0, 1]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_insertion_update_matches_vstack_argsort(table, cand_cost, remeasured,
+                                                 reeval_period, seed):
+    # Costs sorted descending with -0.0 and 0.0 in either order; ties
+    # everywhere.  With reeval_period 1 the step re-measures the whole
+    # updated table, so the rows measured are compared too.
+    rng = np.random.default_rng(seed)
+    costs = np.array(sorted(table, reverse=True))
+    size = len(costs)
+    bits = rng.integers(0, 2, (size, 7)).astype(float)
+    founder = rng.random(size) < 0.5
+    state = OptimizerState(bits=bits.copy(), costs=costs.copy(),
+                           founder=founder.copy(), step=0, rng=rng,
+                           weights=CostWeights(), noise_floor_dbm=-95.0,
+                           epsilon=0.02, reeval_period=reeval_period)
+    scripted = iter([cand_cost] + remeasured)
+    measured = []
+
+    def measure(oracle, row, weights, noise_floor_dbm):
+        measured.append(row.copy())
+        return next(scripted)
+
+    with mock.patch.object(optimizer, "_measure", measure):
+        optimizer_step(state, oracle=None)
+    want_bits, want_costs, want_founder = _vstack_argsort_update(
+        bits, costs, founder, measured[0], cand_cost)
+    if reeval_period:
+        assert np.array_equal(np.array(measured[1:]), want_bits)
+        want_costs = np.array(remeasured[:size])
+        order = np.argsort(-want_costs, kind="stable")
+        want_bits, want_costs, want_founder = (
+            want_bits[order], want_costs[order], want_founder[order])
+    assert np.array_equal(state.bits, want_bits)
+    assert state.costs.tobytes() == want_costs.tobytes()
+    assert np.array_equal(state.founder, want_founder)
 
 
 def test_noiseless_search_attains_brute_force_optimum():

@@ -7,12 +7,15 @@ from risjam.channel import (
     EnvironmentSpec,
     Position,
     move_device,
+    received_rssi,
     ris_subchannels,
 )
-from risjam.ris import compose_channel
+from risjam.ris import RisConfig, compose_channel
 from risjam.scenarios import (
+    _TINY_GAIN,
     DESK_CLUSTERS,
     DESK_DEVICES,
+    MAX_SCAN_POINTS,
     OptimizerSettings,
     PowerSettings,
     RssiOracle,
@@ -109,6 +112,22 @@ def test_sweep_settings_validated():
         PowerSettings(sweep_from_dbm=0.0, sweep_to_dbm=-10.0)
 
 
+def test_sweep_and_series_lengths_bounded():
+    top = float(MAX_SCAN_POINTS - 1)
+    assert len(PowerSettings(sweep_from_dbm=0.0, sweep_to_dbm=top)
+               .sweep_grid()) == MAX_SCAN_POINTS
+    with pytest.raises(ScenarioError, match="sweep grid"):
+        PowerSettings(sweep_from_dbm=0.0, sweep_to_dbm=top + 1.0)
+    mini_scenario("perturbation", mode_params={"duration": MAX_SCAN_POINTS})
+    last = {"time": MAX_SCAN_POINTS - 2, "fraction": 0.1}
+    mini_scenario("perturbation", mode_params={"schedule": [last]})
+    for params in ({"duration": MAX_SCAN_POINTS + 1},
+                   {"schedule": [dict(last, time=MAX_SCAN_POINTS - 1)]},
+                   {"schedule": [dict(last, time=-3)]}):
+        with pytest.raises(ScenarioError):
+            mini_scenario("perturbation", mode_params=params)
+
+
 # -- measurement oracle -------------------------------------------------------
 
 
@@ -120,6 +139,48 @@ def test_oracle_excludes_hidden_devices():
     t, n = oracle(spec_config(spec))
     assert t.shape == (1,)
     assert n.shape == (3,)      # D0, B, E
+
+
+def _two_draw_measurement(oracle, config):
+    """The oracle's reading as separate target and non-target matvecs, log
+    and noise draws."""
+    coeff = config.coefficients()
+    readings = []
+    for matrix in (oracle._h_targets, oracle._h_non_targets):
+        if matrix.shape[0] == 0:
+            readings.append(np.empty(0))
+            continue
+        gains = np.abs(matrix @ coeff)
+        power = oracle.device_tx_dbm + 20.0 * np.log10(
+            np.maximum(gains, _TINY_GAIN))
+        if oracle.quantize:
+            power = received_rssi(oracle.env, power, oracle.rng,
+                                  oracle.sigma_db).astype(float)
+        elif oracle.sigma_db > 0:
+            power = power + oracle.rng.normal(0.0, oracle.sigma_db,
+                                              power.shape)
+        readings.append(power)
+    return tuple(readings)
+
+
+@pytest.mark.parametrize("targets,non_targets,sigma,quantize", [
+    (("A",), ("D0", "B", "C", "D", "E"), 0.5, True),
+    (("A",), ("D0", "B", "C", "D", "E"), 0.5, False),
+    (("A", "C"), ("D0", "E"), 0.0, True),
+    (("A",), (), 0.5, True),
+])
+def test_oracle_matches_two_draw_measurement(targets, non_targets, sigma,
+                                             quantize):
+    env = mini_scenario().build_environment()
+    fused, reference = (RssiOracle(env, targets, non_targets, 15.0,
+                                   np.random.default_rng(8), sigma_db=sigma,
+                                   quantize=quantize) for _ in range(2))
+    configs = np.random.default_rng(1)
+    for _ in range(40):
+        config = RisConfig(configs.integers(0, 2, env.n_elements))
+        got = fused(config)
+        want = _two_draw_measurement(reference, config)
+        assert [a.tobytes() for a in got] == [b.tobytes() for b in want]
 
 
 def spec_config(spec):
