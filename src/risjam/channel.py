@@ -111,7 +111,6 @@ class Environment:
         pattern_delta: float,
         ris_angles: np.ndarray,
         ris_phases: np.ndarray,
-        ris_amps: np.ndarray,
         ris_los: np.ndarray,
         direct: dict[str, dict[str, np.ndarray]],
         pattern_weights: dict[str, np.ndarray],
@@ -133,15 +132,19 @@ class Environment:
 
         self._ris_angles = _freeze(ris_angles)
         self._ris_phases = _freeze(ris_phases)
-        self._ris_amps = _freeze(ris_amps)
         self._ris_los = _freeze(ris_los)  # (L, 2): angle, phase
-        self._direct = {
-            key: {name: _freeze(arr) for name, arr in ens.items()}
-            for key, ens in direct.items()
-        }
+        self._ris_kx, self._ris_ky, self._ris_cis = self._waves(
+            self._ris_angles, self._ris_phases)
+        # Per direct transmitter: the drawn angles, phases and los (angle,
+        # phase), and the waves evaluated from them.
+        self._direct = {}
+        for key, ens in direct.items():
+            drawn = {name: _freeze(ens[name])
+                     for name in ("angles", "phases", "los")}
+            kx, ky, cis = self._waves(drawn["angles"], drawn["phases"])
+            self._direct[key] = dict(drawn, kx=kx, ky=ky, cis=cis)
         self._pattern = {key: _freeze(arr) for key, arr in pattern_weights.items()}
         self._rows: dict[tuple[str, Position], np.ndarray] = {}
-        self._build_caches()
 
     # -- derived quantities ------------------------------------------------
 
@@ -162,19 +165,11 @@ class Environment:
         """Direct-transmitter ids in the documented draw order."""
         return sorted(self.devices) + [self.attacker_id]
 
-    def _build_caches(self):
+    def _waves(self, angles: np.ndarray, phases: np.ndarray):
+        """Wave-vector components and unit phasors of an ensemble."""
         kap = self.kappa
-        self._ris_kx = _freeze(kap * np.cos(self._ris_angles))
-        self._ris_ky = _freeze(kap * np.sin(self._ris_angles))
-        self._ris_cis = _freeze(self._ris_amps * np.exp(1j * self._ris_phases))
-        self._direct_cache = {}
-        for key, ens in self._direct.items():
-            self._direct_cache[key] = {
-                "kx": _freeze(kap * np.cos(ens["angles"])),
-                "ky": _freeze(kap * np.sin(ens["angles"])),
-                "cis": _freeze(ens["amps"] * np.exp(1j * ens["phases"])),
-                "los": ens["los"],
-            }
+        return (_freeze(kap * np.cos(angles)), _freeze(kap * np.sin(angles)),
+                _freeze(np.exp(1j * phases)))
 
     def _copy_kwargs(self) -> dict:
         return dict(
@@ -191,7 +186,6 @@ class Environment:
             pattern_delta=self.pattern_delta,
             ris_angles=self._ris_angles,
             ris_phases=self._ris_phases,
-            ris_amps=self._ris_amps,
             ris_los=self._ris_los,
             direct=self._direct,
             pattern_weights=self._pattern,
@@ -283,19 +277,13 @@ def synthesize_environment(spec: EnvironmentSpec, seed: int) -> Environment:
     rng = np.random.default_rng([seed, _STREAM_ENSEMBLES])
 
     ris_angles, ris_phases = _draw_ensemble_block(rng, (L, M))
-    ris_amps = np.ones((L, M))
     ris_los = np.column_stack(_draw_ensemble_block(rng, (L,)))
 
     direct = {}
     for dev_id in sorted(devices) + [spec.attacker_id]:
         angles, phases = _draw_ensemble_block(rng, (M,))
         los = np.array(_draw_ensemble_block(rng, ()))
-        direct[dev_id] = {
-            "angles": angles,
-            "phases": phases,
-            "amps": np.ones(M),
-            "los": los,
-        }
+        direct[dev_id] = {"angles": angles, "phases": phases, "los": los}
 
     pattern_weights = {}
     if spec.pattern_diversity > 0:
@@ -321,7 +309,6 @@ def synthesize_environment(spec: EnvironmentSpec, seed: int) -> Environment:
         pattern_delta=spec.pattern_diversity,
         ris_angles=ris_angles,
         ris_phases=ris_phases,
-        ris_amps=ris_amps,
         ris_los=ris_los,
         direct=direct,
         pattern_weights=pattern_weights,
@@ -476,7 +463,7 @@ def direct_channel(env: Environment, source: str, position) -> complex:
             f"(distance {d} m below minimum)"
         )
     amp = math.sqrt(path_loss_gain(env, d))
-    ens = env._direct_cache[source]
+    ens = env._direct[source]
     diffuse = _diffuse_field(ens["kx"], ens["ky"], ens["cis"], pos.x, pos.y)
     gain = _combine_rician(env, diffuse, ens["los"][0], ens["los"][1],
                            pos.x, pos.y)
@@ -597,12 +584,8 @@ def perturb_environment(env: Environment, fraction: float, seed: int) -> Environ
         sel = rng.choice(M, size=k, replace=False)
         angles[sel] = rng.uniform(0.0, 2.0 * math.pi, k)
         phases[sel] = rng.uniform(0.0, 2.0 * math.pi, k)
-        direct[dev_id] = {
-            "angles": angles,
-            "phases": phases,
-            "amps": ens["amps"],
-            "los": ens["los"],
-        }
+        direct[dev_id] = {"angles": angles, "phases": phases,
+                          "los": ens["los"]}
     kwargs["direct"] = direct
     return Environment(**kwargs)
 
@@ -725,13 +708,12 @@ def environments_equal(a: Environment, b: Environment) -> bool:
         return False
     if not (np.array_equal(a._ris_angles, b._ris_angles)
             and np.array_equal(a._ris_phases, b._ris_phases)
-            and np.array_equal(a._ris_amps, b._ris_amps)
             and np.array_equal(a._ris_los, b._ris_los)):
         return False
     if a._direct.keys() != b._direct.keys():
         return False
     for key in a._direct:
-        for name in ("angles", "phases", "amps", "los"):
+        for name in ("angles", "phases", "los"):
             if not np.array_equal(a._direct[key][name], b._direct[key][name]):
                 return False
     if a._pattern.keys() != b._pattern.keys():

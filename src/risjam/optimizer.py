@@ -236,15 +236,18 @@ class Trace:
         return drops
 
     def write_csv(self, path) -> None:
+        # Each row's hex is RisConfig.to_hex of its bits, packed at once.
+        packed = np.packbits(self.best_bits, axis=1, bitorder="big")
+        n_chars = math.ceil(self.best_bits.shape[1] / 4)
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["step", "best_cost", "best_config_hex",
                              "table_worst_cost"])
-            for step in range(len(self.best_cost)):
+            for step, row in enumerate(packed):
                 writer.writerow([
                     step,
                     format(self.best_cost[step], ".10g"),
-                    RisConfig(self.best_bits[step]).to_hex(),
+                    row.tobytes().hex()[:n_chars],
                     format(self.worst_cost[step], ".10g"),
                 ])
 

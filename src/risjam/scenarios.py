@@ -16,9 +16,10 @@ from __future__ import annotations
 import math
 import numbers
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import (MISSING, asdict, dataclass, field, fields,
+                         is_dataclass, replace)
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -46,21 +47,6 @@ from .optimizer import (
 )
 from .ris import RisConfig, compose_channel, random_config
 
-MODES = (
-    "packet-rate",
-    "throughput",
-    "jsr-matrix",
-    "heatmap",
-    "element-sweep",
-    "displacement",
-    "exclusion",
-    "directional-baseline",
-    "perturbation",
-)
-
-# Modes that run without an explicit target set.
-_TARGETLESS_MODES = ("jsr-matrix", "exclusion")
-
 # Sub-stream tags off the master seed (channel module uses 11..14).
 _STREAM_OPTIMIZER = 21
 _STREAM_MEASURE = 22
@@ -79,6 +65,10 @@ _TINY_GAIN = 1e-30
 # power sweep and perturbation series.  The scan holds a (points,
 # n_elements) complex sub-channel array: 1.2 GB at 768 elements.
 MAX_SCAN_POINTS = 100_000
+# Largest surface ensemble, n_elements * scatter_count plane waves, about
+# 50 times the desk surface (768 * 256).  The environment holds about six
+# float64 arrays of that size: 0.5 GB at the cap.
+MAX_ENSEMBLE_TERMS = 10_000_000
 
 
 class ScenarioError(ValueError):
@@ -204,9 +194,12 @@ class ScenarioSpec:
             raise ScenarioError(
                 f"unknown mode {self.mode!r}; valid modes: {', '.join(MODES)}",
                 "mode")
+        mode = _MODES[self.mode]
+        object.__setattr__(self, "name", str(self.name))
+        object.__setattr__(self, "ap_id", str(self.ap_id))
         _number_param(vars(self), "seed", prefix="", integer=True, low=0,
                       high=2 ** 64 - 1)
-        self._check_environment()
+        _check_environment(self.environment)
         devices = self._device_ids()
         if self.ap_id not in devices:
             raise ScenarioError(f"access point {self.ap_id!r} is not in the "
@@ -220,9 +213,11 @@ class ScenarioSpec:
         if self.ap_id in targets:
             raise ScenarioError(f"the access point {self.ap_id!r} cannot be a "
                                 f"target", "targets")
-        if not targets and self.mode not in _TARGETLESS_MODES:
-            raise ScenarioError(f"mode {self.mode!r} needs a non-empty target "
-                                f"set", "targets")
+        low, high = mode.targets
+        if not low <= len(targets) <= high:
+            need = "exactly one target" if high == 1 \
+                else "a non-empty target set"
+            raise ScenarioError(f"mode {self.mode!r} needs {need}", "targets")
         if self.non_targets is None:
             non_targets = tuple(d for d in _natural_sorted(devices)
                                 if d not in targets)
@@ -244,7 +239,12 @@ class ScenarioSpec:
                 raise ScenarioError(f"hidden device {h!r} must be a "
                                     f"non-target", "hidden")
         object.__setattr__(self, "hidden", hidden)
-        self._check_mode_params()
+        if not isinstance(self.mode_params, Mapping):
+            raise ScenarioError("must be an object", "mode_params")
+        object.__setattr__(self, "mode_params", dict(self.mode_params))
+        _reject_unknown(self.mode_params, mode.params, "mode_params.")
+        if mode.check is not None:
+            mode.check(self, _mode_params(self))
 
     def _device_ids(self) -> tuple[str, ...]:
         if isinstance(self.environment, Environment):
@@ -255,106 +255,7 @@ class ScenarioSpec:
         return ids
 
     def _position(self, device: str) -> Position:
-        devices = self.environment.devices
-        if not isinstance(devices, Mapping):
-            devices = dict(devices)
-        return as_position(devices[device])
-
-    def _check_environment(self):
-        """The numbers synthesize_environment will use (a stored world is
-        already synthesized)."""
-        if isinstance(self.environment, Environment):
-            return
-        fields = vars(self.environment)
-        _number_param(fields, "n_elements", prefix="environment.",
-                      integer=True, low=1)
-        _number_param(fields, "scatter_count", prefix="environment.",
-                      integer=True, low=16)
-        _number_param(fields, "frequency_hz", prefix="environment.", low=0,
-                      strict=True)
-        for key in ("rician_k", "pattern_diversity"):
-            _number_param(fields, key, prefix="environment.", low=0)
-        for key in ("path_loss_exponent", "noise_floor_dbm"):
-            _number_param(fields, key, prefix="environment.")
-
-    def _check_mode_params(self):
-        params = self.mode_params
-        if self.mode == "exclusion":
-            exclude = params.get("exclude")
-            if not exclude:
-                raise ScenarioError("exclusion mode needs mode_params.exclude",
-                                    "mode_params.exclude")
-            if exclude not in self._device_ids() or exclude == self.ap_id:
-                raise ScenarioError(f"excluded device {exclude!r} must be a "
-                                    f"non-AP roster device",
-                                    "mode_params.exclude")
-            if len(self.eval_devices()) < 2:
-                raise ScenarioError("excluding it leaves no device to jam",
-                                    "mode_params.exclude")
-        elif self.mode == "element-sweep":
-            counts = params.get("counts")
-            if not isinstance(counts, (list, tuple)) or not counts:
-                raise ScenarioError("element-sweep mode needs a non-empty "
-                                    "list mode_params.counts",
-                                    "mode_params.counts")
-            for count in counts:
-                _number_param({"counts": count}, "counts", integer=True, low=1)
-            if list(counts) != sorted(counts):
-                raise ScenarioError("counts must be sorted ascending",
-                                    "mode_params.counts")
-            size = self.environment.n_elements
-            if counts[-1] > size:
-                raise ScenarioError(f"count {counts[-1]} exceeds the surface "
-                                    f"size {size}", "mode_params.counts")
-            _number_param(params, "repeats", 1, integer=True, low=1)
-        elif self.mode == "displacement":
-            minimized = params.get("minimized")
-            if not minimized:
-                raise ScenarioError("displacement mode needs "
-                                    "mode_params.minimized",
-                                    "mode_params.minimized")
-            if minimized not in self._device_ids() \
-                    or minimized in self.targets:
-                raise ScenarioError("minimized device must be a distinct "
-                                    "roster device", "mode_params.minimized")
-            _displacement_offsets_m(params)
-        elif self.mode == "heatmap":
-            if len(self.targets) != 1:
-                raise ScenarioError("heatmap mode needs exactly one target",
-                                    "targets")
-            _heatmap_window(params, self._position(self.targets[0]))
-        elif self.mode == "perturbation":
-            schedule = params.get("schedule", [])
-            if not isinstance(schedule, (list, tuple)):
-                raise ScenarioError("must be a list of events",
-                                    "mode_params.schedule")
-            for i, event in enumerate(schedule):
-                self._check_event(event, f"mode_params.schedule[{i}]")
-            _perturbation_duration(params)
-        elif self.mode == "directional-baseline":
-            _antenna(params)
-        elif self.mode == "throughput":
-            _number_param(params, "offered_load_mbps", 30.0, low=0,
-                          strict=True)
-
-    def _check_event(self, event, path: str):
-        """A perturbation event re-draws a scatterer fraction or moves a
-        roster device."""
-        if not isinstance(event, Mapping):
-            raise ScenarioError("must be an object", path)
-        _number_param(event, "time", prefix=f"{path}.")
-        if "fraction" in event:
-            _number_param(event, "fraction", prefix=f"{path}.", low=0, high=1)
-            _number_param(event, "seed", self.seed, prefix=f"{path}.",
-                          integer=True, low=0, high=2 ** 64 - 1)
-            return
-        if event.get("device") not in self._device_ids():
-            raise ScenarioError("needs a fraction or a roster device",
-                                f"{path}.device")
-        try:
-            as_position(event.get("position"))
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ScenarioError(str(exc), f"{path}.position") from exc
+        return as_position(dict(self.environment.devices)[device])
 
     # -- helpers -----------------------------------------------------------
 
@@ -379,6 +280,37 @@ def _natural_key(name: str):
 
 def _natural_sorted(names) -> list[str]:
     return sorted(names, key=_natural_key)
+
+
+def _reject_unknown(keys, known, prefix: str = "") -> None:
+    """A ScenarioError naming the first of ``keys`` not in ``known``."""
+    unknown = sorted(str(key) for key in keys if key not in known)
+    if unknown:
+        raise ScenarioError(f"unknown field(s) {unknown}",
+                            f"{prefix}{unknown[0]}")
+
+
+def _check_environment(environment: EnvironmentSpec | Environment) -> None:
+    """The numbers synthesize_environment will use (a stored world is
+    already synthesized)."""
+    if isinstance(environment, Environment):
+        return
+    values = vars(environment)
+    size = (_number_param(values, "n_elements", prefix="environment.",
+                          integer=True, low=1)
+            * _number_param(values, "scatter_count", prefix="environment.",
+                            integer=True, low=16))
+    if size > MAX_ENSEMBLE_TERMS:
+        raise ScenarioError(f"n_elements * scatter_count = {size} exceeds "
+                            f"{MAX_ENSEMBLE_TERMS}", "environment")
+    _number_param(values, "frequency_hz", prefix="environment.", low=0,
+                  strict=True)
+    for key in ("rician_k", "pattern_diversity"):
+        _number_param(values, key, prefix="environment.", low=0)
+    for key in ("path_loss_exponent", "noise_floor_dbm"):
+        _number_param(values, key, prefix="environment.")
+    if not isinstance(environment.attacker_id, str):
+        raise ScenarioError("must be a string", "environment.attacker_id")
 
 
 # ---------------------------------------------------------------------------
@@ -482,9 +414,7 @@ class MaskedOracle:
         self.full = np.asarray(frozen_bits, dtype=np.uint8).copy()
 
     def __call__(self, config: RisConfig) -> tuple[np.ndarray, np.ndarray]:
-        full = self.full.copy()
-        full[self.active] = config.bits
-        return self.inner(RisConfig(full))
+        return self.inner(self.expand(config))
 
     def expand(self, config: RisConfig) -> RisConfig:
         full = self.full.copy()
@@ -588,29 +518,15 @@ class RunResult:
                 writer.writerow(record[:4] + (format(record[4], ".10g"),))
 
     def to_json_dict(self) -> dict:
-        rows = []
-        for row in self.rows:
-            entry = {
-                "targets": list(row.targets),
-                "attacker_rssi_dbm": row.attacker_rssi_dbm,
-                "ap_rssi_dbm": row.ap_rssi_dbm,
-                "jsr_db": row.jsr_db,
-                "norm_jsr_db": row.norm_jsr_db,
-                "operating_jam_dbm": row.operating_jam_dbm,
-                "target_knee_dbm": row.target_knee_dbm,
-                "first_nontarget_knee_dbm": row.first_nontarget_knee_dbm,
-                "margin_db": row.margin_db,
-            }
-            if row.packet_rate is not None:
-                entry["packet_rate"] = row.packet_rate
-            if row.throughput_mbps is not None:
-                entry["throughput_mbps"] = row.throughput_mbps
-            rows.append(entry)
+        # A row leaves out the metrics its mode does not produce.
+        rows = [{f.name: getattr(row, f.name) for f in fields(row)
+                 if f.name not in _CSV_METRICS
+                 or getattr(row, f.name) is not None} for row in self.rows]
         return {
             "scenario": self.scenario,
             "mode": self.mode,
             "devices": list(self.devices),
-            "rows": rows,
+            "rows": _jsonify(rows),
             "extras": _jsonify({k: v for k, v in self.extras.items()
                                 if not k.startswith("_")}),
         }
@@ -644,24 +560,33 @@ def _run_index(spec: ScenarioSpec, target: str) -> int:
 
 
 def _optimize(env: Environment, spec: ScenarioSpec, targets: Sequence[str],
-              run_idx: int, visible_non_targets: Sequence[str] | None = None
-              ) -> tuple[RisConfig, Trace, RssiOracle]:
+              *tag: int, mask: tuple[np.ndarray, np.ndarray] | None = None
+              ) -> tuple[RisConfig, Trace]:
+    """Search a configuration that jams ``targets`` against the visible
+    non-targets.
+
+    ``tag`` (a run index, or the element sweep's repeat and count) keys the
+    optimizer and measurement streams.  A ``mask`` (active elements, full
+    frozen bits) searches only the active elements; the configuration
+    returned is the full surface, the trace covers the active bits.
+    """
     opt = spec.optimizer
-    visible = (tuple(visible_non_targets) if visible_non_targets is not None
-               else spec.visible_non_targets())
     oracle = RssiOracle(
-        env, targets, visible, spec.powers.device_tx_dbm,
-        np.random.default_rng([spec.seed, _STREAM_MEASURE, run_idx]),
+        env, targets, spec.visible_non_targets(), spec.powers.device_tx_dbm,
+        np.random.default_rng([spec.seed, _STREAM_MEASURE, *tag]),
         sigma_db=opt.meas_sigma_db, quantize=opt.quantize,
     )
+    if mask is not None:
+        oracle = MaskedOracle(oracle, *mask)
     config, trace = run_optimizer(
-        opt.table_size, opt.steps, env.n_elements, oracle,
-        [spec.seed, _STREAM_OPTIMIZER, run_idx],
+        opt.table_size, opt.steps,
+        env.n_elements if mask is None else len(oracle.active), oracle,
+        [spec.seed, _STREAM_OPTIMIZER, *tag],
         weights=opt.cost_weights(), epsilon=opt.epsilon,
         reeval_period=opt.reeval_period,
         noise_floor_dbm=env.noise_floor_dbm,
     )
-    return config, trace, oracle
+    return (config if mask is None else oracle.expand(config)), trace
 
 
 def _packet_rates(env: Environment, jam_dbm: np.ndarray, sig_dbm: np.ndarray,
@@ -780,7 +705,7 @@ def _evaluate_gains(env: Environment, spec: ScenarioSpec,
 
     if with_throughput:
         link_rng = np.random.default_rng([spec.seed, _STREAM_LINK, run_idx])
-        offered = spec.mode_params.get("offered_load_mbps", 30.0)
+        offered = _mode_params(spec)["offered_load_mbps"]
         ratio = link.sjnr_db(sig_dbm, jam_dbm, env.noise_floor_dbm)
         jammed = {}
         baseline = {}
@@ -823,7 +748,7 @@ def power_sweep(spec: ScenarioSpec) -> RunResult:
         raise ScenarioError("power_sweep needs at least one target", "targets")
     env = spec.build_environment()
     run_idx = _run_index(spec, spec.targets[0])
-    config, trace, _ = _optimize(env, spec, spec.targets, run_idx)
+    config, trace = _optimize(env, spec, spec.targets, run_idx)
     row, extras = _evaluate_row(env, spec, config, spec.targets, run_idx,
                                 with_throughput=spec.mode == "throughput")
     extras["config"] = config
@@ -870,7 +795,7 @@ def run_jsr_matrix(spec: ScenarioSpec, threads: int = 1) -> RunResult:
         run_idx = _run_index(spec, target)
         sub = replace(spec, targets=(target,), non_targets=None,
                       hidden=tuple(h for h in spec.hidden if h != target))
-        config, trace, _ = _optimize(env, sub, (target,), run_idx)
+        config, trace = _optimize(env, sub, (target,), run_idx)
         return (config, trace,
                 *_evaluate_row(env, sub, config, (target,), run_idx))
 
@@ -901,7 +826,7 @@ def hidden_device_eval(spec: ScenarioSpec, threads: int = 1) -> RunResult:
         run_idx = _run_index(spec, target)
         hidden = tuple(d for d in spec.eval_devices() if d != target)
         sub = replace(spec, targets=(target,), non_targets=None, hidden=hidden)
-        config, trace, _ = _optimize(env, sub, (target,), run_idx)
+        config, trace = _optimize(env, sub, (target,), run_idx)
         # Pre-optimization reference: an unselected random configuration
         # (the table head would already be best-of-B toward the target),
         # measured at the same jamming power as the optimized result.
@@ -943,20 +868,30 @@ def random_config_eval(spec: ScenarioSpec, n_configs: int = 20) -> dict:
     return {"devices": devices, "rssi_dbm": rssi, "configs": configs}
 
 
+# Heatmap keys that place the grid explicitly instead of around the focus.
+_WINDOW_KEYS = ("x_min_m", "x_max_m", "y_min_m", "y_max_m")
+
+
+def _mode_params(spec: ScenarioSpec) -> dict:
+    """The spec's mode_params over its mode's defaults."""
+    defaults = _MODES[spec.mode].params
+    return {**{key: value for key, value in defaults.items()
+               if value is not None}, **spec.mode_params}
+
+
 def _heatmap_window(params: Mapping, focus: Position
                     ) -> tuple[float, float, float, float, float]:
     """Validated (step, x0, x1, y0, y1) of a heatmap scan around ``focus``."""
-    step = _number_param(params, "step_m", 0.01, low=0, strict=True)
-    if "x_min_m" in params:
-        x0, x1, y0, y1 = (_number_param(params, key) for key in
-                          ("x_min_m", "x_max_m", "y_min_m", "y_max_m"))
+    step = _number_param(params, "step_m", low=0, strict=True)
+    if any(key in params for key in _WINDOW_KEYS):
+        x0, x1, y0, y1 = (_number_param(params, key) for key in _WINDOW_KEYS)
         if x1 < x0:
             raise ScenarioError("must be >= x_min_m", "mode_params.x_max_m")
         if y1 < y0:
             raise ScenarioError("must be >= y_min_m", "mode_params.y_max_m")
     else:
-        x_extent = _number_param(params, "x_extent_m", 0.75, low=0)
-        y_extent = _number_param(params, "y_extent_m", 0.50, low=0)
+        x_extent = _number_param(params, "x_extent_m", low=0)
+        y_extent = _number_param(params, "y_extent_m", low=0)
         x0, x1 = focus.x - x_extent / 2, focus.x + x_extent / 2
         y0, y1 = focus.y - y_extent / 2, focus.y + y_extent / 2
     nx, ny = (x1 - x0) / step, (y1 - y0) / step
@@ -964,13 +899,16 @@ def _heatmap_window(params: Mapping, focus: Position
             or (round(nx) + 1) * (round(ny) + 1) > MAX_SCAN_POINTS:
         raise ScenarioError(f"grid exceeds {MAX_SCAN_POINTS} points",
                             "mode_params.step_m")
+    if not (x0 <= focus.x <= x1 and y0 <= focus.y <= y1):
+        raise ScenarioError("grid excludes the optimization point",
+                            "mode_params")
     return step, x0, x1, y0, y1
 
 
 def _displacement_offsets_m(params: Mapping) -> np.ndarray:
     """Validated displacements (m) of a displacement scan."""
-    step_mm = _number_param(params, "step_mm", 4.0, low=0, strict=True)
-    max_mm = _number_param(params, "max_mm", 48.0, low=0)
+    step_mm = _number_param(params, "step_mm", low=0, strict=True)
+    max_mm = _number_param(params, "max_mm", low=0)
     if not (max_mm + step_mm / 2) / step_mm <= MAX_SCAN_POINTS:
         raise ScenarioError(f"rail exceeds {MAX_SCAN_POINTS} points",
                             "mode_params.step_mm")
@@ -982,7 +920,7 @@ def _perturbation_duration(params: Mapping) -> int:
     if "duration" in params:
         return _number_param(params, "duration", integer=True, low=0,
                              high=MAX_SCAN_POINTS)
-    times = [event["time"] for event in params.get("schedule", [])]
+    times = [event["time"] for event in params["schedule"]]
     duration = int(max(times) + 2) if times else 5
     if not 0 <= duration <= MAX_SCAN_POINTS:
         raise ScenarioError(f"the default duration, last event time + 2, "
@@ -993,29 +931,92 @@ def _perturbation_duration(params: Mapping) -> int:
 
 def _antenna(params: Mapping) -> tuple[dict, float]:
     """Validated directional pattern keywords and diffuse level (dB)."""
-    pattern = {key: _number_param(params, key, default) for key, default in
-               (("gain_dbi", 19.0), ("front_back_db", 25.0))}
-    pattern["beamwidth_deg"] = _number_param(params, "beamwidth_deg", 10.0,
-                                             low=0, strict=True)
-    return pattern, _number_param(params, "diffuse_db", 0.0)
+    pattern = {key: _number_param(params, key)
+               for key in ("gain_dbi", "front_back_db")}
+    pattern["beamwidth_deg"] = _number_param(params, "beamwidth_deg", low=0,
+                                             strict=True)
+    return pattern, _number_param(params, "diffuse_db")
+
+
+def _check_exclusion(spec: ScenarioSpec, params: Mapping) -> None:
+    exclude = params.get("exclude")
+    if not exclude:
+        raise ScenarioError("exclusion mode needs mode_params.exclude",
+                            "mode_params.exclude")
+    if exclude not in spec._device_ids() or exclude == spec.ap_id:
+        raise ScenarioError(f"excluded device {exclude!r} must be a non-AP "
+                            f"roster device", "mode_params.exclude")
+    if len(spec.eval_devices()) < 2:
+        raise ScenarioError("excluding it leaves no device to jam",
+                            "mode_params.exclude")
+
+
+def _check_counts(spec: ScenarioSpec, params: Mapping) -> None:
+    counts = params.get("counts")
+    if not isinstance(counts, (list, tuple)) or not counts:
+        raise ScenarioError("element-sweep mode needs a non-empty list "
+                            "mode_params.counts", "mode_params.counts")
+    for count in counts:
+        _number_param({"counts": count}, "counts", integer=True, low=1)
+    if list(counts) != sorted(counts):
+        raise ScenarioError("counts must be sorted ascending",
+                            "mode_params.counts")
+    size = spec.environment.n_elements
+    if counts[-1] > size:
+        raise ScenarioError(f"count {counts[-1]} exceeds the surface size "
+                            f"{size}", "mode_params.counts")
+    _number_param(params, "repeats", integer=True, low=1)
+
+
+def _check_displacement(spec: ScenarioSpec, params: Mapping) -> None:
+    minimized = params.get("minimized")
+    if not minimized:
+        raise ScenarioError("displacement mode needs mode_params.minimized",
+                            "mode_params.minimized")
+    if minimized not in spec._device_ids() or minimized in spec.targets:
+        raise ScenarioError("minimized device must be a distinct roster "
+                            "device", "mode_params.minimized")
+    _displacement_offsets_m(params)
+
+
+def _check_schedule(spec: ScenarioSpec, params: Mapping) -> None:
+    """Each event re-draws a scatterer fraction or moves a roster device."""
+    schedule = params["schedule"]
+    if not isinstance(schedule, (list, tuple)):
+        raise ScenarioError("must be a list of events",
+                            "mode_params.schedule")
+    for i, event in enumerate(schedule):
+        path = f"mode_params.schedule[{i}]"
+        if not isinstance(event, Mapping):
+            raise ScenarioError("must be an object", path)
+        _number_param(event, "time", prefix=f"{path}.")
+        if "fraction" in event:
+            _number_param(event, "fraction", prefix=f"{path}.", low=0,
+                          high=1)
+            _number_param(event, "seed", spec.seed, prefix=f"{path}.",
+                          integer=True, low=0, high=2 ** 64 - 1)
+        elif event.get("device") not in spec._device_ids():
+            raise ScenarioError("needs a fraction or a roster device",
+                                f"{path}.device")
+        else:
+            try:
+                as_position(event.get("position"))
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise ScenarioError(str(exc), f"{path}.position") from exc
+    _perturbation_duration(params)
 
 
 def heatmap_scan(spec: ScenarioSpec) -> RunResult:
     """Normalized attacker power on a planar grid around the optimized focus."""
-    if len(spec.targets) != 1:
-        raise ScenarioError("heatmap mode needs exactly one target", "targets")
     env = spec.build_environment()
     target = spec.targets[0]
     focus = env.devices[target]
-    step, x0, x1, y0, y1 = _heatmap_window(spec.mode_params, focus)
-    if not (x0 <= focus.x <= x1 and y0 <= focus.y <= y1):
-        raise ScenarioError("grid excludes the optimization point",
-                            "mode_params")
+    step, x0, x1, y0, y1 = _heatmap_window(_mode_params(spec), focus)
     xs = x0 + step * np.arange(int(round((x1 - x0) / step)) + 1)
     ys = y0 + step * np.arange(int(round((y1 - y0) / step)) + 1)
 
     run_idx = _run_index(spec, target)
-    config, trace, _ = _optimize(env, spec, spec.targets, run_idx)
+    config, trace = _optimize(env, spec, spec.targets, run_idx)
     coeff = config.coefficients()
 
     focus_gain = abs(compose_channel(
@@ -1048,16 +1049,14 @@ def displacement_scan(spec: ScenarioSpec) -> RunResult:
     minimized; both are then virtually displaced along +x in fixed steps
     while the configuration stays frozen.
     """
-    if len(spec.targets) != 1:
-        raise ScenarioError("displacement mode needs exactly one target",
-                            "targets")
     env = spec.build_environment()
     maximized = spec.targets[0]
-    minimized = spec.mode_params["minimized"]
-    disp_m = _displacement_offsets_m(spec.mode_params)
+    params = _mode_params(spec)
+    minimized = params["minimized"]
+    disp_m = _displacement_offsets_m(params)
 
     run_idx = _run_index(spec, maximized)
-    config, trace, _ = _optimize(env, spec, spec.targets, run_idx)
+    config, trace = _optimize(env, spec, spec.targets, run_idx)
     coeff = config.coefficients()
 
     def curve(device: str) -> np.ndarray:
@@ -1095,13 +1094,10 @@ def element_sweep(spec: ScenarioSpec) -> RunResult:
     index r, so repeat 0 reproduces run_single_target's optimization exactly
     when the target has run index 0 (it is first in eval_devices()).
     """
-    if len(spec.targets) != 1:
-        raise ScenarioError("element-sweep mode needs exactly one target",
-                            "targets")
     env = spec.build_environment()
     L = env.n_elements
-    counts = [int(c) for c in spec.mode_params["counts"]]
-    repeats = int(spec.mode_params.get("repeats", 1))
+    params = _mode_params(spec)
+    counts, repeats = params["counts"], params["repeats"]
     target = spec.targets[0]
     devices = spec.eval_devices()
     non_targets = [d for d in devices if d != target]
@@ -1110,30 +1106,16 @@ def element_sweep(spec: ScenarioSpec) -> RunResult:
     configs = {}
     for rep in range(repeats):
         for count in counts:
-            # The full surface keeps run_single_target's stream tags.
-            tag = [rep] if count == L else [rep, count]
-            oracle = RssiOracle(
-                env, (target,), spec.visible_non_targets(),
-                spec.powers.device_tx_dbm,
-                np.random.default_rng([spec.seed, _STREAM_MEASURE, *tag]),
-                sigma_db=spec.optimizer.meas_sigma_db,
-                quantize=spec.optimizer.quantize)
-            expand = lambda cfg: cfg
-            if count < L:
+            if count == L:
+                # The full surface keeps run_single_target's stream tags.
+                full, _ = _optimize(env, spec, spec.targets, rep)
+            else:
                 mask_rng = np.random.default_rng(
                     [spec.seed, _STREAM_MASK, count, rep])
                 active = np.sort(mask_rng.choice(L, count, replace=False))
                 frozen = mask_rng.integers(0, 2, L, dtype=np.uint8)
-                oracle = MaskedOracle(oracle, active, frozen)
-                expand = oracle.expand
-            best, _ = run_optimizer(
-                spec.optimizer.table_size, spec.optimizer.steps, count,
-                oracle, [spec.seed, _STREAM_OPTIMIZER, *tag],
-                weights=spec.optimizer.cost_weights(),
-                epsilon=spec.optimizer.epsilon,
-                reeval_period=spec.optimizer.reeval_period,
-                noise_floor_dbm=env.noise_floor_dbm)
-            full = expand(best)
+                full, _ = _optimize(env, spec, spec.targets, rep, count,
+                                    mask=(active, frozen))
             gains = _composed_gain_db(env, full, devices)
             sep = (gains[devices.index(target)]
                    - max(gains[devices.index(d)] for d in non_targets))
@@ -1167,11 +1149,8 @@ def directional_baseline(spec: ScenarioSpec) -> RunResult:
     relative level.  Everything downstream (sweeps, knees, rates) is the
     shared evaluation tail, run with index 0.
     """
-    if len(spec.targets) != 1:
-        raise ScenarioError("directional-baseline mode needs exactly one "
-                            "target", "targets")
     env = spec.build_environment()
-    pattern, diffuse_db = _antenna(spec.mode_params)
+    pattern, diffuse_db = _antenna(_mode_params(spec))
 
     devices = spec.eval_devices()
     att = np.array(tuple(env.attacker_position))
@@ -1209,15 +1188,13 @@ def perturbation_run(spec: ScenarioSpec) -> RunResult:
     time step; packet rates are recorded per step at the evaluated row's
     operating power.
     """
-    if not spec.targets:
-        raise ScenarioError("perturbation mode needs a target set", "targets")
     env = spec.build_environment()
-    events = sorted(spec.mode_params.get("schedule", []),
-                    key=lambda e: e["time"])
-    duration = _perturbation_duration(spec.mode_params)
+    params = _mode_params(spec)
+    events = sorted(params["schedule"], key=lambda e: e["time"])
+    duration = _perturbation_duration(params)
 
     run_idx = _run_index(spec, spec.targets[0])
-    config, trace, _ = _optimize(env, spec, spec.targets, run_idx)
+    config, trace = _optimize(env, spec, spec.targets, run_idx)
     row, extras = _evaluate_row(env, spec, config, spec.targets, run_idx)
     operating = row.operating_jam_dbm
     devices = spec.eval_devices()
@@ -1252,27 +1229,69 @@ def perturbation_run(spec: ScenarioSpec) -> RunResult:
     return RunResult(spec.name, spec.mode, devices, [row], extras)
 
 
+def _matrix_run(spec: ScenarioSpec) -> RunResult:
+    """jsr-matrix: only the everything-hidden roster is the dedicated
+    hidden-device experiment; partial hidden sets stay with the plain
+    matrix."""
+    all_hidden = set(spec.eval_devices()) - set(spec.targets)
+    if spec.hidden and set(spec.hidden) == all_hidden:
+        return hidden_device_eval(spec)
+    return run_jsr_matrix(spec)
+
+
+@dataclass(frozen=True)
+class _Mode:
+    """A scenario mode: its operation, the target counts it accepts, its
+    mode_params keys with their defaults (None: no default) and the check
+    those params, over the defaults, pass at construction."""
+
+    operation: Callable[[ScenarioSpec], RunResult]
+    targets: tuple[float, float]
+    params: Mapping = field(default_factory=dict)
+    check: Callable[[ScenarioSpec, Mapping], object] | None = None
+
+
+_ANY, _SOME, _ONE = (0, math.inf), (1, math.inf), (1, 1)
+
+_MODES = {
+    "packet-rate": _Mode(power_sweep, _SOME),
+    "throughput": _Mode(
+        power_sweep, _SOME, {"offered_load_mbps": 30.0},
+        lambda spec, params: _number_param(params, "offered_load_mbps",
+                                           low=0, strict=True)),
+    "jsr-matrix": _Mode(_matrix_run, _ANY),
+    "heatmap": _Mode(
+        heatmap_scan, _ONE,
+        {"step_m": 0.01, "x_extent_m": 0.75, "y_extent_m": 0.50,
+         **dict.fromkeys(_WINDOW_KEYS)},
+        lambda spec, params: _heatmap_window(
+            params, spec._position(spec.targets[0]))),
+    "element-sweep": _Mode(element_sweep, _ONE,
+                           {"counts": None, "repeats": 1}, _check_counts),
+    "displacement": _Mode(
+        displacement_scan, _ONE,
+        {"minimized": None, "step_mm": 4.0, "max_mm": 48.0},
+        _check_displacement),
+    "exclusion": _Mode(run_exclusion, _ANY, {"exclude": None},
+                       _check_exclusion),
+    "directional-baseline": _Mode(
+        directional_baseline, _ONE,
+        {"gain_dbi": 19.0, "front_back_db": 25.0, "beamwidth_deg": 10.0,
+         "diffuse_db": 0.0},
+        lambda spec, params: _antenna(params)),
+    "perturbation": _Mode(perturbation_run, _SOME,
+                          {"schedule": (), "duration": None},
+                          _check_schedule),
+}
+MODES = tuple(_MODES)
+
+
 def run_scenario(spec: ScenarioSpec, threads: int = 1) -> RunResult:
     """Dispatch a scenario to its mode's operation.
 
     ``threads`` is accepted and has no effect; every mode runs in order.
     """
-    if spec.mode == "jsr-matrix":
-        # Only the everything-hidden roster is the dedicated hidden-device
-        # experiment; partial hidden sets stay with the plain matrix.
-        all_hidden = set(spec.eval_devices()) - set(spec.targets)
-        if spec.hidden and set(spec.hidden) == all_hidden:
-            return hidden_device_eval(spec)
-        return run_jsr_matrix(spec)
-    operation = {
-        "exclusion": run_exclusion,
-        "heatmap": heatmap_scan,
-        "element-sweep": element_sweep,
-        "displacement": displacement_scan,
-        "directional-baseline": directional_baseline,
-        "perturbation": perturbation_run,
-    }.get(spec.mode, power_sweep)     # packet-rate / throughput
-    return operation(spec)
+    return _MODES[spec.mode].operation(spec)
 
 
 # ---------------------------------------------------------------------------
@@ -1282,98 +1301,54 @@ def run_scenario(spec: ScenarioSpec, threads: int = 1) -> RunResult:
 
 def scenario_to_dict(spec: ScenarioSpec) -> dict:
     """Canonical, fully defaulted form; stable under input key reordering."""
-    env = spec.environment
+    doc = {f.name: getattr(spec, f.name) for f in fields(spec)}
+    env = doc.pop("environment")
     if isinstance(env, Environment):
-        env_doc = {"environment_document": environment_to_dict(env)}
+        doc["environment_document"] = environment_to_dict(env)
     else:
-        devices = env.devices if isinstance(env.devices, Mapping) \
-            else dict(env.devices)
-        env_doc = {"environment": {
-            "frequency_hz": env.frequency_hz,
-            "n_elements": env.n_elements,
-            "scatter_count": env.scatter_count,
-            "path_loss_exponent": env.path_loss_exponent,
-            "noise_floor_dbm": env.noise_floor_dbm,
-            "rician_k": env.rician_k,
-            "pattern_diversity": env.pattern_diversity,
-            "attacker_id": env.attacker_id,
-            "attacker_position": list(as_position(env.attacker_position)),
-            "devices": {d: list(as_position(p))
-                        for d, p in sorted(devices.items())},
-        }}
-    return {
-        "name": spec.name,
-        "mode": spec.mode,
-        "seed": spec.seed,
-        "ap_id": spec.ap_id,
-        "targets": list(spec.targets),
-        "non_targets": list(spec.non_targets),
-        "hidden": list(spec.hidden),
-        "powers": {
-            "jam_dbm": spec.powers.jam_dbm,
-            "ap_dbm": spec.powers.ap_dbm,
-            "device_tx_dbm": spec.powers.device_tx_dbm,
-            "sweep_from_dbm": spec.powers.sweep_from_dbm,
-            "sweep_to_dbm": spec.powers.sweep_to_dbm,
-            "sweep_step_db": spec.powers.sweep_step_db,
-        },
-        "optimizer": {
-            "table_size": spec.optimizer.table_size,
-            "steps": spec.optimizer.steps,
-            "reeval_period": spec.optimizer.reeval_period,
-            "epsilon": spec.optimizer.epsilon,
-            "w_mean": spec.optimizer.w_mean,
-            "w_extreme": spec.optimizer.w_extreme,
-            "meas_sigma_db": spec.optimizer.meas_sigma_db,
-            "quantize": spec.optimizer.quantize,
-        },
-        "mode_params": _jsonify(dict(spec.mode_params)),
-        **env_doc,
-    }
+        doc["environment"] = {
+            **{f.name: getattr(env, f.name) for f in fields(env)},
+            "attacker_position": as_position(env.attacker_position),
+            "devices": {d: as_position(p)
+                        for d, p in sorted(dict(env.devices).items())},
+        }
+    return _jsonify({key: asdict(value) if is_dataclass(value) else value
+                     for key, value in doc.items()})
+
+
+# Scenario fields that hold a stored world in place of "environment".
+_STORED_ENVIRONMENT = ("environment_document", "environment_file")
 
 
 def scenario_from_dict(doc: Mapping, base_dir=None) -> ScenarioSpec:
-    """Build a validated spec from a plain JSON-style document."""
+    """Build a validated spec from a plain JSON-style document.
+
+    Its fields are ScenarioSpec's; the settings objects take their own
+    fields, and an absent field takes the dataclass default.
+    """
     if not isinstance(doc, Mapping):
         raise ScenarioError("scenario document must be a JSON object")
-    known = {"name", "mode", "seed", "ap_id", "targets", "non_targets",
-             "hidden", "powers", "optimizer", "mode_params", "environment",
-             "environment_file", "environment_document"}
-    unknown = sorted(set(doc) - known)
-    if unknown:
-        raise ScenarioError(f"unknown field(s) {unknown}", unknown[0])
-    if "mode" not in doc:
-        raise ScenarioError("required field is missing", "mode")
-
-    if "environment_document" in doc or "environment_file" in doc:
-        environment = _stored_environment(doc, base_dir)
+    spec_fields = fields(ScenarioSpec)
+    _reject_unknown(doc, {f.name for f in spec_fields}
+                    | set(_STORED_ENVIRONMENT))
+    kwargs = {f.name: doc[f.name] for f in spec_fields if f.name in doc}
+    if any(key in doc for key in _STORED_ENVIRONMENT):
+        kwargs["environment"] = _stored_environment(doc, base_dir)
     else:
-        environment = _environment_spec_from_dict(doc.get("environment", {}))
-
-    def sub(name, cls, **defaults):
-        raw = _mapping(doc, name)
-        allowed = {f for f in cls.__dataclass_fields__}
-        bad = sorted(set(raw) - allowed)
-        if bad:
-            raise ScenarioError(f"unknown field(s) {bad}", f"{name}.{bad[0]}")
-        merged = {**defaults, **raw}
-        return cls(**merged)
-
+        kwargs["environment"] = _environment_spec_from_dict(
+            doc.get("environment", {}))
     try:
-        return ScenarioSpec(
-            environment=environment,
-            mode=doc["mode"],
-            targets=tuple(doc.get("targets", ())),
-            seed=doc.get("seed", 1),
-            name=str(doc.get("name", "scenario")),
-            ap_id=str(doc.get("ap_id", "D0")),
-            non_targets=(tuple(doc["non_targets"])
-                         if "non_targets" in doc else None),
-            hidden=tuple(doc.get("hidden", ())),
-            powers=sub("powers", PowerSettings),
-            optimizer=sub("optimizer", OptimizerSettings),
-            mode_params=dict(_mapping(doc, "mode_params")),
-        )
+        for f in spec_fields:
+            if f.name in doc and is_dataclass(f.default_factory):
+                raw = _mapping(doc, f.name)
+                _reject_unknown(raw, {g.name for g in
+                                      fields(f.default_factory)},
+                                f"{f.name}.")
+                kwargs[f.name] = f.default_factory(**raw)
+            elif f.name not in kwargs \
+                    and f.default is f.default_factory is MISSING:
+                raise ScenarioError("required field is missing", f.name)
+        return ScenarioSpec(**kwargs)
     except TypeError as exc:
         raise ScenarioError(str(exc)) from exc
 
@@ -1408,14 +1383,8 @@ def _environment_spec_from_dict(env_doc: Mapping) -> EnvironmentSpec:
         raise ScenarioError("must be an object", "environment")
     if not env_doc:
         return desk_environment_spec()
-    allowed = {"frequency_hz", "n_elements", "scatter_count",
-               "path_loss_exponent", "noise_floor_dbm", "rician_k",
-               "pattern_diversity", "attacker_id", "attacker_position",
-               "devices"}
-    bad = sorted(set(env_doc) - allowed)
-    if bad:
-        raise ScenarioError(f"unknown field(s) {bad}",
-                            f"environment.{bad[0]}")
+    _reject_unknown(env_doc, {f.name for f in fields(EnvironmentSpec)},
+                    "environment.")
     kwargs = dict(env_doc)
     devices = kwargs.pop("devices", None)
     attacker = kwargs.pop("attacker_position", None)
@@ -1429,10 +1398,12 @@ def _environment_spec_from_dict(env_doc: Mapping) -> EnvironmentSpec:
         raise ScenarioError("attacker_position is required when devices are "
                             "given", "environment.attacker_position")
     try:
-        return EnvironmentSpec(
+        spec = EnvironmentSpec(
             devices={d: as_position(p) for d, p in devices.items()},
             attacker_position=as_position(attacker),
             **kwargs,
         )
     except (OverflowError, TypeError, ValueError) as exc:
         raise ScenarioError(str(exc), "environment") from exc
+    _check_environment(spec)
+    return spec

@@ -18,7 +18,8 @@ from risjam.cli import (
     scenario_hash,
 )
 from risjam import scenarios
-from risjam.scenarios import ScenarioError, scenario_to_dict
+from risjam.scenarios import (MAX_ENSEMBLE_TERMS, ScenarioError,
+                              scenario_to_dict)
 
 MINI_SCENARIO = {
     "mode": "packet-rate",
@@ -222,44 +223,56 @@ def no_search(monkeypatch):
     monkeypatch.setattr(scenarios, "run_optimizer", refuse)
 
 
-@pytest.mark.parametrize("mode,params", [
-    ("heatmap", {"step_m": 0}),
-    ("heatmap", {"step_m": float("nan")}),
-    ("heatmap", {"step_m": -0.01}),
-    ("heatmap", {"step_m": 1e-5}),
-    ("displacement", {"minimized": "B", "step_mm": 0}),
-    ("displacement", {"minimized": ["B"]}),
-    ("element-sweep", {"counts": [16, 500]}),
-    ("element-sweep", {"counts": [16], "repeats": 0}),
-    ("element-sweep", {"counts": [16.5]}),
-    ("element-sweep", {"counts": "16"}),
-    ("perturbation", {"schedule": "x"}),
-    ("perturbation", {"schedule": [{"fraction": 0.1}]}),
+TWO_TARGETS = ["A", "C"]
+
+
+@pytest.mark.parametrize("mode,params,targets", [
+    ("heatmap", {"step_m": 0}, ["A"]),
+    ("heatmap", {"step_m": float("nan")}, ["A"]),
+    ("heatmap", {"step_m": -0.01}, ["A"]),
+    ("heatmap", {"step_m": 1e-5}, ["A"]),
+    ("displacement", {"minimized": "B", "step_mm": 0}, ["A"]),
+    ("displacement", {"minimized": ["B"]}, ["A"]),
+    ("element-sweep", {"counts": [16, 500]}, ["A"]),
+    ("element-sweep", {"counts": [16], "repeats": 0}, ["A"]),
+    ("element-sweep", {"counts": [16.5]}, ["A"]),
+    ("element-sweep", {"counts": "16"}, ["A"]),
+    ("perturbation", {"schedule": "x"}, ["A"]),
+    ("perturbation", {"schedule": [{"fraction": 0.1}]}, ["A"]),
     ("perturbation", {"schedule": [{"time": 1, "device": "Z",
-                                    "position": [1.0, 1.0, 1.0]}]}),
+                                    "position": [1.0, 1.0, 1.0]}]}, ["A"]),
     ("perturbation", {"schedule": [{"time": 1, "device": "B",
-                                    "position": [1.0, 1.0]}]}),
-    ("perturbation", {"schedule": [{"time": 1, "fraction": 2.0}]}),
-    ("perturbation", {"duration": -1}),
-    ("perturbation", {"duration": 10 ** 13}),
-    ("perturbation", {"schedule": [{"time": 10 ** 13, "fraction": 0.1}]}),
-    ("perturbation", {"schedule": [{"time": -5, "fraction": 0.1}]}),
-    ("directional-baseline", {"beamwidth_deg": 0}),
-    ("directional-baseline", {"gain_dbi": float("nan")}),
-    ("throughput", {"offered_load_mbps": 0}),
-    ("throughput", {"offered_load_mbps": float("inf")}),
+                                    "position": [1.0, 1.0]}]}, ["A"]),
+    ("perturbation", {"schedule": [{"time": 1, "fraction": 2.0}]}, ["A"]),
+    ("perturbation", {"duration": -1}, ["A"]),
+    ("perturbation", {"duration": 10 ** 13}, ["A"]),
+    ("perturbation", {"schedule": [{"time": 10 ** 13, "fraction": 0.1}]},
+     ["A"]),
+    ("perturbation", {"schedule": [{"time": -5, "fraction": 0.1}]}, ["A"]),
+    ("directional-baseline", {"beamwidth_deg": 0}, ["A"]),
+    ("directional-baseline", {"gain_dbi": float("nan")}, ["A"]),
+    ("throughput", {"offered_load_mbps": 0}, ["A"]),
+    ("throughput", {"offered_load_mbps": float("inf")}, ["A"]),
+    ("displacement", {"minimized": "B"}, TWO_TARGETS),
+    ("element-sweep", {"counts": [16]}, TWO_TARGETS),
+    ("directional-baseline", {}, TWO_TARGETS),
+    ("heatmap", {"stepm": 0.05}, ["A"]),
+    ("packet-rate", {"step_m": 0.01}, ["A"]),
 ], ids=["step-0", "step-nan", "step-negative", "grid-oversized",
         "displacement-step-0", "displacement-minimized-list",
         "counts-exceed-surface", "repeats-0", "counts-float", "counts-string",
         "schedule-string", "event-without-time", "event-unknown-device",
         "event-bad-position", "event-fraction-2", "duration-negative",
         "duration-huge", "default-duration-huge", "default-duration-negative",
-        "beamwidth-0", "gain-nan", "offered-load-0", "offered-load-inf"])
+        "beamwidth-0", "gain-nan", "offered-load-0", "offered-load-inf",
+        "displacement-two-targets", "element-sweep-two-targets",
+        "directional-two-targets", "heatmap-unknown-param",
+        "packet-rate-unknown-param"])
 @pytest.mark.parametrize("command", ["validate", "run"])
 def test_bad_scan_grid_exits_2_before_search(tmp_path, capsys, no_search,
-                                             command, mode, params):
+                                             command, mode, params, targets):
     path = write_scenario(tmp_path, dict(MINI_SCENARIO, mode=mode,
-                                         mode_params=params))
+                                         mode_params=params, targets=targets))
     argv = [command, str(path)]
     if command == "run":
         argv += ["--out", str(tmp_path / "out")]
@@ -269,14 +282,17 @@ def test_bad_scan_grid_exits_2_before_search(tmp_path, capsys, no_search,
     assert json.loads(err[0])["error"] == "ScenarioError"
 
 
+@pytest.mark.parametrize("command", ["validate", "run"])
 def test_grid_excluding_focus_exits_2_before_search(tmp_path, capsys,
-                                                    no_search):
+                                                    no_search, command):
     doc = dict(MINI_SCENARIO, mode="heatmap",
                mode_params={"x_min_m": 0.0, "x_max_m": 0.5,
                             "y_min_m": 0.0, "y_max_m": 0.5})
     path = write_scenario(tmp_path, doc)
-    assert main(["run", str(path), "--out", str(tmp_path / "out")]) \
-        == EXIT_VALIDATION
+    argv = [command, str(path)]
+    if command == "run":
+        argv += ["--out", str(tmp_path / "out")]
+    assert main(argv) == EXIT_VALIDATION
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1
     assert "excludes" in json.loads(err[0])["message"]
@@ -328,6 +344,10 @@ def _replaced(doc, path, value):
     ("environment.path_loss_exponent", float("nan"),
      "environment.path_loss_exponent"),
     ("environment.noise_floor_dbm", None, "environment.noise_floor_dbm"),
+    # One plane wave past the ensemble cap on the 96 x 32 roster.
+    ("environment.scatter_count", MAX_ENSEMBLE_TERMS // 96 + 1, "environment"),
+    ("environment.n_elements", MAX_ENSEMBLE_TERMS // 32 + 1, "environment"),
+    ("environment.scatter_count", 10 ** 13, "environment"),
 ])
 @pytest.mark.parametrize("command", ["validate", "run"])
 def test_bad_document_exits_2_before_search(tmp_path, capsys, no_search,
@@ -436,6 +456,22 @@ def test_env_synth_malformed_spec_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1
     assert "invalid JSON" in json.loads(err[0])["message"]
+    assert not (tmp_path / "env.json").exists()
+
+
+@pytest.mark.parametrize("spec_doc,field", [
+    ({"scatter_count": "x"}, "environment.scatter_count"),
+    ({"scatter_count": 10 ** 13}, "environment"),
+])
+def test_env_synth_bad_spec_exits_2(tmp_path, capsys, spec_doc, field):
+    spec_path = tmp_path / "envspec.json"
+    spec_path.write_text(json.dumps(spec_doc))
+    rc = main(["env", "synth", "--spec", str(spec_path), "--seed", "5",
+               "--out", str(tmp_path / "env.json")])
+    assert rc == EXIT_VALIDATION
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert json.loads(err[0])["field"] == field
     assert not (tmp_path / "env.json").exists()
 
 
@@ -573,3 +609,50 @@ def test_validate_fuzz_exits_0_or_2(tmp_path_factory, base, field, value):
         lines = err.getvalue().splitlines()
         assert len(lines) == 1
         assert isinstance(json.loads(lines[0]), dict)
+
+
+# -- run agrees with validate ----------------------------------------------------
+
+def _small_run(base):
+    """A fuzz base on a 16-element surface with a 5-step search."""
+    doc = _replaced(base, "environment.n_elements", 16)
+    doc["optimizer"] = {"steps": 5, "reeval_period": 2, "table_size": 8}
+    if doc["mode"] == "element-sweep":
+        doc["mode_params"]["counts"] = [8, 16]
+    return doc
+
+
+RUN_FUZZ_BASES = [_small_run(base) for base in FUZZ_BASES]
+# Fields that scale a run's cost (search and surface sizes, repeats, series
+# lengths) are left to the validate fuzz and the bound tests above.
+RUN_FUZZ_FIELDS = [
+    field for field in (prefix + key for prefix, keys in FUZZ_FIELDS.items()
+                        for key in keys)
+    if field not in ("optimizer", "optimizer.steps", "optimizer.table_size",
+                     "environment.n_elements", "environment.scatter_count",
+                     "mode_params.repeats", "mode_params.duration",
+                     "mode_params.schedule")]
+
+
+def _exit_and_errors(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        rc = main(argv)
+    return rc, err.getvalue().splitlines()
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(base=st.sampled_from(RUN_FUZZ_BASES),
+       field=st.sampled_from(RUN_FUZZ_FIELDS), value=JSON_VALUES)
+def test_run_fuzz_exits_2_exactly_when_validate_does(tmp_path_factory, base,
+                                                     field, value):
+    tmp = tmp_path_factory.mktemp("runfuzz")
+    path = write_scenario(tmp, _replaced(base, field, value))
+    checked, _ = _exit_and_errors(["validate", str(path)])
+    rc, err = _exit_and_errors(["run", str(path), "--out", str(tmp / "out")])
+    assert rc in (EXIT_OK, EXIT_VALIDATION, EXIT_RUNTIME)
+    assert (rc == EXIT_VALIDATION) == (checked == EXIT_VALIDATION)
+    if rc != EXIT_OK:
+        assert len(err) == 1
+        assert isinstance(json.loads(err[0]), dict)

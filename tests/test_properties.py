@@ -88,6 +88,22 @@ def test_hex_round_trip_lossless(bits):
     assert RisConfig.from_hex(cfg.to_hex(), len(bits)) == cfg
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 40), st.integers(1, 4), st.data())
+def test_trace_csv_hex_matches_config_hex(tmp_path_factory, length, rows,
+                                          data):
+    bits = np.array(data.draw(st.lists(
+        st.lists(st.integers(0, 1), min_size=length, max_size=length),
+        min_size=rows, max_size=rows)), dtype=np.uint8)
+    trace = optimizer.Trace(best_cost=np.zeros(rows),
+                            worst_cost=np.zeros(rows), best_bits=bits,
+                            reeval_period=0)
+    path = tmp_path_factory.mktemp("trace") / "trace.csv"
+    trace.write_csv(path)
+    hexes = [line.split(",")[2] for line in path.read_text().splitlines()[1:]]
+    assert hexes == [RisConfig(row).to_hex() for row in bits]
+
+
 def test_random_pair_distance_centers_on_half_length():
     distances = [hamming_distance(random_config(128, 3 * i),
                                   random_config(128, 3 * i + 1))

@@ -373,11 +373,10 @@ def test_heatmap_shape_and_focus():
 
 
 def test_heatmap_grid_must_contain_focus():
-    spec = mini_scenario(mode="heatmap",
-                         mode_params={"x_min_m": 0.0, "x_max_m": 0.5,
-                                      "y_min_m": 0.0, "y_max_m": 0.5})
     with pytest.raises(ScenarioError, match="excludes"):
-        heatmap_scan(spec)
+        mini_scenario(mode="heatmap",
+                      mode_params={"x_min_m": 0.0, "x_max_m": 0.5,
+                                   "y_min_m": 0.0, "y_max_m": 0.5})
 
 
 def test_heatmap_matches_per_point_reference():
