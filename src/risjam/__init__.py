@@ -25,7 +25,6 @@ from .channel import (
     path_loss_db,
     perturb_environment,
     received_rssi,
-    ris_subchannel,
     ris_subchannels,
     save_environment,
     spatial_correlation,
@@ -54,7 +53,6 @@ from .optimizer import (
     optimizer_init,
     optimizer_step,
     run_optimizer,
-    write_convergence_json,
 )
 from .ris import (
     RisConfig,

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
-from scipy.special import j0
 
 SPEED_OF_LIGHT = 299792458.0
 
@@ -388,16 +387,6 @@ def ris_subchannels(env: Environment, position, device: str | None = None) -> np
     return gains
 
 
-def ris_subchannel(env: Environment, element: int, position,
-                   device: str | None = None) -> complex:
-    """Complex gain of the path via one surface element to a position."""
-    if not 0 <= element < env.n_elements:
-        raise IndexError(
-            f"element index {element} out of range [0, {env.n_elements})"
-        )
-    return complex(ris_subchannels(env, position, device)[element])
-
-
 def ris_subchannels_batch(env: Environment, positions,
                           device: str | None = None) -> np.ndarray:
     """ris_subchannels over many positions; returns (P, L).
@@ -492,6 +481,7 @@ def received_rssi(env: Environment, power_at_antenna_dbm, rng=None,
 
 def expected_spatial_correlation(displacements_m, wavelength_m: float) -> np.ndarray:
     """Clarke-model reference: J0(2*pi*d/lambda)."""
+    from scipy.special import j0  # the package's one scipy use; not at import
     d = np.asarray(displacements_m, dtype=float)
     return j0(2.0 * math.pi * d / wavelength_m)
 

@@ -13,7 +13,7 @@ import hashlib
 import itertools
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from . import __version__
@@ -25,6 +25,7 @@ from .scenarios import (
     run_scenario,
     scenario_from_dict,
     scenario_to_dict,
+    _CSV_METRICS,
     _environment_spec_from_dict,
 )
 
@@ -58,13 +59,8 @@ def parse_scenario(path) -> ScenarioSpec:
         raise ScenarioError(f"invalid JSON: {exc}") from exc
     spec = scenario_from_dict(doc, base_dir=path.parent)
     if spec.name == "scenario" and "name" not in doc:
-        spec = _rename(spec, path.stem)
+        spec = replace(spec, name=path.stem)
     return spec
-
-
-def _rename(spec: ScenarioSpec, name: str) -> ScenarioSpec:
-    from dataclasses import replace
-    return replace(spec, name=name)
 
 
 def scenario_hash(spec: ScenarioSpec) -> str:
@@ -210,8 +206,7 @@ def compare_runs(manifest_a, manifest_b) -> dict:
     separations_a, separations_b = [], []
     for row_a, row_b in zip(a["rows"], b["rows"]):
         label = "+".join(row_a["targets"])
-        for metric in ("attacker_rssi_dbm", "ap_rssi_dbm", "jsr_db",
-                       "norm_jsr_db", "packet_rate", "throughput_mbps"):
+        for metric in _CSV_METRICS:
             if metric not in row_a or metric not in row_b:
                 continue
             for device in a["devices"]:
@@ -248,18 +243,54 @@ def _row_separation(row: dict) -> float | None:
 
 
 def _load_run(manifest_path) -> dict:
+    """A run's result.json, checked against the sha256 its manifest lists
+    and for every field compare_runs reads."""
     path = Path(manifest_path)
     if path.is_dir():
         path = path / "manifest.json"
     try:
         manifest = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         raise ScenarioError(f"cannot load manifest {path}: {exc}") from exc
-    run_dir = path.parent
-    listed = {entry["path"] for entry in manifest.get("outputs", [])}
-    if "result.json" not in listed:
+    outputs = manifest.get("outputs") if isinstance(manifest, dict) else None
+    if not (isinstance(outputs, list) and all(
+            isinstance(e, dict) and isinstance(e.get("path"), str)
+            for e in outputs)):
+        raise ScenarioError(f"manifest {path} needs a list of objects, each "
+                            f"with a string path", "outputs")
+    entry = next((e for e in outputs if e["path"] == "result.json"), None)
+    if entry is None:
         raise ScenarioError(f"manifest {path} lists no result.json")
-    return json.loads((run_dir / "result.json").read_text())
+    result_path = path.parent / "result.json"
+    try:
+        data = result_path.read_bytes()
+        result = json.loads(data)
+    except (OSError, ValueError) as exc:
+        raise ScenarioError(f"cannot load {result_path}: {exc}") from exc
+    if hashlib.sha256(data).hexdigest() != entry.get("sha256"):
+        raise ScenarioError(f"{result_path} differs from its manifest sha256")
+    devices = result.get("devices") if isinstance(result, dict) else None
+    if not (_strings(devices) and isinstance(result.get("mode"), str)
+            and isinstance(result.get("rows"), list)):
+        raise ScenarioError(f"{result_path} needs a string mode, a list of "
+                            f"device ids and a list of rows")
+    for i, row in enumerate(result["rows"]):
+        if not (isinstance(row, dict) and _strings(row.get("targets"))):
+            raise ScenarioError(f"{result_path} row {i} needs a list of "
+                                f"target ids", f"rows[{i}].targets")
+        for metric in _CSV_METRICS:
+            values = row.get(metric)
+            if metric in row and not (
+                    isinstance(values, dict) and set(devices) <= set(values)
+                    and all(isinstance(v, (int, float)) and not
+                            isinstance(v, bool) for v in values.values())):
+                raise ScenarioError(f"{result_path} row {i} needs a number "
+                                    f"per device", f"rows[{i}].{metric}")
+    return result
+
+
+def _strings(value) -> bool:
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
 
 
 # ---------------------------------------------------------------------------
@@ -322,7 +353,6 @@ def main(argv=None) -> int:
         if args.command == "run":
             spec = parse_scenario(args.scenario)
             if args.seed is not None:
-                from dataclasses import replace
                 spec = replace(spec, seed=args.seed)
             manifest = execute(spec, args.out, threads=args.threads,
                                fmt=args.format)

@@ -7,7 +7,6 @@ the lowest and highest index, and the rate column spans a factor of 10.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, replace
 
@@ -50,12 +49,6 @@ class McsTable:
     def rate(self, mcs: int) -> float:
         return self.data_rates_mbps[_check_mcs(mcs)]
 
-    @classmethod
-    def from_json(cls, path) -> "McsTable":
-        with open(path) as fh:
-            doc = json.load(fh)
-        return cls(tuple(doc["sjnr_thresholds_db"]), tuple(doc["data_rates_mbps"]))
-
 
 DEFAULT_MCS_TABLE = McsTable()
 
@@ -84,12 +77,10 @@ def sjnr_db(sig_dbm, jam_dbm, noise_dbm):
     return float(out) if out.ndim == 0 else out
 
 
-def packet_success_prob(sjnr: float, mcs: int,
-                        table: McsTable = DEFAULT_MCS_TABLE,
-                        slope_db: float = LOGISTIC_SLOPE_DB):
+def packet_success_prob(sjnr: float, mcs: int):
     """Smooth reception model: logistic in SJNR around the MCS threshold."""
-    threshold = table.threshold(mcs)
-    z = (np.asarray(sjnr, dtype=float) - threshold) / slope_db
+    threshold = DEFAULT_MCS_TABLE.threshold(mcs)
+    z = (np.asarray(sjnr, dtype=float) - threshold) / LOGISTIC_SLOPE_DB
     out = 1.0 / (1.0 + np.exp(-z))
     return float(out) if out.ndim == 0 else out
 
@@ -133,21 +124,18 @@ def rate_adapt_step(state: LinkState) -> LinkState:
     return replace(state, mcs=mcs, window=(), good_streak=streak)
 
 
-def throughput_mbps(state: LinkState, success_prob: float,
-                    table: McsTable = DEFAULT_MCS_TABLE,
-                    efficiency: float = PROTOCOL_EFFICIENCY) -> float:
+def throughput_mbps(state: LinkState, success_prob: float) -> float:
     """Delivered rate, capped by the offered load."""
     if state.offered_load_mbps <= 0:
         raise ValueError("offered load must be positive")
     return min(state.offered_load_mbps,
-               table.rate(state.mcs) * success_prob * efficiency)
+               DEFAULT_MCS_TABLE.rate(state.mcs) * success_prob
+               * PROTOCOL_EFFICIENCY)
 
 
 def packet_rate(env: channel.Environment, config: ris.RisConfig,
                 jam_power_dbm: float, ap_power_dbm: float,
-                device: str, ap_id: str, *,
-                mcs: int = MONITOR_MCS,
-                table: McsTable = DEFAULT_MCS_TABLE) -> float:
+                device: str, ap_id: str) -> float:
     """Monitor-mode packets per second out of 100 at a fixed MCS."""
     if device not in env.devices:
         raise KeyError(f"unknown device id {device!r}")
@@ -157,4 +145,4 @@ def packet_rate(env: channel.Environment, config: ris.RisConfig,
     jam_dbm = jam_power_dbm + 20.0 * math.log10(max(abs(jam_gain), 1e-30))
     sig_dbm = ap_power_dbm + 20.0 * math.log10(abs(sig_gain))
     ratio = sjnr_db(sig_dbm, jam_dbm, env.noise_floor_dbm)
-    return PACKETS_PER_SECOND * packet_success_prob(ratio, mcs, table)
+    return PACKETS_PER_SECOND * packet_success_prob(ratio, MONITOR_MCS)

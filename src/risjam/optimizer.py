@@ -220,9 +220,6 @@ class Trace:
     def n_steps(self) -> int:
         return len(self.best_cost) - 1
 
-    def best_config_at(self, step: int) -> RisConfig:
-        return RisConfig(self.best_bits[step])
-
     def final_config(self) -> RisConfig:
         return RisConfig(self.best_bits[-1])
 
@@ -303,17 +300,6 @@ def convergence_stats(traces: Trace | Sequence[Trace]) -> dict:
     if len(traces) > 1:
         stats["p5_distance"] = np.percentile(distances, 5, axis=0).tolist()
         stats["p95_distance"] = np.percentile(distances, 95, axis=0).tolist()
-    return stats
-
-
-def write_convergence_json(traces: Trace | Sequence[Trace], path) -> dict:
-    """Summarize one or more traces and persist the curves as JSON."""
-    import json
-
-    stats = convergence_stats(traces)
-    with open(path, "w") as fh:
-        json.dump(stats, fh, sort_keys=True, indent=1)
-        fh.write("\n")
     return stats
 
 

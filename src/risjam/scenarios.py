@@ -28,6 +28,8 @@ from .channel import (
     Environment,
     EnvironmentSpec,
     Position,
+    _check_entity_distances,
+    _validated_devices,
     as_position,
     direct_channel,
     environment_from_dict,
@@ -291,8 +293,8 @@ def _reject_unknown(keys, known, prefix: str = "") -> None:
 
 
 def _check_environment(environment: EnvironmentSpec | Environment) -> None:
-    """The numbers synthesize_environment will use (a stored world is
-    already synthesized)."""
+    """The numbers and roster synthesize_environment will use, by its own
+    checks for the roster (a stored world is already synthesized)."""
     if isinstance(environment, Environment):
         return
     values = vars(environment)
@@ -311,6 +313,12 @@ def _check_environment(environment: EnvironmentSpec | Environment) -> None:
         _number_param(values, key, prefix="environment.")
     if not isinstance(environment.attacker_id, str):
         raise ScenarioError("must be a string", "environment.attacker_id")
+    try:
+        _check_entity_distances(_validated_devices(environment),
+                                as_position(environment.attacker_position),
+                                environment.attacker_id)
+    except (TypeError, ValueError) as exc:
+        raise ScenarioError(str(exc), "environment.devices") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -391,10 +399,8 @@ class RssiOracle:
         # Two matvecs: a stacked (K, L) product differs from them in the
         # last bits, which would move every trace.  One noise draw over
         # targets then non-targets equals a draw per set.
-        gains = np.abs(np.concatenate((self._h_targets @ coeff,
-                                       self._h_non_targets @ coeff)))
-        power = self.device_tx_dbm + 20.0 * np.log10(
-            np.maximum(gains, _TINY_GAIN))
+        power = self.device_tx_dbm + _gain_db(np.concatenate(
+            (self._h_targets @ coeff, self._h_non_targets @ coeff)))
         if self.quantize:
             power = received_rssi(self.env, power, self.rng,
                                   self.sigma_db).astype(float)
@@ -431,11 +437,14 @@ def _gain_matrix(env: Environment, device_ids: Sequence[str]) -> np.ndarray:
     ])
 
 
+def _gain_db(h: np.ndarray) -> np.ndarray:
+    """Power gain in dB of complex amplitude gains, floored at _TINY_GAIN."""
+    return 20.0 * np.log10(np.maximum(np.abs(h), _TINY_GAIN))
+
+
 def _composed_gain_db(env: Environment, config: RisConfig,
                       device_ids: Sequence[str]) -> np.ndarray:
-    matrix = _gain_matrix(env, device_ids)
-    gains = np.abs(matrix @ config.coefficients())
-    return 20.0 * np.log10(np.maximum(gains, _TINY_GAIN))
+    return _gain_db(_gain_matrix(env, device_ids) @ config.coefficients())
 
 
 def _ap_signal_dbm(env: Environment, spec: ScenarioSpec,
@@ -719,12 +728,11 @@ def _evaluate_gains(env: Environment, spec: ScenarioSpec,
 
 
 def simulate_link_throughput(sjnr_value: float, offered_mbps: float,
-                             rng: np.random.Generator,
-                             windows: int = LINK_SIM_WINDOWS) -> float:
+                             rng: np.random.Generator) -> float:
     """Adaptive-rate link under a stationary SJNR; steady-state goodput."""
     state = link.LinkState(mcs=7, offered_load_mbps=offered_mbps)
     history = []
-    for _ in range(windows):
+    for _ in range(LINK_SIM_WINDOWS):
         p = link.packet_success_prob(sjnr_value, state.mcs)
         outcomes = rng.random(link.RATE_WINDOW) < p
         state = link.rate_adapt_step(state.with_window(outcomes))
@@ -861,8 +869,7 @@ def random_config_eval(spec: ScenarioSpec, n_configs: int = 20) -> dict:
     for i in range(n_configs):
         config = RisConfig(rng.integers(0, 2, env.n_elements, dtype=np.uint8))
         configs.append(config)
-        gains = np.abs(matrix @ config.coefficients())
-        level = power + 20.0 * np.log10(np.maximum(gains, _TINY_GAIN))
+        level = power + _gain_db(matrix @ config.coefficients())
         rssi[i] = received_rssi(env, level, eval_rng,
                                 spec.optimizer.meas_sigma_db).astype(float)
     return {"devices": devices, "rssi_dbm": rssi, "configs": configs}
@@ -991,6 +998,7 @@ def _check_schedule(spec: ScenarioSpec, params: Mapping) -> None:
             raise ScenarioError("must be an object", path)
         _number_param(event, "time", prefix=f"{path}.")
         if "fraction" in event:
+            _reject_unknown(event, ("time", "fraction", "seed"), f"{path}.")
             _number_param(event, "fraction", prefix=f"{path}.", low=0,
                           high=1)
             _number_param(event, "seed", spec.seed, prefix=f"{path}.",
@@ -999,6 +1007,7 @@ def _check_schedule(spec: ScenarioSpec, params: Mapping) -> None:
             raise ScenarioError("needs a fraction or a roster device",
                                 f"{path}.device")
         else:
+            _reject_unknown(event, ("time", "device", "position"), f"{path}.")
             try:
                 as_position(event.get("position"))
             except (TypeError, ValueError, OverflowError) as exc:
@@ -1024,9 +1033,8 @@ def heatmap_scan(spec: ScenarioSpec) -> RunResult:
     focus_db = 20.0 * math.log10(max(focus_gain, _TINY_GAIN))
 
     pts = [Position(float(x), float(y), focus.z) for y in ys for x in xs]
-    gains = np.abs(ris_subchannels_batch(env, pts, device=target) @ coeff)
-    grid_db = (20.0 * np.log10(np.maximum(gains, _TINY_GAIN))
-               - focus_db).reshape(len(ys), len(xs))
+    gains = ris_subchannels_batch(env, pts, device=target) @ coeff
+    grid_db = (_gain_db(gains) - focus_db).reshape(len(ys), len(xs))
 
     row, extras = _evaluate_row(env, spec, config, spec.targets, run_idx)
     extras.update({
@@ -1062,9 +1070,7 @@ def displacement_scan(spec: ScenarioSpec) -> RunResult:
     def curve(device: str) -> np.ndarray:
         base = env.devices[device]
         pts = [Position(base.x + d, base.y, base.z) for d in disp_m]
-        sub = ris_subchannels_batch(env, pts, device=device)
-        gains = np.abs(sub @ coeff)
-        return 20.0 * np.log10(np.maximum(gains, _TINY_GAIN))
+        return _gain_db(ris_subchannels_batch(env, pts, device=device) @ coeff)
 
     max_curve = curve(maximized)
     min_curve = curve(minimized)
@@ -1173,7 +1179,7 @@ def directional_baseline(spec: ScenarioSpec) -> RunResult:
         jam_gains[i] = pl_amp * (los + 10.0 ** (diffuse_db / 20.0)
                                  * unit_diffuse)
 
-    jam_gain_db = 20.0 * np.log10(np.maximum(np.abs(jam_gains), _TINY_GAIN))
+    jam_gain_db = _gain_db(jam_gains)
     row, extras = _evaluate_gains(env, spec, jam_gain_db, spec.targets, 0)
     extras["antenna"] = {**pattern, "diffuse_db": diffuse_db}
     return RunResult(spec.name, spec.mode, devices, [row], extras)

@@ -18,7 +18,6 @@ from risjam.channel import (
     path_loss_gain,
     perturb_environment,
     received_rssi,
-    ris_subchannel,
     ris_subchannels,
     ris_subchannels_batch,
     save_environment,
@@ -86,19 +85,6 @@ def test_too_close_entities_rejected():
     })
     with pytest.raises(ValueError, match="closer than"):
         synthesize_environment(spec, 1)
-
-
-def test_subchannel_is_pure(small_env):
-    pos = Position(2.0, 1.0, 1.0)
-    first = ris_subchannel(small_env, 3, pos)
-    second = ris_subchannel(small_env, 3, pos)
-    assert first == second
-    assert first == pytest.approx(ris_subchannels(small_env, pos)[3])
-
-
-def test_subchannel_element_out_of_range(small_env):
-    with pytest.raises(IndexError):
-        ris_subchannel(small_env, 16, Position(2.0, 1.0, 1.0))
 
 
 def test_batch_matches_single(small_env):
@@ -378,7 +364,8 @@ def test_memo_keeps_off_roster_and_deviceless_rows_out():
     roster = env.devices["A"]
     ris_subchannels(env, roster, device="A")
     off = Position(roster.x + 0.01, roster.y, roster.z)
-    for position, device in ((off, "A"), (roster, None), (roster, "B")):
+    for position, device in ((off, "A"), (roster, None), (roster, "B"),
+                             (off, None), (off, None)):
         got = ris_subchannels(env, position, device=device)
         assert got.tobytes() == \
             ris_subchannels(fresh, position, device=device).tobytes()

@@ -2,6 +2,11 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,6 +22,7 @@ from risjam.cli import (
     parse_scenario,
     scenario_hash,
 )
+import risjam
 from risjam import scenarios
 from risjam.scenarios import (MAX_ENSEMBLE_TERMS, ScenarioError,
                               scenario_to_dict)
@@ -249,6 +255,10 @@ TWO_TARGETS = ["A", "C"]
     ("perturbation", {"schedule": [{"time": 10 ** 13, "fraction": 0.1}]},
      ["A"]),
     ("perturbation", {"schedule": [{"time": -5, "fraction": 0.1}]}, ["A"]),
+    ("perturbation", {"schedule": [{"time": 1, "fraction": 0.5, "sed": 3}]},
+     ["A"]),
+    ("perturbation", {"schedule": [{"time": 1, "fraction": 0.5, "device": "B",
+                                    "position": [1.9, 2.9, 0.9]}]}, ["A"]),
     ("directional-baseline", {"beamwidth_deg": 0}, ["A"]),
     ("directional-baseline", {"gain_dbi": float("nan")}, ["A"]),
     ("throughput", {"offered_load_mbps": 0}, ["A"]),
@@ -264,6 +274,7 @@ TWO_TARGETS = ["A", "C"]
         "schedule-string", "event-without-time", "event-unknown-device",
         "event-bad-position", "event-fraction-2", "duration-negative",
         "duration-huge", "default-duration-huge", "default-duration-negative",
+        "event-unknown-key", "event-fraction-and-device",
         "beamwidth-0", "gain-nan", "offered-load-0", "offered-load-inf",
         "displacement-two-targets", "element-sweep-two-targets",
         "directional-two-targets", "heatmap-unknown-param",
@@ -348,6 +359,8 @@ def _replaced(doc, path, value):
     ("environment.scatter_count", MAX_ENSEMBLE_TERMS // 96 + 1, "environment"),
     ("environment.n_elements", MAX_ENSEMBLE_TERMS // 32 + 1, "environment"),
     ("environment.scatter_count", 10 ** 13, "environment"),
+    ("environment.attacker_id", "B", "environment.devices"),
+    ("environment.devices.B", [1.6, 3.0, 0.9], "environment.devices"),
 ])
 @pytest.mark.parametrize("command", ["validate", "run"])
 def test_bad_document_exits_2_before_search(tmp_path, capsys, no_search,
@@ -423,6 +436,60 @@ def test_compare_detects_changes(run_dir, tmp_path, capsys):
     assert len(report["deltas"]) > 0
 
 
+# Each edits a copy of a run: "manifest" edits manifest.json, "result" edits
+# result.json and re-records its sha256, "stale" edits it and does not.
+COMPARE_MUTATIONS = {
+    "outputs-not-a-list": ("manifest", lambda m: m.update(outputs=5)),
+    "entry-without-path": ("manifest", lambda m: m["outputs"][0].pop("path")),
+    "hash-mismatch": ("stale", lambda r: r.update(scenario="edited")),
+    "result-without-devices": ("result", lambda r: r.pop("devices")),
+    "row-without-targets": ("result", lambda r: r["rows"][0].pop("targets")),
+    "metric-missing-device": ("result",
+                              lambda r: r["rows"][0]["jsr_db"].pop("B")),
+}
+
+
+@pytest.mark.parametrize("edited,mutate", COMPARE_MUTATIONS.values(),
+                         ids=list(COMPARE_MUTATIONS))
+def test_compare_bad_run_exits_2(run_dir, tmp_path, capsys, edited, mutate):
+    _, out, _ = run_dir
+    bad = tmp_path / "bad"
+    shutil.copytree(out, bad)
+    manifest = json.loads((bad / "manifest.json").read_text())
+    if edited == "manifest":
+        mutate(manifest)
+    else:
+        result = json.loads((bad / "result.json").read_text())
+        mutate(result)
+        data = json.dumps(result).encode()
+        (bad / "result.json").write_bytes(data)
+        if edited == "result":
+            entry, = (e for e in manifest["outputs"]
+                      if e["path"] == "result.json")
+            entry["sha256"] = hashlib.sha256(data).hexdigest()
+    (bad / "manifest.json").write_text(json.dumps(manifest))
+    assert main(["compare", str(out), str(bad)]) == EXIT_VALIDATION
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert isinstance(json.loads(err[0]), dict)
+
+
+# -- import cost ----------------------------------------------------------------
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy backs only the Bessel reference; importing it would slow every
+    # command.
+    src = str(Path(risjam.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    code = ("import risjam.cli, sys; print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True)
+    assert proc.stdout.strip() == "[]"
+
+
 # -- env synth ----------------------------------------------------------------------
 
 
@@ -462,6 +529,7 @@ def test_env_synth_malformed_spec_exits_2(tmp_path, capsys):
 @pytest.mark.parametrize("spec_doc,field", [
     ({"scatter_count": "x"}, "environment.scatter_count"),
     ({"scatter_count": 10 ** 13}, "environment"),
+    ({"attacker_id": "D1"}, "environment.devices"),
 ])
 def test_env_synth_bad_spec_exits_2(tmp_path, capsys, spec_doc, field):
     spec_path = tmp_path / "envspec.json"

@@ -1,4 +1,3 @@
-import json
 import math
 
 import pytest
@@ -94,15 +93,6 @@ def test_mcs_table_validation():
                  (6.0, 13, 19.5, 26, 39, 52, 58.5, 65))
     with pytest.raises(ValueError, match="0..7"):
         DEFAULT_MCS_TABLE.threshold(8)
-
-
-def test_mcs_table_from_json(tmp_path):
-    path = tmp_path / "mcs.json"
-    path.write_text(json.dumps({
-        "sjnr_thresholds_db": list(DEFAULT_MCS_TABLE.sjnr_thresholds_db),
-        "data_rates_mbps": list(DEFAULT_MCS_TABLE.data_rates_mbps),
-    }))
-    assert McsTable.from_json(path) == DEFAULT_MCS_TABLE
 
 
 # -- rate adaptation ----------------------------------------------------------

@@ -314,17 +314,3 @@ def test_trace_csv(tmp_path):
     assert len(rows) == 26
     assert rows[-1]["best_config_hex"] == best.to_hex()
     assert float(rows[-1]["best_cost"]) == pytest.approx(trace.best_cost[-1])
-
-
-def test_convergence_json(tmp_path):
-    import json
-
-    from risjam.optimizer import write_convergence_json
-
-    oracle = make_oracle()
-    traces = [run_optimizer(10, 25, 10, oracle, seed)[1] for seed in (1, 2)]
-    path = tmp_path / "stats.json"
-    stats = write_convergence_json(traces, path)
-    loaded = json.loads(path.read_text())
-    assert loaded["runs"] == 2
-    assert loaded["mean_distance"] == stats["mean_distance"]
