@@ -57,7 +57,7 @@ print("disruption knees:",
        for d, k in knees.items()})
 
 # The trace records the search: best cost per step plus the table's worst.
-trace = result.traces()[0]
+trace = result.traces[0]
 print(f"\nsearch trace: {trace.n_steps} steps, best-cost improvements "
       f"{len(trace.cost_drop_steps())} drops at re-evaluations, "
       f"final config {trace.final_config().to_hex()[:16]}…")

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -39,6 +39,9 @@ ENV_FORMAT_VERSION = 1
 # intermediates to _BATCH_BLOCK*(M*Ux + Uy*M + Uy*Ux) complex values; of
 # 8, 16, 32, 64 and 128, 8 was fastest on the desk heatmap grid.
 _BATCH_BLOCK = 8
+# Entity pairs per block of the roster distance check: bounds its (rows,
+# entities) float64 temporaries to 8 MB each.
+_PAIR_BLOCK = 1_000_000
 
 
 class Position(NamedTuple):
@@ -86,63 +89,61 @@ class EnvironmentSpec:
     attacker_id: str = "ATT"
 
 
+@dataclass(eq=False, repr=False, kw_only=True)
 class Environment:
     """Immutable synthesized radio world.
 
-    Do not mutate the arrays; operations that change the world
-    (perturbation, moving a device) return a new instance, which starts
-    with an empty gain-row memo (see ris_subchannels).
+    The drawn arrays (``ris_*``, ``direct`` per transmitter,
+    ``pattern_weights`` per device) are read-only.  Operations that change
+    the world (perturbation, moving a device) return a
+    ``dataclasses.replace`` copy, which starts with an empty gain-row memo
+    (see ris_subchannels).
     """
 
-    def __init__(
-        self,
-        *,
-        frequency_hz: float,
-        path_loss_exponent: float,
-        noise_floor_dbm: float,
-        master_seed: int,
-        n_elements: int,
-        scatter_count: int,
-        devices: dict[str, Position],
-        attacker_id: str,
-        attacker_position: Position,
-        rician_k: float,
-        pattern_delta: float,
-        ris_angles: np.ndarray,
-        ris_phases: np.ndarray,
-        ris_los: np.ndarray,
-        direct: dict[str, dict[str, np.ndarray]],
-        pattern_weights: dict[str, np.ndarray],
-        perturbations: tuple[tuple[float, int], ...] = (),
-    ):
-        self.frequency_hz = float(frequency_hz)
-        self.wavelength_m = SPEED_OF_LIGHT / self.frequency_hz
-        self.path_loss_exponent = float(path_loss_exponent)
-        self.noise_floor_dbm = float(noise_floor_dbm)
-        self.master_seed = int(master_seed)
-        self.n_elements = int(n_elements)
-        self.scatter_count = int(scatter_count)
-        self.devices = dict(devices)
-        self.attacker_id = attacker_id
-        self.attacker_position = attacker_position
-        self.rician_k = float(rician_k)
-        self.pattern_delta = float(pattern_delta)
-        self.perturbations = tuple(perturbations)
+    frequency_hz: float
+    path_loss_exponent: float
+    noise_floor_dbm: float
+    master_seed: int
+    n_elements: int
+    scatter_count: int
+    devices: dict[str, Position]
+    attacker_id: str
+    attacker_position: Position
+    rician_k: float
+    pattern_delta: float
+    ris_angles: np.ndarray
+    ris_phases: np.ndarray
+    ris_los: np.ndarray  # (L, 2): angle, phase
+    direct: dict[str, dict[str, np.ndarray]]
+    pattern_weights: dict[str, np.ndarray]
+    perturbations: tuple[tuple[float, int], ...] = ()
 
-        self._ris_angles = _freeze(ris_angles)
-        self._ris_phases = _freeze(ris_phases)
-        self._ris_los = _freeze(ris_los)  # (L, 2): angle, phase
+    def __post_init__(self):
+        for name in ("frequency_hz", "path_loss_exponent", "noise_floor_dbm",
+                     "rician_k", "pattern_delta"):
+            setattr(self, name, float(getattr(self, name)))
+        for name in ("master_seed", "n_elements", "scatter_count"):
+            setattr(self, name, int(getattr(self, name)))
+        self.devices = dict(self.devices)
+        self.perturbations = tuple(self.perturbations)
+        self.wavelength_m = SPEED_OF_LIGHT / self.frequency_hz
+
+        self.ris_angles = _freeze(self.ris_angles)
+        self.ris_phases = _freeze(self.ris_phases)
+        self.ris_los = _freeze(self.ris_los)
         self._ris_kx, self._ris_ky, self._ris_cis = self._waves(
-            self._ris_angles, self._ris_phases)
-        # Per direct transmitter: the drawn angles, phases and los (angle,
-        # phase), and the waves evaluated from them.
+            self.ris_angles, self.ris_phases)
+        # Per direct transmitter: the drawn arrays, and in _direct the waves
+        # evaluated from them as well.
+        self.direct = {key: {name: _freeze(ens[name])
+                             for name in ("angles", "phases", "los")}
+                       for key, ens in self.direct.items()}
         self._direct = {}
-        for key, ens in direct.items():
-            drawn = {name: _freeze(ens[name])
-                     for name in ("angles", "phases", "los")}
+        for key, drawn in self.direct.items():
             kx, ky, cis = self._waves(drawn["angles"], drawn["phases"])
             self._direct[key] = dict(drawn, kx=kx, ky=ky, cis=cis)
-        self._pattern = {key: _freeze(arr) for key, arr in pattern_weights.items()}
+        self.pattern_weights = {key: _freeze(arr) for key, arr
+                                in self.pattern_weights.items()}
         self._rows: dict[tuple[str, Position], np.ndarray] = {}
 
     # -- derived quantities ------------------------------------------------
@@ -169,27 +170,6 @@ class Environment:
         kap = self.kappa
         return (_freeze(kap * np.cos(angles)), _freeze(kap * np.sin(angles)),
                 _freeze(np.exp(1j * phases)))
-
-    def _copy_kwargs(self) -> dict:
-        return dict(
-            frequency_hz=self.frequency_hz,
-            path_loss_exponent=self.path_loss_exponent,
-            noise_floor_dbm=self.noise_floor_dbm,
-            master_seed=self.master_seed,
-            n_elements=self.n_elements,
-            scatter_count=self.scatter_count,
-            devices=self.devices,
-            attacker_id=self.attacker_id,
-            attacker_position=self.attacker_position,
-            rician_k=self.rician_k,
-            pattern_delta=self.pattern_delta,
-            ris_angles=self._ris_angles,
-            ris_phases=self._ris_phases,
-            ris_los=self._ris_los,
-            direct=self._direct,
-            pattern_weights=self._pattern,
-            perturbations=self.perturbations,
-        )
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -226,9 +206,20 @@ def _validated_devices(spec: EnvironmentSpec) -> dict[str, Position]:
 
 def _check_entity_distances(devices: dict[str, Position], attacker: Position,
                             attacker_id: str):
+    """Reject the first pair (i < j; roster order, attacker last) closer
+    than MIN_ENTITY_DISTANCE.  NumPy squared distances, a block of rows at
+    a time, pick the pairs within 2 * MIN_ENTITY_DISTANCE; ``math.dist``
+    decides each of them in order, so verdict and message are exact."""
     entities = list(devices.items()) + [(attacker_id, attacker)]
-    for i, (id_a, pos_a) in enumerate(entities):
-        for id_b, pos_b in entities[i + 1:]:
+    pts = np.array([pos for _, pos in entities], dtype=float).reshape(-1, 3)
+    block = max(1, _PAIR_BLOCK // len(pts))
+    for start in range(0, len(pts), block):
+        rows, cols = pts[start:start + block, None], pts[None, start:]
+        with np.errstate(over="ignore"):    # far apart: inf is not near
+            d2 = sum((rows[..., k] - cols[..., k]) ** 2 for k in range(3))
+        near = np.triu(d2 <= (2 * MIN_ENTITY_DISTANCE) ** 2, 1)
+        for i, j in np.argwhere(near) + start:
+            (id_a, pos_a), (id_b, pos_b) = entities[i], entities[j]
             if pos_a.distance_to(pos_b) <= MIN_ENTITY_DISTANCE:
                 raise ValueError(
                     f"entities {id_a!r} and {id_b!r} are closer than "
@@ -377,11 +368,11 @@ def ris_subchannels(env: Environment, position, device: str | None = None) -> np
         return env._rows[key].copy()
     d = env.attacker_position.distance_to(pos)
     amp = math.sqrt(path_loss_gain(env, d))
-    weights = env._pattern.get(device) if device is not None else None
+    weights = env.pattern_weights.get(device) if device is not None else None
     diffuse = _diffuse_field(env._ris_kx, env._ris_ky, env._ris_cis,
                              pos.x, pos.y, weights)
-    gains = amp * _combine_rician(env, diffuse, env._ris_los[:, 0],
-                                  env._ris_los[:, 1], pos.x, pos.y)
+    gains = amp * _combine_rician(env, diffuse, env.ris_los[:, 0],
+                                  env.ris_los[:, 1], pos.x, pos.y)
     if device is not None and env.devices.get(device) == pos:
         env._rows[key] = _freeze(gains.copy())
     return gains
@@ -418,8 +409,8 @@ def ris_subchannels_batch(env: Environment, positions,
     ux, ix = np.unique(pts[:, 0], return_inverse=True)
     uy, iy = np.unique(pts[:, 1], return_inverse=True)
     cis = env._ris_cis
-    if device is not None and device in env._pattern:
-        cis = cis * env._pattern[device]
+    if device is not None and device in env.pattern_weights:
+        cis = cis * env.pattern_weights[device]
     out = np.empty((len(pts), L), dtype=complex)
     for start in range(0, L, _BATCH_BLOCK):
         sl = slice(start, start + _BATCH_BLOCK)
@@ -431,9 +422,9 @@ def ris_subchannels_batch(env: Environment, positions,
     if env.rician_k > 0:
         k = env.rician_k
         kap = env.kappa
-        los_phase = (kap * (np.outer(pts[:, 0], np.cos(env._ris_los[:, 0]))
-                            + np.outer(pts[:, 1], np.sin(env._ris_los[:, 0])))
-                     + env._ris_los[None, :, 1])
+        los_phase = (kap * (np.outer(pts[:, 0], np.cos(env.ris_los[:, 0]))
+                            + np.outer(pts[:, 1], np.sin(env.ris_los[:, 0])))
+                     + env.ris_los[None, :, 1])
         out = (math.sqrt(k / (k + 1.0)) * np.exp(1j * los_phase)
                + math.sqrt(1.0 / (k + 1.0)) * out)
     return amps[:, None] * out
@@ -548,27 +539,24 @@ def perturb_environment(env: Environment, fraction: float, seed: int) -> Environ
         raise ValueError(f"fraction must be in [0, 1], got {fraction}")
     M = env.scatter_count
     k = math.ceil(fraction * M)
-    kwargs = env._copy_kwargs()
-    kwargs["perturbations"] = env.perturbations + ((float(fraction), int(seed)),)
+    perturbations = env.perturbations + ((float(fraction), int(seed)),)
     if k == 0:
-        return Environment(**kwargs)
+        return replace(env, perturbations=perturbations)
 
     rng = np.random.default_rng([int(seed), _STREAM_PERTURB])
     L = env.n_elements
 
-    ris_angles = np.array(env._ris_angles)
-    ris_phases = np.array(env._ris_phases)
+    ris_angles = np.array(env.ris_angles)
+    ris_phases = np.array(env.ris_phases)
     # Per-row index choice without replacement, vectorized across rows.
     idx = np.argpartition(rng.random((L, M)), k - 1, axis=1)[:, :k]
     rows = np.arange(L)[:, None]
     ris_angles[rows, idx] = rng.uniform(0.0, 2.0 * math.pi, (L, k))
     ris_phases[rows, idx] = rng.uniform(0.0, 2.0 * math.pi, (L, k))
-    kwargs["ris_angles"] = ris_angles
-    kwargs["ris_phases"] = ris_phases
 
     direct = {}
     for dev_id in env.direct_ids():
-        ens = env._direct[dev_id]
+        ens = env.direct[dev_id]
         angles = np.array(ens["angles"])
         phases = np.array(ens["phases"])
         sel = rng.choice(M, size=k, replace=False)
@@ -576,8 +564,8 @@ def perturb_environment(env: Environment, fraction: float, seed: int) -> Environ
         phases[sel] = rng.uniform(0.0, 2.0 * math.pi, k)
         direct[dev_id] = {"angles": angles, "phases": phases,
                           "los": ens["los"]}
-    kwargs["direct"] = direct
-    return Environment(**kwargs)
+    return replace(env, ris_angles=ris_angles, ris_phases=ris_phases,
+                   direct=direct, perturbations=perturbations)
 
 
 def move_device(env: Environment, device_id: str, position) -> Environment:
@@ -588,9 +576,7 @@ def move_device(env: Environment, device_id: str, position) -> Environment:
     devices = dict(env.devices)
     devices[device_id] = new_pos
     _check_entity_distances(devices, env.attacker_position, env.attacker_id)
-    kwargs = env._copy_kwargs()
-    kwargs["devices"] = devices
-    return Environment(**kwargs)
+    return replace(env, devices=devices)
 
 
 # ---------------------------------------------------------------------------
@@ -686,29 +672,15 @@ def load_environment(path) -> Environment:
 
 def environments_equal(a: Environment, b: Environment) -> bool:
     """Exact structural equality; used by tests and the determinism contract."""
-    if (a.frequency_hz, a.master_seed, a.n_elements, a.scatter_count,
-            a.path_loss_exponent, a.noise_floor_dbm, a.rician_k,
-            a.pattern_delta, a.perturbations) != \
-       (b.frequency_hz, b.master_seed, b.n_elements, b.scatter_count,
-            b.path_loss_exponent, b.noise_floor_dbm, b.rician_k,
-            b.pattern_delta, b.perturbations):
-        return False
-    if a.devices != b.devices or a.attacker_id != b.attacker_id \
-            or a.attacker_position != b.attacker_position:
-        return False
-    if not (np.array_equal(a._ris_angles, b._ris_angles)
-            and np.array_equal(a._ris_phases, b._ris_phases)
-            and np.array_equal(a._ris_los, b._ris_los)):
-        return False
-    if a._direct.keys() != b._direct.keys():
-        return False
-    for key in a._direct:
-        for name in ("angles", "phases", "los"):
-            if not np.array_equal(a._direct[key][name], b._direct[key][name]):
-                return False
-    if a._pattern.keys() != b._pattern.keys():
-        return False
-    for key in a._pattern:
-        if not np.array_equal(a._pattern[key], b._pattern[key]):
-            return False
-    return True
+    return all(_same(getattr(a, f.name), getattr(b, f.name))
+               for f in fields(Environment))
+
+
+def _same(a, b) -> bool:
+    """Equality that recurses into dicts and compares arrays elementwise."""
+    if isinstance(a, dict):
+        return (isinstance(b, dict) and a.keys() == b.keys()
+                and all(_same(a[key], b[key]) for key in a))
+    if isinstance(a, np.ndarray):
+        return np.array_equal(a, b)
+    return a == b

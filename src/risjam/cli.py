@@ -13,7 +13,7 @@ import hashlib
 import itertools
 import json
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 from . import __version__
@@ -79,13 +79,7 @@ class RunManifest:
     outputs: list[dict]
 
     def to_dict(self) -> dict:
-        return {
-            "version": self.version,
-            "scenario_hash": self.scenario_hash,
-            "master_seed": self.master_seed,
-            "created_utc": self.created_utc,
-            "outputs": self.outputs,
-        }
+        return asdict(self)
 
 
 def _file_entry(path: Path, root: Path) -> dict:
@@ -130,9 +124,7 @@ def execute(spec: ScenarioSpec, out_dir, threads: int = 1,
         _write_table(out / name, header, rows)
         written.append(out / name)
 
-    for i, trace in enumerate(result.traces()):
-        if trace is None:
-            continue
+    for i, trace in enumerate(result.traces):
         trace_path = out / f"trace_{i:02d}.csv"
         trace.write_csv(trace_path)
         written.append(trace_path)

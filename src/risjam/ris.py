@@ -78,10 +78,6 @@ class RisConfig:
     def to_json(self) -> dict:
         return {"length": len(self), "hex": self.to_hex()}
 
-    @classmethod
-    def from_json(cls, doc: dict) -> "RisConfig":
-        return cls.from_hex(doc["hex"], doc["length"])
-
 
 def random_config(n_elements: int, seed) -> RisConfig:
     """I.i.d. fair bits, deterministic per seed."""

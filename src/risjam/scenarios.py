@@ -499,12 +499,7 @@ class RunResult:
     devices: tuple[str, ...]
     rows: list[TargetRow]
     extras: dict = field(default_factory=dict)
-
-    def row_for(self, target: str) -> TargetRow:
-        for row in self.rows:
-            if target in row.targets:
-                return row
-        raise KeyError(f"no row targeting {target!r}")
+    traces: list[Trace] = field(default_factory=list)
 
     def long_records(self):
         for row in self.rows:
@@ -536,12 +531,8 @@ class RunResult:
             "mode": self.mode,
             "devices": list(self.devices),
             "rows": _jsonify(rows),
-            "extras": _jsonify({k: v for k, v in self.extras.items()
-                                if not k.startswith("_")}),
+            "extras": _jsonify(self.extras),
         }
-
-    def traces(self) -> list[Trace]:
-        return self.extras.get("_traces", [])
 
 
 def _jsonify(obj):
@@ -750,7 +741,9 @@ def power_sweep(spec: ScenarioSpec) -> RunResult:
     """Optimize against the target set and evaluate it on every device.
 
     One or more targets share one search; the packet-rate power sweep, the
-    knees and, in throughput mode, the adaptive-rate links follow.
+    knees and, in throughput mode, the adaptive-rate links follow.  The
+    mode's ``scan`` (heatmap grid, displacement curves, perturbation
+    series) then adds its extras for the searched configuration.
     """
     if not spec.targets:
         raise ScenarioError("power_sweep needs at least one target", "targets")
@@ -760,8 +753,11 @@ def power_sweep(spec: ScenarioSpec) -> RunResult:
     row, extras = _evaluate_row(env, spec, config, spec.targets, run_idx,
                                 with_throughput=spec.mode == "throughput")
     extras["config"] = config
-    extras["_traces"] = [trace]
-    return RunResult(spec.name, spec.mode, spec.eval_devices(), [row], extras)
+    scan = _MODES[spec.mode].scan
+    if scan is not None:
+        extras.update(scan(env, spec, config, row))
+    return RunResult(spec.name, spec.mode, spec.eval_devices(), [row], extras,
+                     [trace])
 
 
 def run_single_target(spec: ScenarioSpec) -> RunResult:
@@ -808,15 +804,13 @@ def run_jsr_matrix(spec: ScenarioSpec, threads: int = 1) -> RunResult:
                 *_evaluate_row(env, sub, config, (target,), run_idx))
 
     results = [build(target) for target in targets]
-    extras = {"configs": {}, "_traces": [], "knees_dbm": {},
-              "delivered_gain_db": {}}
-    for target, (config, trace, _, row_extras) in zip(targets, results):
+    extras = {"configs": {}, "knees_dbm": {}, "delivered_gain_db": {}}
+    for target, (config, _, _, row_extras) in zip(targets, results):
         extras["configs"][target] = config
-        extras["_traces"].append(trace)
         extras["knees_dbm"][target] = row_extras["knees_dbm"]
         extras["delivered_gain_db"].update(row_extras["delivered_gain_db"])
     return RunResult(spec.name, spec.mode, spec.eval_devices(),
-                     [r[2] for r in results], extras)
+                     [r[2] for r in results], extras, [r[1] for r in results])
 
 
 def hidden_device_eval(spec: ScenarioSpec, threads: int = 1) -> RunResult:
@@ -848,12 +842,11 @@ def hidden_device_eval(spec: ScenarioSpec, threads: int = 1) -> RunResult:
     results = [build(target) for target in targets]
     extras = {
         "configs": {t: r[0] for t, r in zip(targets, results)},
-        "_traces": [r[1] for r in results],
         "before_norm_jsr_db": {r[3].label(): r[3].norm_jsr_db
                                for r in results},
     }
     return RunResult(spec.name, spec.mode, spec.eval_devices(),
-                     [r[2] for r in results], extras)
+                     [r[2] for r in results], extras, [r[1] for r in results])
 
 
 def random_config_eval(spec: ScenarioSpec, n_configs: int = 20) -> dict:
@@ -1015,56 +1008,41 @@ def _check_schedule(spec: ScenarioSpec, params: Mapping) -> None:
     _perturbation_duration(params)
 
 
-def heatmap_scan(spec: ScenarioSpec) -> RunResult:
+def _heatmap_grid(env: Environment, spec: ScenarioSpec, config: RisConfig,
+                  row: TargetRow) -> dict:
     """Normalized attacker power on a planar grid around the optimized focus."""
-    env = spec.build_environment()
     target = spec.targets[0]
     focus = env.devices[target]
     step, x0, x1, y0, y1 = _heatmap_window(_mode_params(spec), focus)
     xs = x0 + step * np.arange(int(round((x1 - x0) / step)) + 1)
     ys = y0 + step * np.arange(int(round((y1 - y0) / step)) + 1)
 
-    run_idx = _run_index(spec, target)
-    config, trace = _optimize(env, spec, spec.targets, run_idx)
-    coeff = config.coefficients()
-
     focus_gain = abs(compose_channel(
         config, ris_subchannels(env, focus, device=target)))
     focus_db = 20.0 * math.log10(max(focus_gain, _TINY_GAIN))
 
     pts = [Position(float(x), float(y), focus.z) for y in ys for x in xs]
-    gains = ris_subchannels_batch(env, pts, device=target) @ coeff
+    gains = ris_subchannels_batch(env, pts, device=target) \
+        @ config.coefficients()
     grid_db = (_gain_db(gains) - focus_db).reshape(len(ys), len(xs))
-
-    row, extras = _evaluate_row(env, spec, config, spec.targets, run_idx)
-    extras.update({
-        "config": config,
-        "_traces": [trace],
-        "heatmap": {
-            "x_m": xs.tolist(),
-            "y_m": ys.tolist(),
-            "normalized_db": grid_db.tolist(),
-            "focus": [focus.x, focus.y, focus.z],
-        },
-    })
-    return RunResult(spec.name, spec.mode, spec.eval_devices(), [row], extras)
+    return {"heatmap": {
+        "x_m": xs.tolist(),
+        "y_m": ys.tolist(),
+        "normalized_db": grid_db.tolist(),
+        "focus": [focus.x, focus.y, focus.z],
+    }}
 
 
-def displacement_scan(spec: ScenarioSpec) -> RunResult:
+def _displacement_curves(env: Environment, spec: ScenarioSpec,
+                         config: RisConfig, row: TargetRow) -> dict:
     """Channel magnitude of two co-located receivers versus displacement.
 
     The target channel is maximized, the mode_params.minimized device is
     minimized; both are then virtually displaced along +x in fixed steps
     while the configuration stays frozen.
     """
-    env = spec.build_environment()
-    maximized = spec.targets[0]
     params = _mode_params(spec)
-    minimized = params["minimized"]
     disp_m = _displacement_offsets_m(params)
-
-    run_idx = _run_index(spec, maximized)
-    config, trace = _optimize(env, spec, spec.targets, run_idx)
     coeff = config.coefficients()
 
     def curve(device: str) -> np.ndarray:
@@ -1072,24 +1050,17 @@ def displacement_scan(spec: ScenarioSpec) -> RunResult:
         pts = [Position(base.x + d, base.y, base.z) for d in disp_m]
         return _gain_db(ris_subchannels_batch(env, pts, device=device) @ coeff)
 
-    max_curve = curve(maximized)
-    min_curve = curve(minimized)
-
-    row, extras = _evaluate_row(env, spec, config, spec.targets, run_idx)
-    extras.update({
-        "config": config,
-        "_traces": [trace],
-        "displacement": {
-            "displacements_mm": (disp_m * 1000.0).tolist(),
-            "maximized_db": max_curve.tolist(),
-            "minimized_db": min_curve.tolist(),
-            "fixed_maximized_db": float(max_curve[0]),
-            "fixed_minimized_db": float(min_curve[0]),
-            "expected_null_mm": 1000.0 * 2.4048 * env.wavelength_m
-                                / (2.0 * math.pi),
-        },
-    })
-    return RunResult(spec.name, spec.mode, spec.eval_devices(), [row], extras)
+    max_curve = curve(spec.targets[0])
+    min_curve = curve(params["minimized"])
+    return {"displacement": {
+        "displacements_mm": (disp_m * 1000.0).tolist(),
+        "maximized_db": max_curve.tolist(),
+        "minimized_db": min_curve.tolist(),
+        "fixed_maximized_db": float(max_curve[0]),
+        "fixed_minimized_db": float(min_curve[0]),
+        "expected_null_mm": 1000.0 * 2.4048 * env.wavelength_m
+                            / (2.0 * math.pi),
+    }}
 
 
 def element_sweep(spec: ScenarioSpec) -> RunResult:
@@ -1185,7 +1156,8 @@ def directional_baseline(spec: ScenarioSpec) -> RunResult:
     return RunResult(spec.name, spec.mode, devices, [row], extras)
 
 
-def perturbation_run(spec: ScenarioSpec) -> RunResult:
+def _perturbation_series(env: Environment, spec: ScenarioSpec,
+                         config: RisConfig, row: TargetRow) -> dict:
     """Fixed optimized configuration against an evolving environment.
 
     Schedule events: {"time": t, "fraction": f, "seed": s} re-draws a
@@ -1194,14 +1166,9 @@ def perturbation_run(spec: ScenarioSpec) -> RunResult:
     time step; packet rates are recorded per step at the evaluated row's
     operating power.
     """
-    env = spec.build_environment()
     params = _mode_params(spec)
     events = sorted(params["schedule"], key=lambda e: e["time"])
     duration = _perturbation_duration(params)
-
-    run_idx = _run_index(spec, spec.targets[0])
-    config, trace = _optimize(env, spec, spec.targets, run_idx)
-    row, extras = _evaluate_row(env, spec, config, spec.targets, run_idx)
     operating = row.operating_jam_dbm
     devices = spec.eval_devices()
 
@@ -1220,19 +1187,17 @@ def perturbation_run(spec: ScenarioSpec) -> RunResult:
         series[t] = _packet_rates(
             current, operating + _composed_gain_db(current, config, devices),
             _ap_signal_dbm(current, spec, devices))
+    return {"timeseries": {
+        "times": list(range(duration)),
+        "rates": {d: series[:, i].tolist() for i, d in enumerate(devices)},
+        "events": _jsonify(list(events)),
+        "operating_jam_dbm": operating,
+    }}
 
-    extras.update({
-        "config": config,
-        "_traces": [trace],
-        "timeseries": {
-            "times": list(range(duration)),
-            "rates": {d: series[:, i].tolist()
-                      for i, d in enumerate(devices)},
-            "events": _jsonify(list(events)),
-            "operating_jam_dbm": operating,
-        },
-    })
-    return RunResult(spec.name, spec.mode, devices, [row], extras)
+
+# The one-search modes with a scan run through power_sweep; these names
+# stay for callers that run such a spec directly.
+heatmap_scan = displacement_scan = perturbation_run = power_sweep
 
 
 def _matrix_run(spec: ScenarioSpec) -> RunResult:
@@ -1248,13 +1213,16 @@ def _matrix_run(spec: ScenarioSpec) -> RunResult:
 @dataclass(frozen=True)
 class _Mode:
     """A scenario mode: its operation, the target counts it accepts, its
-    mode_params keys with their defaults (None: no default) and the check
-    those params, over the defaults, pass at construction."""
+    mode_params keys with their defaults (None: no default), the check
+    those params, over the defaults, pass at construction, and for a
+    power_sweep mode the step that adds extras after its one search."""
 
     operation: Callable[[ScenarioSpec], RunResult]
     targets: tuple[float, float]
     params: Mapping = field(default_factory=dict)
     check: Callable[[ScenarioSpec, Mapping], object] | None = None
+    scan: Callable[[Environment, ScenarioSpec, RisConfig, TargetRow],
+                   dict] | None = None
 
 
 _ANY, _SOME, _ONE = (0, math.inf), (1, math.inf), (1, 1)
@@ -1267,17 +1235,17 @@ _MODES = {
                                            low=0, strict=True)),
     "jsr-matrix": _Mode(_matrix_run, _ANY),
     "heatmap": _Mode(
-        heatmap_scan, _ONE,
+        power_sweep, _ONE,
         {"step_m": 0.01, "x_extent_m": 0.75, "y_extent_m": 0.50,
          **dict.fromkeys(_WINDOW_KEYS)},
         lambda spec, params: _heatmap_window(
-            params, spec._position(spec.targets[0]))),
+            params, spec._position(spec.targets[0])), _heatmap_grid),
     "element-sweep": _Mode(element_sweep, _ONE,
                            {"counts": None, "repeats": 1}, _check_counts),
     "displacement": _Mode(
-        displacement_scan, _ONE,
+        power_sweep, _ONE,
         {"minimized": None, "step_mm": 4.0, "max_mm": 48.0},
-        _check_displacement),
+        _check_displacement, _displacement_curves),
     "exclusion": _Mode(run_exclusion, _ANY, {"exclude": None},
                        _check_exclusion),
     "directional-baseline": _Mode(
@@ -1285,9 +1253,9 @@ _MODES = {
         {"gain_dbi": 19.0, "front_back_db": 25.0, "beamwidth_deg": 10.0,
          "diffuse_db": 0.0},
         lambda spec, params: _antenna(params)),
-    "perturbation": _Mode(perturbation_run, _SOME,
+    "perturbation": _Mode(power_sweep, _SOME,
                           {"schedule": (), "duration": None},
-                          _check_schedule),
+                          _check_schedule, _perturbation_series),
 }
 MODES = tuple(_MODES)
 

@@ -310,13 +310,17 @@ def test_grid_excluding_focus_exits_2_before_search(tmp_path, capsys,
 
 
 def _replaced(doc, path, value):
-    """Copy of ``doc`` with the dotted field ``path`` set to ``value``."""
+    """Copy of ``doc`` with the dotted field ``path`` set to ``value``; a
+    number indexes a list, and ``""`` replaces the whole document."""
+    if not path:
+        return value
     doc = json.loads(json.dumps(doc))
     *parents, key = path.split(".")
     node = doc
     for name in parents:
-        node = node.setdefault(name, {})
-    node[key] = value
+        node = node[int(name)] if isinstance(node, list) \
+            else node.setdefault(name, {})
+    node[int(key) if isinstance(node, list) else key] = value
     return doc
 
 
@@ -472,6 +476,7 @@ def test_compare_bad_run_exits_2(run_dir, tmp_path, capsys, edited, mutate):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1
     assert isinstance(json.loads(err[0]), dict)
+
 
 
 # -- import cost ----------------------------------------------------------------
@@ -710,17 +715,74 @@ def _exit_and_errors(argv):
     return rc, err.getvalue().splitlines()
 
 
+# Roster geometry and ids the value fuzz rarely hits: the attacker id taken
+# by a device, a device placed on another device or on the attacker.
+ROSTER_MUTATIONS = [
+    ("environment.attacker_id", "B"),
+    ("environment.attacker_id", "D0"),
+    ("environment.devices.B", [1.6, 3.0, 0.9]),
+    ("environment.devices.C", [0.4, 0.9, 1.0]),
+    ("environment.attacker_position", [3.0, 3.6, 1.2]),
+]
+
+
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(base=st.sampled_from(RUN_FUZZ_BASES),
-       field=st.sampled_from(RUN_FUZZ_FIELDS), value=JSON_VALUES)
+       mutation=st.tuples(st.sampled_from(RUN_FUZZ_FIELDS), JSON_VALUES)
+       | st.sampled_from(ROSTER_MUTATIONS))
 def test_run_fuzz_exits_2_exactly_when_validate_does(tmp_path_factory, base,
-                                                     field, value):
+                                                     mutation):
     tmp = tmp_path_factory.mktemp("runfuzz")
-    path = write_scenario(tmp, _replaced(base, field, value))
+    path = write_scenario(tmp, _replaced(base, *mutation))
     checked, _ = _exit_and_errors(["validate", str(path)])
     rc, err = _exit_and_errors(["run", str(path), "--out", str(tmp / "out")])
     assert rc in (EXIT_OK, EXIT_VALIDATION, EXIT_RUNTIME)
     assert (rc == EXIT_VALIDATION) == (checked == EXIT_VALIDATION)
     if rc != EXIT_OK:
         assert len(err) == 1
+        assert isinstance(json.loads(err[0]), dict)
+
+
+# -- compare agrees with its checks ----------------------------------------------
+
+# Dotted paths into a run's manifest.json and result.json ("" is the whole
+# document; a number indexes a list).  outputs.1 is result.json's entry.
+COMPARE_FUZZ_PATHS = [
+    ("manifest.json", path) for path in (
+        "", "outputs", "outputs.1", "outputs.1.path", "outputs.1.sha256",
+        "outputs.0.path", "version")
+] + [
+    ("result.json", path) for path in (
+        "", "mode", "devices", "devices.0", "rows", "rows.0",
+        "rows.0.targets", "rows.0.targets.0", "rows.0.jsr_db",
+        "rows.0.jsr_db.B", "rows.0.norm_jsr_db", "rows.0.norm_jsr_db.C",
+        "rows.0.packet_rate.A", "rows.0.throughput_mbps", "extras")
+]
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(target=st.sampled_from(COMPARE_FUZZ_PATHS), value=JSON_VALUES,
+       resign=st.booleans(), truncate=st.booleans(), first=st.booleans())
+def test_compare_fuzz_exits_0_or_2(run_dir, tmp_path_factory, target, value,
+                                   resign, truncate, first):
+    """A mutated copy of a run, compared with the intact run either way
+    round; ``resign`` re-records result.json's sha256 in the manifest and
+    ``truncate`` cuts the mutated file short."""
+    _, out, _ = run_dir
+    bad = tmp_path_factory.mktemp("comparefuzz") / "run"
+    shutil.copytree(out, bad)
+    name, path = target
+    doc = _replaced(json.loads((bad / name).read_text()), path, value)
+    data = json.dumps(doc).encode()
+    (bad / name).write_bytes(data[:len(data) // 2] if truncate else data)
+    if name == "result.json" and resign:
+        manifest = json.loads((bad / "manifest.json").read_text())
+        manifest["outputs"][1]["sha256"] = hashlib.sha256(
+            (bad / name).read_bytes()).hexdigest()
+        (bad / "manifest.json").write_text(json.dumps(manifest))
+    runs = [str(out), str(bad)] if first else [str(bad), str(out)]
+    rc, err = _exit_and_errors(["compare", *runs])
+    assert rc in (EXIT_OK, EXIT_VALIDATION)
+    assert len(err) == (rc == EXIT_VALIDATION)
+    if err:
         assert isinstance(json.loads(err[0]), dict)

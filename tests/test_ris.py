@@ -103,7 +103,7 @@ def test_hex_round_trip():
         cfg = random_config(length, length)
         blob = cfg.to_json()
         assert len(blob["hex"]) == -(-length // 4)
-        assert RisConfig.from_json(blob) == cfg
+        assert RisConfig.from_hex(blob["hex"], blob["length"]) == cfg
 
 
 def test_hex_rejects_bad_padding():
