@@ -8,7 +8,7 @@ the number of active surface elements.
 
 import numpy as np
 
-from risjam import displacement_scan, element_sweep, heatmap_scan
+from risjam import element_sweep, heatmap_scan, run_single_target
 from risjam.channel import EnvironmentSpec, Position
 from risjam.scenarios import OptimizerSettings, ScenarioSpec
 
@@ -49,7 +49,7 @@ for radius in (0.03, 0.06, 0.09):
 # Displacement rail: the maximized channel decays into the multipath
 # background near the first correlation null; the minimized channel climbs
 # out of its notch.
-disp = displacement_scan(scenario(
+disp = run_single_target(scenario(
     "displacement", mode_params={"minimized": "B", "step_mm": 4.0,
                                  "max_mm": 40.0}))
 data = disp.extras["displacement"]

@@ -6,7 +6,7 @@ barely moves the needle, but relocating the target by half a wavelength
 releases it; re-running the optimization restores selectivity.
 """
 
-from risjam import perturbation_run, run_single_target
+from risjam import run_single_target
 from risjam.channel import EnvironmentSpec, Position, move_device
 from risjam.scenarios import OptimizerSettings, ScenarioSpec
 
@@ -34,7 +34,7 @@ schedule = [
 spec = ScenarioSpec(environment=env, mode="perturbation", targets=("A",),
                     seed=5, optimizer=opt,
                     mode_params={"schedule": schedule, "duration": 4})
-result = perturbation_run(spec)
+result = run_single_target(spec)
 series = result.extras["timeseries"]
 
 labels = ["original", "2% churn", "5% churn", "target moved λ/2"]

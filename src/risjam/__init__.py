@@ -70,11 +70,9 @@ from .scenarios import (
     desk_scenario,
     directional_baseline,
     directional_gain_db,
-    displacement_scan,
     element_sweep,
     heatmap_scan,
     hidden_device_eval,
-    perturbation_run,
     power_sweep,
     random_config_eval,
     run_exclusion,

@@ -39,9 +39,6 @@ ENV_FORMAT_VERSION = 1
 # intermediates to _BATCH_BLOCK*(M*Ux + Uy*M + Uy*Ux) complex values; of
 # 8, 16, 32, 64 and 128, 8 was fastest on the desk heatmap grid.
 _BATCH_BLOCK = 8
-# Entity pairs per block of the roster distance check: bounds its (rows,
-# entities) float64 temporaries to 8 MB each.
-_PAIR_BLOCK = 1_000_000
 
 
 class Position(NamedTuple):
@@ -133,15 +130,14 @@ class Environment:
         self.ris_los = _freeze(self.ris_los)
         self._ris_kx, self._ris_ky, self._ris_cis = self._waves(
             self.ris_angles, self.ris_phases)
-        # Per direct transmitter: the drawn arrays, and in _direct the waves
-        # evaluated from them as well.
         self.direct = {key: {name: _freeze(ens[name])
                              for name in ("angles", "phases", "los")}
                        for key, ens in self.direct.items()}
+        # Per direct transmitter: the waves of its drawn ensemble.
         self._direct = {}
         for key, drawn in self.direct.items():
             kx, ky, cis = self._waves(drawn["angles"], drawn["phases"])
-            self._direct[key] = dict(drawn, kx=kx, ky=ky, cis=cis)
+            self._direct[key] = {"kx": kx, "ky": ky, "cis": cis}
         self.pattern_weights = {key: _freeze(arr) for key, arr
                                 in self.pattern_weights.items()}
         self._rows: dict[tuple[str, Position], np.ndarray] = {}
@@ -206,20 +202,9 @@ def _validated_devices(spec: EnvironmentSpec) -> dict[str, Position]:
 
 def _check_entity_distances(devices: dict[str, Position], attacker: Position,
                             attacker_id: str):
-    """Reject the first pair (i < j; roster order, attacker last) closer
-    than MIN_ENTITY_DISTANCE.  NumPy squared distances, a block of rows at
-    a time, pick the pairs within 2 * MIN_ENTITY_DISTANCE; ``math.dist``
-    decides each of them in order, so verdict and message are exact."""
     entities = list(devices.items()) + [(attacker_id, attacker)]
-    pts = np.array([pos for _, pos in entities], dtype=float).reshape(-1, 3)
-    block = max(1, _PAIR_BLOCK // len(pts))
-    for start in range(0, len(pts), block):
-        rows, cols = pts[start:start + block, None], pts[None, start:]
-        with np.errstate(over="ignore"):    # far apart: inf is not near
-            d2 = sum((rows[..., k] - cols[..., k]) ** 2 for k in range(3))
-        near = np.triu(d2 <= (2 * MIN_ENTITY_DISTANCE) ** 2, 1)
-        for i, j in np.argwhere(near) + start:
-            (id_a, pos_a), (id_b, pos_b) = entities[i], entities[j]
+    for i, (id_a, pos_a) in enumerate(entities):
+        for id_b, pos_b in entities[i + 1:]:
             if pos_a.distance_to(pos_b) <= MIN_ENTITY_DISTANCE:
                 raise ValueError(
                     f"entities {id_a!r} and {id_b!r} are closer than "
@@ -443,10 +428,10 @@ def direct_channel(env: Environment, source: str, position) -> complex:
             f"(distance {d} m below minimum)"
         )
     amp = math.sqrt(path_loss_gain(env, d))
-    ens = env._direct[source]
-    diffuse = _diffuse_field(ens["kx"], ens["ky"], ens["cis"], pos.x, pos.y)
-    gain = _combine_rician(env, diffuse, ens["los"][0], ens["los"][1],
-                           pos.x, pos.y)
+    waves, los = env._direct[source], env.direct[source]["los"]
+    diffuse = _diffuse_field(waves["kx"], waves["ky"], waves["cis"],
+                             pos.x, pos.y)
+    gain = _combine_rician(env, diffuse, los[0], los[1], pos.x, pos.y)
     return complex(amp * gain)
 
 

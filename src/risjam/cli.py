@@ -26,6 +26,7 @@ from .scenarios import (
     scenario_from_dict,
     scenario_to_dict,
     _CSV_METRICS,
+    _check_environment,
     _environment_spec_from_dict,
 )
 
@@ -57,10 +58,9 @@ def parse_scenario(path) -> ScenarioSpec:
         doc = json.loads(text, object_pairs_hook=reject_duplicates)
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"invalid JSON: {exc}") from exc
-    spec = scenario_from_dict(doc, base_dir=path.parent)
-    if spec.name == "scenario" and "name" not in doc:
-        spec = replace(spec, name=path.stem)
-    return spec
+    if isinstance(doc, dict) and "name" not in doc:
+        doc["name"] = path.stem
+    return scenario_from_dict(doc, base_dir=path.parent)
 
 
 def scenario_hash(spec: ScenarioSpec) -> str:
@@ -367,6 +367,7 @@ def main(argv=None) -> int:
                 except json.JSONDecodeError as exc:
                     raise ScenarioError(f"invalid JSON: {exc}") from exc
             env_spec = _environment_spec_from_dict(doc)
+            _check_environment(env_spec)
             env = synthesize_environment(env_spec, args.seed)
             save_environment(env, args.out)
             print(json.dumps({"written": args.out,

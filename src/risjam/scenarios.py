@@ -1195,9 +1195,9 @@ def _perturbation_series(env: Environment, spec: ScenarioSpec,
     }}
 
 
-# The one-search modes with a scan run through power_sweep; these names
-# stay for callers that run such a spec directly.
-heatmap_scan = displacement_scan = perturbation_run = power_sweep
+def heatmap_scan(spec: ScenarioSpec) -> RunResult:
+    """power_sweep under its older name: runs the mode the spec declares."""
+    return power_sweep(spec)
 
 
 def _matrix_run(spec: ScenarioSpec) -> RunResult:
@@ -1379,5 +1379,4 @@ def _environment_spec_from_dict(env_doc: Mapping) -> EnvironmentSpec:
         )
     except (OverflowError, TypeError, ValueError) as exc:
         raise ScenarioError(str(exc), "environment") from exc
-    _check_environment(spec)
     return spec

@@ -4,9 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from risjam import channel
 from risjam.channel import (
-    MIN_ENTITY_DISTANCE,
     Position,
     direct_channel,
     environment_from_dict,
@@ -87,54 +85,6 @@ def test_too_close_entities_rejected():
     })
     with pytest.raises(ValueError, match="closer than"):
         synthesize_environment(spec, 1)
-
-
-def _pairwise_distance_check(devices, attacker, attacker_id):
-    """The plain O(n^2) pair loop, the reference for the blocked check."""
-    entities = list(devices.items()) + [(attacker_id, attacker)]
-    for i, (id_a, pos_a) in enumerate(entities):
-        for id_b, pos_b in entities[i + 1:]:
-            if math.dist(pos_a, pos_b) <= MIN_ENTITY_DISTANCE:
-                raise ValueError(
-                    f"entities {id_a!r} and {id_b!r} are closer than "
-                    f"{MIN_ENTITY_DISTANCE} m"
-                )
-
-
-def _distance_verdict(check, devices, attacker):
-    try:
-        check(devices, attacker, "ATT")
-    except ValueError as exc:
-        return str(exc)
-    return None
-
-
-@pytest.mark.parametrize("pair_block", [1_000_000, 7])
-@pytest.mark.parametrize("planted", [0, 1, 2])
-def test_entity_distance_check_matches_pair_loop(monkeypatch, pair_block,
-                                                 planted):
-    monkeypatch.setattr(channel, "_PAIR_BLOCK", pair_block)
-    rng = np.random.default_rng(planted)
-    devices = {f"D{i}": Position(*rng.uniform(0.0, 9.0, 3)) for i in range(60)}
-    attacker = Position(0.8, 3.8, 1.2)
-    # Near misses the coarse filter passes on: 1.5 um apart, and the
-    # attacker 1.01 um from a device.
-    devices["D20"] = devices["D10"]._replace(x=devices["D10"].x + 1.5e-6)
-    devices["D30"] = attacker._replace(z=attacker.z + 1.01e-6)
-    if planted >= 1:
-        # exactly 1 um apart: math.dist gives 1e-6, which is too close
-        devices["D40"] = Position(0.0, 0.0, 0.0)
-        devices["D41"] = Position(1e-6, 0.0, 0.0)
-    if planted == 2:
-        # an earlier pair in (i, j) order, which must be the one named
-        devices["D55"] = devices["D3"]._replace(y=devices["D3"].y + 4e-7)
-    expected = _distance_verdict(_pairwise_distance_check, devices, attacker)
-    assert (expected is None) == (planted == 0)
-    assert _distance_verdict(channel._check_entity_distances, devices,
-                             attacker) == expected
-    if planted:
-        assert ("'D3' and 'D55'" if planted == 2
-                else "'D40' and 'D41'") in expected
 
 
 def test_batch_matches_single(small_env):

@@ -478,7 +478,6 @@ def test_compare_bad_run_exits_2(run_dir, tmp_path, capsys, edited, mutate):
     assert isinstance(json.loads(err[0]), dict)
 
 
-
 # -- import cost ----------------------------------------------------------------
 
 

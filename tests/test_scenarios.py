@@ -25,11 +25,9 @@ from risjam.scenarios import (
     desk_scenario,
     directional_baseline,
     directional_gain_db,
-    displacement_scan,
     element_sweep,
     heatmap_scan,
     hidden_device_eval,
-    perturbation_run,
     random_config_eval,
     run_exclusion,
     run_jsr_matrix,
@@ -430,7 +428,7 @@ def test_displacement_scan_shapes_and_notch():
     spec = mini_scenario(mode="displacement",
                          mode_params={"minimized": "B", "step_mm": 2.0,
                                       "max_mm": 40.0})
-    res = displacement_scan(spec)
+    res = run_single_target(spec)
     disp = res.extras["displacement"]
     d_mm = np.array(disp["displacements_mm"])
     mx = np.array(disp["maximized_db"])
@@ -509,7 +507,7 @@ def test_directional_baseline_fixed_power_needs_no_knee():
 def test_perturbation_identity_schedule():
     spec = mini_scenario(mode="perturbation",
                          mode_params={"schedule": [], "duration": 3})
-    res = perturbation_run(spec)
+    res = run_single_target(spec)
     series = res.extras["timeseries"]
     rates = np.array([series["rates"][d] for d in res.devices])
     np.testing.assert_allclose(rates[:, 0], rates[:, 1])
@@ -523,7 +521,7 @@ def test_perturbation_small_fraction_keeps_target_jammed():
                          mode_params={"schedule": [
                              {"time": 1, "fraction": 0.05, "seed": 6}],
                              "duration": 3})
-    res = perturbation_run(spec)
+    res = run_single_target(spec)
     target_rates = res.extras["timeseries"]["rates"]["A"]
     assert max(target_rates) <= 10.0
 
@@ -536,7 +534,7 @@ def test_moving_target_half_wavelength_releases_it():
                          mode_params={"schedule": [
                              {"time": 1, "device": "A", "position": new_pos}],
                              "duration": 3})
-    res = perturbation_run(spec)
+    res = run_single_target(spec)
     rates = res.extras["timeseries"]["rates"]["A"]
     assert rates[0] <= 5.0
     assert rates[2] >= 80.0
