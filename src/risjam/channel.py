@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, fields, replace
 from typing import Mapping, NamedTuple, Sequence
 
@@ -35,10 +36,53 @@ _STREAM_PERTURB = 14
 
 ENV_FORMAT_VERSION = 1
 
+# Largest surface ensemble, n_elements * scatter_count plane waves, about
+# 50 times the desk surface (768 * 256).  The environment holds about six
+# float64 arrays of that size: 0.5 GB at the cap.
+MAX_ENSEMBLE_TERMS = 10_000_000
+
 # Surface elements per step of ris_subchannels_batch.  Bounds its
 # intermediates to _BATCH_BLOCK*(M*Ux + Uy*M + Uy*Ux) complex values; of
 # 8, 16, 32, 64 and 128, 8 was fastest on the desk heatmap grid.
 _BATCH_BLOCK = 8
+
+
+class ScenarioError(ValueError):
+    """Scenario validation failure; carries the offending field path."""
+
+    def __init__(self, message: str, fieldpath: str = ""):
+        super().__init__(message if not fieldpath else f"{fieldpath}: {message}")
+        self.fieldpath = fieldpath
+
+
+def _number_param(params: Mapping, key: str, default=None, *,
+                  prefix: str = "mode_params.", integer: bool = False,
+                  low: float = -math.inf, high: float = math.inf,
+                  strict: bool = False):
+    """The finite number (a non-bool int if ``integer``) at ``params[key]``.
+
+    It must lie in [low, high], or in (low, high) when ``strict``.  Errors
+    name the field as ``prefix + key``.
+    """
+    value = params.get(key, default)
+    path = f"{prefix}{key}"
+    kind = numbers.Integral if integer else numbers.Real
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise ScenarioError("must be an integer" if integer
+                            else "must be a finite number", path)
+    try:
+        number = int(value) if integer else float(value)
+    except OverflowError:
+        number = math.inf
+    if not (integer or math.isfinite(number)):
+        raise ScenarioError("must be a finite number", path)
+    if not ((low < number < high) if strict else (low <= number <= high)):
+        if high == math.inf:
+            raise ScenarioError(f"must be {'>' if strict else '>='} {low}",
+                                path)
+        raise ScenarioError(f"must be in {'(' if strict else '['}{low}, "
+                            f"{high}{')' if strict else ']'}", path)
+    return number
 
 
 class Position(NamedTuple):
@@ -69,9 +113,11 @@ def as_position(value) -> Position:
 class EnvironmentSpec:
     """Declarative description of the radio world to synthesize.
 
-    ``devices`` maps device id to position and must include the access
-    point.  The attacker (who carries the reflecting surface) is listed
-    separately; its position anchors the surface-path path loss.
+    ``devices`` maps device id to position, or lists (id, position) pairs,
+    and must include the access point.  The attacker (who carries the
+    reflecting surface) is listed separately; its position anchors the
+    surface-path path loss.  Construction checks every field (raising
+    ScenarioError) and stores both as Positions, ``devices`` as a dict.
     """
 
     devices: Mapping[str, Position] | Sequence[tuple[str, Position]]
@@ -84,6 +130,36 @@ class EnvironmentSpec:
     rician_k: float = 0.0
     pattern_diversity: float = 0.0
     attacker_id: str = "ATT"
+
+    def __post_init__(self):
+        values = vars(self)
+        size = (_number_param(values, "n_elements", prefix="environment.",
+                              integer=True, low=1)
+                * _number_param(values, "scatter_count",
+                                prefix="environment.", integer=True, low=16))
+        if size > MAX_ENSEMBLE_TERMS:
+            raise ScenarioError(f"n_elements * scatter_count = {size} exceeds "
+                                f"{MAX_ENSEMBLE_TERMS}", "environment")
+        _number_param(values, "frequency_hz", prefix="environment.", low=0,
+                      strict=True)
+        for key in ("rician_k", "pattern_diversity"):
+            _number_param(values, key, prefix="environment.", low=0)
+        for key in ("path_loss_exponent", "noise_floor_dbm"):
+            _number_param(values, key, prefix="environment.")
+        if not isinstance(self.attacker_id, str):
+            raise ScenarioError("must be a string", "environment.attacker_id")
+        try:
+            attacker = as_position(self.attacker_position)
+        except (OverflowError, TypeError, ValueError) as exc:
+            raise ScenarioError(str(exc),
+                                "environment.attacker_position") from exc
+        try:
+            devices = _validated_devices(self)
+            _check_entity_distances(devices, attacker, self.attacker_id)
+        except (OverflowError, TypeError, ValueError) as exc:
+            raise ScenarioError(str(exc), "environment.devices") from exc
+        object.__setattr__(self, "devices", devices)
+        object.__setattr__(self, "attacker_position", attacker)
 
 
 @dataclass(eq=False, repr=False, kw_only=True)
@@ -184,12 +260,10 @@ def _validated_devices(spec: EnvironmentSpec) -> dict[str, Position]:
         items = list(spec.devices.items())
     else:
         items = [(str(k), v) for k, v in spec.devices]
-    seen = set()
     devices = {}
     for dev_id, pos in items:
-        if dev_id in seen:
+        if dev_id in devices:
             raise ValueError(f"duplicate device id {dev_id!r}")
-        seen.add(dev_id)
         devices[dev_id] = as_position(pos)
     if spec.attacker_id in devices:
         raise ValueError(
@@ -230,23 +304,6 @@ def synthesize_environment(spec: EnvironmentSpec, seed: int) -> Environment:
     seed = int(seed)
     if seed < 0 or seed >= 2 ** 64:
         raise ValueError("master seed must be an unsigned 64-bit integer")
-    if spec.scatter_count < 16:
-        raise ValueError(
-            f"scatter_count must be >= 16 for reliable correlation statistics, "
-            f"got {spec.scatter_count}"
-        )
-    if spec.n_elements < 1:
-        raise ValueError("n_elements must be >= 1")
-    if spec.frequency_hz <= 0:
-        raise ValueError("frequency_hz must be positive")
-    if not 0.0 <= spec.rician_k:
-        raise ValueError("rician_k must be >= 0")
-    if spec.pattern_diversity < 0:
-        raise ValueError("pattern_diversity must be >= 0")
-
-    devices = _validated_devices(spec)
-    attacker_pos = as_position(spec.attacker_position)
-    _check_entity_distances(devices, attacker_pos, spec.attacker_id)
 
     L, M = spec.n_elements, spec.scatter_count
     rng = np.random.default_rng([seed, _STREAM_ENSEMBLES])
@@ -255,7 +312,7 @@ def synthesize_environment(spec: EnvironmentSpec, seed: int) -> Environment:
     ris_los = np.column_stack(_draw_ensemble_block(rng, (L,)))
 
     direct = {}
-    for dev_id in sorted(devices) + [spec.attacker_id]:
+    for dev_id in sorted(spec.devices) + [spec.attacker_id]:
         angles, phases = _draw_ensemble_block(rng, (M,))
         los = np.array(_draw_ensemble_block(rng, ()))
         direct[dev_id] = {"angles": angles, "phases": phases, "los": los}
@@ -265,7 +322,7 @@ def synthesize_environment(spec: EnvironmentSpec, seed: int) -> Environment:
         prng = np.random.default_rng([seed, _STREAM_PATTERN])
         delta = spec.pattern_diversity
         norm = math.sqrt(1.0 + delta ** 2)
-        for dev_id in sorted(devices):
+        for dev_id in sorted(spec.devices):
             g = prng.normal(0.0, math.sqrt(0.5), (L, M)) \
                 + 1j * prng.normal(0.0, math.sqrt(0.5), (L, M))
             pattern_weights[dev_id] = (1.0 + delta * g) / norm
@@ -277,9 +334,9 @@ def synthesize_environment(spec: EnvironmentSpec, seed: int) -> Environment:
         master_seed=seed,
         n_elements=L,
         scatter_count=M,
-        devices=devices,
+        devices=spec.devices,
         attacker_id=spec.attacker_id,
-        attacker_position=attacker_pos,
+        attacker_position=spec.attacker_position,
         rician_k=spec.rician_k,
         pattern_delta=spec.pattern_diversity,
         ris_angles=ris_angles,
@@ -613,18 +670,15 @@ def environment_from_dict(doc: dict) -> Environment:
     if doc.get("version") != ENV_FORMAT_VERSION:
         raise ValueError(f"unsupported environment format version "
                          f"{doc.get('version')!r}")
-    devices = {}
-    attacker_pos = None
-    attacker_id = None
+    devices = []
+    attacker_pos = attacker_id = None
     for entry in doc["devices"]:
         pos = Position(entry["x"], entry["y"], entry["z"])
         if entry.get("role") == "attacker":
             attacker_pos = pos
             attacker_id = entry["id"]
         else:
-            if entry["id"] in devices:
-                raise ValueError(f"duplicate device id {entry['id']!r}")
-            devices[entry["id"]] = pos
+            devices.append((entry["id"], pos))
     if attacker_pos is None:
         raise ValueError("environment document lacks an attacker entry")
     ens = doc["ensembles"]

@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 from . import __version__
-from .channel import save_environment, synthesize_environment
+from .channel import _number_param, save_environment, synthesize_environment
 from .scenarios import (
     RunResult,
     ScenarioError,
@@ -26,7 +26,6 @@ from .scenarios import (
     scenario_from_dict,
     scenario_to_dict,
     _CSV_METRICS,
-    _check_environment,
     _environment_spec_from_dict,
 )
 
@@ -360,15 +359,16 @@ def main(argv=None) -> int:
             print(json.dumps(report, sort_keys=True, indent=1))
             return EXIT_OK
         if args.command == "env" and args.env_command == "synth":
+            _number_param(vars(args), "seed", prefix="", integer=True, low=0,
+                          high=2 ** 64 - 1)
             doc = {}
             if args.spec is not None:
                 try:
                     doc = json.loads(Path(args.spec).read_text())
                 except json.JSONDecodeError as exc:
                     raise ScenarioError(f"invalid JSON: {exc}") from exc
-            env_spec = _environment_spec_from_dict(doc)
-            _check_environment(env_spec)
-            env = synthesize_environment(env_spec, args.seed)
+            env = synthesize_environment(_environment_spec_from_dict(doc),
+                                         args.seed)
             save_environment(env, args.out)
             print(json.dumps({"written": args.out,
                               "devices": len(env.devices),

@@ -32,17 +32,6 @@ class McsTable:
     sjnr_thresholds_db: tuple[float, ...] = _THRESHOLDS_DB
     data_rates_mbps: tuple[float, ...] = _RATES_MBPS
 
-    def __post_init__(self):
-        t, r = self.sjnr_thresholds_db, self.data_rates_mbps
-        if len(t) != 8 or len(r) != 8:
-            raise ValueError("table must cover MCS indices 0..7")
-        if any(b <= a for a, b in zip(t, t[1:])):
-            raise ValueError("thresholds must be strictly increasing")
-        if abs((t[7] - t[0]) - 18.0) > 1e-9:
-            raise ValueError("threshold span between MCS 7 and MCS 0 must be 18 dB")
-        if abs(r[7] / r[0] - 10.0) > 1e-9:
-            raise ValueError("rate ratio between MCS 7 and MCS 0 must be 10")
-
     def threshold(self, mcs: int) -> float:
         return self.sjnr_thresholds_db[_check_mcs(mcs)]
 

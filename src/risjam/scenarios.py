@@ -14,7 +14,6 @@ is bit-reproducible.
 from __future__ import annotations
 
 import math
-import numbers
 import re
 from dataclasses import (MISSING, asdict, dataclass, field, fields,
                          is_dataclass, replace)
@@ -28,8 +27,8 @@ from .channel import (
     Environment,
     EnvironmentSpec,
     Position,
-    _check_entity_distances,
-    _validated_devices,
+    ScenarioError,
+    _number_param,
     as_position,
     direct_channel,
     environment_from_dict,
@@ -67,48 +66,6 @@ _TINY_GAIN = 1e-30
 # power sweep and perturbation series.  The scan holds a (points,
 # n_elements) complex sub-channel array: 1.2 GB at 768 elements.
 MAX_SCAN_POINTS = 100_000
-# Largest surface ensemble, n_elements * scatter_count plane waves, about
-# 50 times the desk surface (768 * 256).  The environment holds about six
-# float64 arrays of that size: 0.5 GB at the cap.
-MAX_ENSEMBLE_TERMS = 10_000_000
-
-
-class ScenarioError(ValueError):
-    """Scenario validation failure; carries the offending field path."""
-
-    def __init__(self, message: str, fieldpath: str = ""):
-        super().__init__(message if not fieldpath else f"{fieldpath}: {message}")
-        self.fieldpath = fieldpath
-
-
-def _number_param(params: Mapping, key: str, default=None, *,
-                  prefix: str = "mode_params.", integer: bool = False,
-                  low: float = -math.inf, high: float = math.inf,
-                  strict: bool = False):
-    """The finite number (a non-bool int if ``integer``) at ``params[key]``.
-
-    It must lie in [low, high], or in (low, high) when ``strict``.  Errors
-    name the field as ``prefix + key``.
-    """
-    value = params.get(key, default)
-    path = f"{prefix}{key}"
-    kind = numbers.Integral if integer else numbers.Real
-    if isinstance(value, bool) or not isinstance(value, kind):
-        raise ScenarioError("must be an integer" if integer
-                            else "must be a finite number", path)
-    try:
-        number = int(value) if integer else float(value)
-    except OverflowError:
-        number = math.inf
-    if not (integer or math.isfinite(number)):
-        raise ScenarioError("must be a finite number", path)
-    if not ((low < number < high) if strict else (low <= number <= high)):
-        if high == math.inf:
-            raise ScenarioError(f"must be {'>' if strict else '>='} {low}",
-                                path)
-        raise ScenarioError(f"must be in {'(' if strict else '['}{low}, "
-                            f"{high}{')' if strict else ']'}", path)
-    return number
 
 
 @dataclass(frozen=True)
@@ -201,7 +158,6 @@ class ScenarioSpec:
         object.__setattr__(self, "ap_id", str(self.ap_id))
         _number_param(vars(self), "seed", prefix="", integer=True, low=0,
                       high=2 ** 64 - 1)
-        _check_environment(self.environment)
         devices = self._device_ids()
         if self.ap_id not in devices:
             raise ScenarioError(f"access point {self.ap_id!r} is not in the "
@@ -249,15 +205,10 @@ class ScenarioSpec:
             mode.check(self, _mode_params(self))
 
     def _device_ids(self) -> tuple[str, ...]:
-        if isinstance(self.environment, Environment):
-            return tuple(self.environment.devices)
-        devices = self.environment.devices
-        ids = tuple(devices) if isinstance(devices, Mapping) \
-            else tuple(k for k, _ in devices)
-        return ids
+        return tuple(self.environment.devices)
 
     def _position(self, device: str) -> Position:
-        return as_position(dict(self.environment.devices)[device])
+        return self.environment.devices[device]
 
     # -- helpers -----------------------------------------------------------
 
@@ -290,35 +241,6 @@ def _reject_unknown(keys, known, prefix: str = "") -> None:
     if unknown:
         raise ScenarioError(f"unknown field(s) {unknown}",
                             f"{prefix}{unknown[0]}")
-
-
-def _check_environment(environment: EnvironmentSpec | Environment) -> None:
-    """The numbers and roster synthesize_environment will use, by its own
-    checks for the roster (a stored world is already synthesized)."""
-    if isinstance(environment, Environment):
-        return
-    values = vars(environment)
-    size = (_number_param(values, "n_elements", prefix="environment.",
-                          integer=True, low=1)
-            * _number_param(values, "scatter_count", prefix="environment.",
-                            integer=True, low=16))
-    if size > MAX_ENSEMBLE_TERMS:
-        raise ScenarioError(f"n_elements * scatter_count = {size} exceeds "
-                            f"{MAX_ENSEMBLE_TERMS}", "environment")
-    _number_param(values, "frequency_hz", prefix="environment.", low=0,
-                  strict=True)
-    for key in ("rician_k", "pattern_diversity"):
-        _number_param(values, key, prefix="environment.", low=0)
-    for key in ("path_loss_exponent", "noise_floor_dbm"):
-        _number_param(values, key, prefix="environment.")
-    if not isinstance(environment.attacker_id, str):
-        raise ScenarioError("must be a string", "environment.attacker_id")
-    try:
-        _check_entity_distances(_validated_devices(environment),
-                                as_position(environment.attacker_position),
-                                environment.attacker_id)
-    except (TypeError, ValueError) as exc:
-        raise ScenarioError(str(exc), "environment.devices") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -1280,12 +1202,9 @@ def scenario_to_dict(spec: ScenarioSpec) -> dict:
     if isinstance(env, Environment):
         doc["environment_document"] = environment_to_dict(env)
     else:
-        doc["environment"] = {
-            **{f.name: getattr(env, f.name) for f in fields(env)},
-            "attacker_position": as_position(env.attacker_position),
-            "devices": {d: as_position(p)
-                        for d, p in sorted(dict(env.devices).items())},
-        }
+        doc["environment"] = {f.name: getattr(env, f.name)
+                              for f in fields(env)}
+        doc["environment"]["devices"] = dict(sorted(env.devices.items()))
     return _jsonify({key: asdict(value) if is_dataclass(value) else value
                      for key, value in doc.items()})
 
@@ -1371,12 +1290,5 @@ def _environment_spec_from_dict(env_doc: Mapping) -> EnvironmentSpec:
     elif attacker is None:
         raise ScenarioError("attacker_position is required when devices are "
                             "given", "environment.attacker_position")
-    try:
-        spec = EnvironmentSpec(
-            devices={d: as_position(p) for d, p in devices.items()},
-            attacker_position=as_position(attacker),
-            **kwargs,
-        )
-    except (OverflowError, TypeError, ValueError) as exc:
-        raise ScenarioError(str(exc), "environment") from exc
-    return spec
+    return EnvironmentSpec(devices=devices, attacker_position=attacker,
+                           **kwargs)

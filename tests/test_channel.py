@@ -66,25 +66,23 @@ def test_desk_roster_ensemble_counting():
 
 
 def test_duplicate_device_ids_rejected():
-    spec = make_small_spec(devices=[("A", Position(1, 1, 1)),
-                                    ("A", Position(2, 2, 1))])
     with pytest.raises(ValueError, match="duplicate device id"):
-        synthesize_environment(spec, 1)
+        make_small_spec(devices=[("A", Position(1, 1, 1)),
+                                 ("A", Position(2, 2, 1))])
 
 
 def test_small_scatter_count_rejected():
     with pytest.raises(ValueError, match="scatter_count"):
-        synthesize_environment(make_small_spec(scatter_count=8), 1)
+        make_small_spec(scatter_count=8)
 
 
 def test_too_close_entities_rejected():
-    spec = make_small_spec(devices={
-        "A": Position(1.0, 1.0, 1.0),
-        "B": Position(1.0, 1.0, 1.0),
-        "D0": Position(2.0, 2.0, 1.0),
-    })
     with pytest.raises(ValueError, match="closer than"):
-        synthesize_environment(spec, 1)
+        make_small_spec(devices={
+            "A": Position(1.0, 1.0, 1.0),
+            "B": Position(1.0, 1.0, 1.0),
+            "D0": Position(2.0, 2.0, 1.0),
+        })
 
 
 def test_batch_matches_single(small_env):

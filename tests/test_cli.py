@@ -11,7 +11,9 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from risjam.channel import environments_equal, load_environment
+from risjam import channel
+from risjam.channel import (MAX_ENSEMBLE_TERMS, environment_to_dict,
+                            environments_equal, load_environment)
 from risjam.cli import (
     EXIT_OK,
     EXIT_RUNTIME,
@@ -24,7 +26,7 @@ from risjam.cli import (
 )
 import risjam
 from risjam import scenarios
-from risjam.scenarios import (MAX_ENSEMBLE_TERMS, ScenarioError,
+from risjam.scenarios import (ScenarioError, scenario_from_dict,
                               scenario_to_dict)
 
 MINI_SCENARIO = {
@@ -44,6 +46,15 @@ MINI_SCENARIO = {
     },
     "optimizer": {"steps": 300, "reeval_period": 100, "table_size": 40},
 }
+
+
+# MINI_SCENARIO on a stored 16-element world (environment_to_dict form).
+SMALL_WORLD = environment_to_dict(scenario_from_dict(dict(
+    MINI_SCENARIO, environment=dict(MINI_SCENARIO["environment"],
+                                    n_elements=16))).build_environment())
+STORED_SCENARIO = {**{key: value for key, value in MINI_SCENARIO.items()
+                      if key != "environment"},
+                   "environment_document": SMALL_WORLD}
 
 
 def write_scenario(tmp_path, doc=None, name="scenario.json"):
@@ -365,11 +376,41 @@ def _replaced(doc, path, value):
     ("environment.scatter_count", 10 ** 13, "environment"),
     ("environment.attacker_id", "B", "environment.devices"),
     ("environment.devices.B", [1.6, 3.0, 0.9], "environment.devices"),
+    ("environment.attacker_position", [0.4, 0.9],
+     "environment.attacker_position"),
+    # A stored world passes the same checks as an environment spec.
+    *(("", _replaced(STORED_SCENARIO, f"environment_document.{path}", value),
+       "environment_document") for path, value in (
+        ("ensembles.ris_elements", 10 ** 13),
+        ("M", 10 ** 12),
+        ("M", "x"),
+        ("ensembles.ris_elements", 2.5),
+        ("devices.0.x", "a"),
+        ("devices.1.id", SMALL_WORLD["devices"][0]["id"]),
+    )),
 ])
 @pytest.mark.parametrize("command", ["validate", "run"])
 def test_bad_document_exits_2_before_search(tmp_path, capsys, no_search,
                                             command, path, value, field):
     scenario = write_scenario(tmp_path, _replaced(MINI_SCENARIO, path, value))
+    _assert_exits_2(tmp_path, capsys, command, scenario, field)
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_oversize_environment_file_exits_2_before_search(tmp_path, capsys,
+                                                         no_search, command):
+    world = _replaced(SMALL_WORLD, "M", 10 ** 12)
+    del world["ensembles"]["draw_counter"]  # only the cap may reject it
+    (tmp_path / "world.json").write_text(json.dumps(world))
+    doc = dict(STORED_SCENARIO, environment_file="world.json")
+    del doc["environment_document"]
+    scenario = write_scenario(tmp_path, doc)
+    _assert_exits_2(tmp_path, capsys, command, scenario, "environment_file")
+
+
+def _assert_exits_2(tmp_path, capsys, command, scenario, field):
+    """``command`` on ``scenario`` exits 2 with one JSON error naming
+    ``field`` on stderr."""
     argv = [command, str(scenario)]
     if command == "run":
         argv += ["--out", str(tmp_path / "out")]
@@ -377,6 +418,27 @@ def test_bad_document_exits_2_before_search(tmp_path, capsys, no_search,
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1
     assert json.loads(err[0])["field"] == field
+
+
+@pytest.mark.parametrize("mode,rows", [("packet-rate", 1), ("jsr-matrix", 3)])
+def test_run_checks_the_roster_once(tmp_path, monkeypatch, mode, rows):
+    calls = []
+    check = channel._check_entity_distances
+
+    def counted(*args):
+        calls.append(args)
+        return check(*args)
+
+    monkeypatch.setattr(channel, "_check_entity_distances", counted)
+    doc = dict(MINI_SCENARIO, mode=mode,
+               targets=["A"] if mode == "packet-rate" else [],
+               optimizer={"steps": 5, "reeval_period": 2, "table_size": 8})
+    out = tmp_path / "out"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["run", str(write_scenario(tmp_path, doc)),
+                     "--out", str(out)]) == EXIT_OK
+    assert len(json.loads((out / "result.json").read_text())["rows"]) == rows
+    assert len(calls) == 1
 
 
 def test_exclusion_leaving_no_device_exits_2(tmp_path, capsys, no_search):
@@ -547,6 +609,17 @@ def test_env_synth_bad_spec_exits_2(tmp_path, capsys, spec_doc, field):
     assert not (tmp_path / "env.json").exists()
 
 
+@pytest.mark.parametrize("seed", ["-1", str(2 ** 64)])
+def test_env_synth_bad_seed_exits_2(tmp_path, capsys, seed):
+    rc = main(["env", "synth", "--seed", seed,
+               "--out", str(tmp_path / "env.json")])
+    assert rc == EXIT_VALIDATION
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert json.loads(err[0])["field"] == "seed"
+    assert not (tmp_path / "env.json").exists()
+
+
 def test_env_synth_default_desk(tmp_path):
     out = tmp_path / "desk.json"
     rc = main(["env", "synth", "--seed", "28", "--out", str(out)])
@@ -645,7 +718,7 @@ FUZZ_BASES = [dict(MINI_SCENARIO, **fields) for fields in (
         "schedule": [{"time": 1, "fraction": 0.1},
                      {"time": 2, "device": "B",
                       "position": [1.9, 2.9, 0.9]}], "duration": 3}},
-)]
+)] + [STORED_SCENARIO]
 FUZZ_FIELDS = {
     "": ["name", "mode", "seed", "ap_id", "targets", "non_targets", "hidden",
          "powers", "optimizer", "mode_params", "environment",
@@ -657,6 +730,9 @@ FUZZ_FIELDS = {
     "environment.": ["frequency_hz", "n_elements", "scatter_count",
                      "rician_k", "attacker_id", "attacker_position",
                      "devices"],
+    "environment_document.": ["M", "seed", "frequency_hz", "devices",
+                              "ensembles.ris_elements",
+                              "ensembles.perturbations"],
     "mode_params.": ["step_m", "x_extent_m", "x_min_m", "counts", "repeats",
                      "minimized", "step_mm", "exclude", "gain_dbi",
                      "beamwidth_deg", "schedule", "duration",
@@ -687,8 +763,10 @@ def test_validate_fuzz_exits_0_or_2(tmp_path_factory, base, field, value):
 
 def _small_run(base):
     """A fuzz base on a 16-element surface with a 5-step search."""
-    doc = _replaced(base, "environment.n_elements", 16)
-    doc["optimizer"] = {"steps": 5, "reeval_period": 2, "table_size": 8}
+    doc = _replaced(base, "optimizer",
+                    {"steps": 5, "reeval_period": 2, "table_size": 8})
+    if "environment" in doc:
+        doc["environment"]["n_elements"] = 16
     if doc["mode"] == "element-sweep":
         doc["mode_params"]["counts"] = [8, 16]
     return doc
@@ -702,6 +780,8 @@ RUN_FUZZ_FIELDS = [
                         for key in keys)
     if field not in ("optimizer", "optimizer.steps", "optimizer.table_size",
                      "environment.n_elements", "environment.scatter_count",
+                     "environment_document.M",
+                     "environment_document.ensembles.ris_elements",
                      "mode_params.repeats", "mode_params.duration",
                      "mode_params.schedule")]
 
