@@ -72,7 +72,6 @@ from .scenarios import (
     directional_gain_db,
     element_sweep,
     heatmap_scan,
-    hidden_device_eval,
     power_sweep,
     random_config_eval,
     run_exclusion,

@@ -85,6 +85,12 @@ def _number_param(params: Mapping, key: str, default=None, *,
     return number
 
 
+def _seed(seed) -> int:
+    """A checked master or perturbation seed: an integer in [0, 2**64)."""
+    return _number_param({"seed": seed}, "seed", prefix="", integer=True,
+                         low=0, high=2 ** 64 - 1)
+
+
 class Position(NamedTuple):
     """A point in meters; z enters path loss only, the scattered field is 2-D."""
 
@@ -301,9 +307,7 @@ def synthesize_environment(spec: EnvironmentSpec, seed: int) -> Environment:
     per ensemble unconditionally so that toggling the Rician K factor never
     shifts any other draw.
     """
-    seed = int(seed)
-    if seed < 0 or seed >= 2 ** 64:
-        raise ValueError("master seed must be an unsigned 64-bit integer")
+    seed = _seed(seed)
 
     L, M = spec.n_elements, spec.scatter_count
     rng = np.random.default_rng([seed, _STREAM_ENSEMBLES])
@@ -461,14 +465,8 @@ def ris_subchannels_batch(env: Environment, positions,
             1j * (uy[:, None] * env._ris_ky[sl, None, :]))          # (b, Uy, M)
         out[:, sl] = (ey @ ex)[:, iy, ix].T
     out /= math.sqrt(M)
-    if env.rician_k > 0:
-        k = env.rician_k
-        kap = env.kappa
-        los_phase = (kap * (np.outer(pts[:, 0], np.cos(env.ris_los[:, 0]))
-                            + np.outer(pts[:, 1], np.sin(env.ris_los[:, 0])))
-                     + env.ris_los[None, :, 1])
-        out = (math.sqrt(k / (k + 1.0)) * np.exp(1j * los_phase)
-               + math.sqrt(1.0 / (k + 1.0)) * out)
+    out = _combine_rician(env, out, env.ris_los[:, 0], env.ris_los[:, 1],
+                          pts[:, :1], pts[:, 1:2])
     return amps[:, None] * out
 
 
@@ -577,15 +575,16 @@ def perturb_environment(env: Environment, fraction: float, seed: int) -> Environ
     fraction 0 returns a bit-identical world; fraction 1 fully decorrelates
     every ensemble.  Deterministic given the seed.
     """
-    if not 0.0 <= fraction <= 1.0:
-        raise ValueError(f"fraction must be in [0, 1], got {fraction}")
+    fraction = _number_param({"fraction": fraction}, "fraction", prefix="",
+                             low=0, high=1)
+    seed = _seed(seed)
     M = env.scatter_count
     k = math.ceil(fraction * M)
-    perturbations = env.perturbations + ((float(fraction), int(seed)),)
+    perturbations = env.perturbations + ((fraction, seed),)
     if k == 0:
         return replace(env, perturbations=perturbations)
 
-    rng = np.random.default_rng([int(seed), _STREAM_PERTURB])
+    rng = np.random.default_rng([seed, _STREAM_PERTURB])
     L = env.n_elements
 
     ris_angles = np.array(env.ris_angles)

@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 from . import __version__
-from .channel import _number_param, save_environment, synthesize_environment
+from .channel import save_environment, synthesize_environment
 from .scenarios import (
     RunResult,
     ScenarioError,
@@ -100,7 +100,7 @@ def execute(spec: ScenarioSpec, out_dir, threads: int = 1,
         raise ScenarioError(f"unknown format {fmt!r}; valid: csv, json")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    result = run_scenario(spec, threads=threads)
+    result = run_scenario(spec)
 
     written: list[Path] = []
 
@@ -114,12 +114,7 @@ def execute(spec: ScenarioSpec, out_dir, threads: int = 1,
                                       indent=1) + "\n")
     written.append(result_json)
 
-    if fmt == "csv" and result.rows:
-        results_csv = out / "results.csv"
-        result.write_csv(results_csv)
-        written.append(results_csv)
-
-    for name, header, rows in _extra_tables(result):
+    for name, header, rows in _tables(result, fmt):
         _write_table(out / name, header, rows)
         written.append(out / name)
 
@@ -141,9 +136,16 @@ def execute(spec: ScenarioSpec, out_dir, threads: int = 1,
     return manifest
 
 
-def _extra_tables(result: RunResult):
-    """(file name, header, rows) of each mode-specific CSV table."""
+def _tables(result: RunResult, fmt: str):
+    """(file name, header, rows) of each CSV table: the long-form metrics
+    of every row (csv format only), then the mode-specific tables."""
     extras, devices = result.extras, result.devices
+    if fmt == "csv" and result.rows:
+        yield "results.csv", ["scenario", "target_set", "device", "metric",
+                              "value"], (
+            [result.scenario, row.label(), d, metric, values[d]]
+            for row in result.rows for metric in _CSV_METRICS
+            if (values := getattr(row, metric)) is not None for d in devices)
     if "sweep" in extras:
         sweep = extras["sweep"]
         yield "sweep.csv", ["power_dbm", "device", "packet_rate"], (
@@ -359,8 +361,6 @@ def main(argv=None) -> int:
             print(json.dumps(report, sort_keys=True, indent=1))
             return EXIT_OK
         if args.command == "env" and args.env_command == "synth":
-            _number_param(vars(args), "seed", prefix="", integer=True, low=0,
-                          high=2 ** 64 - 1)
             doc = {}
             if args.spec is not None:
                 try:

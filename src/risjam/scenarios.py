@@ -29,12 +29,14 @@ from .channel import (
     Position,
     ScenarioError,
     _number_param,
+    _seed,
     as_position,
     direct_channel,
     environment_from_dict,
     environment_to_dict,
     load_environment,
     move_device,
+    path_loss_gain,
     perturb_environment,
     received_rssi,
     ris_subchannels,
@@ -156,8 +158,7 @@ class ScenarioSpec:
         mode = _MODES[self.mode]
         object.__setattr__(self, "name", str(self.name))
         object.__setattr__(self, "ap_id", str(self.ap_id))
-        _number_param(vars(self), "seed", prefix="", integer=True, low=0,
-                      high=2 ** 64 - 1)
+        _seed(self.seed)
         devices = self._device_ids()
         if self.ap_id not in devices:
             raise ScenarioError(f"access point {self.ap_id!r} is not in the "
@@ -423,26 +424,6 @@ class RunResult:
     extras: dict = field(default_factory=dict)
     traces: list[Trace] = field(default_factory=list)
 
-    def long_records(self):
-        for row in self.rows:
-            label = row.label()
-            for metric in _CSV_METRICS:
-                values = getattr(row, metric)
-                if values is None:
-                    continue
-                for device in self.devices:
-                    yield (self.scenario, label, device, metric,
-                           values[device])
-
-    def write_csv(self, path) -> None:
-        import csv as _csv
-        with open(path, "w", newline="") as fh:
-            writer = _csv.writer(fh)
-            writer.writerow(["scenario", "target_set", "device", "metric",
-                             "value"])
-            for record in self.long_records():
-                writer.writerow(record[:4] + (format(record[4], ".10g"),))
-
     def to_json_dict(self) -> dict:
         # A row leaves out the metrics its mode does not produce.
         rows = [{f.name: getattr(row, f.name) for f in fields(row)
@@ -481,11 +462,11 @@ def _run_index(spec: ScenarioSpec, target: str) -> int:
     return spec.eval_devices().index(target)
 
 
-def _optimize(env: Environment, spec: ScenarioSpec, targets: Sequence[str],
-              *tag: int, mask: tuple[np.ndarray, np.ndarray] | None = None
+def _optimize(env: Environment, spec: ScenarioSpec, *tag: int,
+              mask: tuple[np.ndarray, np.ndarray] | None = None
               ) -> tuple[RisConfig, Trace]:
-    """Search a configuration that jams ``targets`` against the visible
-    non-targets.
+    """Search a configuration that jams the spec's targets against its
+    visible non-targets.
 
     ``tag`` (a run index, or the element sweep's repeat and count) keys the
     optimizer and measurement streams.  A ``mask`` (active elements, full
@@ -494,7 +475,8 @@ def _optimize(env: Environment, spec: ScenarioSpec, targets: Sequence[str],
     """
     opt = spec.optimizer
     oracle = RssiOracle(
-        env, targets, spec.visible_non_targets(), spec.powers.device_tx_dbm,
+        env, spec.targets, spec.visible_non_targets(),
+        spec.powers.device_tx_dbm,
         np.random.default_rng([spec.seed, _STREAM_MEASURE, *tag]),
         sigma_db=opt.meas_sigma_db, quantize=opt.quantize,
     )
@@ -533,9 +515,7 @@ def _knee_dbm(powers: np.ndarray, rates: np.ndarray) -> float | None:
 
 
 def _evaluate_row(env: Environment, spec: ScenarioSpec, config: RisConfig,
-                  targets: Sequence[str], run_idx: int, *,
-                  with_throughput: bool = False,
-                  operating_override: float | None = None
+                  run_idx: int, *, operating_override: float | None = None
                   ) -> tuple[TargetRow, dict]:
     """Evaluate a surface configuration on every device.
 
@@ -544,8 +524,7 @@ def _evaluate_row(env: Environment, spec: ScenarioSpec, config: RisConfig,
     """
     devices = spec.eval_devices()
     jam_gain_db = _composed_gain_db(env, config, devices)
-    row, extras = _evaluate_gains(env, spec, jam_gain_db, targets, run_idx,
-                                  with_throughput=with_throughput,
+    row, extras = _evaluate_gains(env, spec, jam_gain_db, run_idx,
                                   operating_override=operating_override)
     extras["delivered_gain_db"] = {t: float(jam_gain_db[devices.index(t)])
                                    for t in row.targets}
@@ -553,14 +532,14 @@ def _evaluate_row(env: Environment, spec: ScenarioSpec, config: RisConfig,
 
 
 def _evaluate_gains(env: Environment, spec: ScenarioSpec,
-                    jam_gain_db: np.ndarray, targets: Sequence[str],
-                    run_idx: int, *, with_throughput: bool = False,
+                    jam_gain_db: np.ndarray, run_idx: int, *,
                     operating_override: float | None = None
                     ) -> tuple[TargetRow, dict]:
     """Power sweep, knees, operating power, measured RSSI/JSR and packet
-    rates (plus adaptive throughput) for per-device jamming gains (dB)."""
-    devices = spec.eval_devices()
-    targets = tuple(targets)
+    rates (plus adaptive throughput in throughput mode) for per-device
+    jamming gains (dB) against the spec's targets."""
+    devices, targets = spec.eval_devices(), spec.targets
+    with_throughput = spec.mode == "throughput"
     sig_dbm = _ap_signal_dbm(env, spec, devices)
 
     knee_mcs = 0 if with_throughput else link.MONITOR_MCS
@@ -671,9 +650,8 @@ def power_sweep(spec: ScenarioSpec) -> RunResult:
         raise ScenarioError("power_sweep needs at least one target", "targets")
     env = spec.build_environment()
     run_idx = _run_index(spec, spec.targets[0])
-    config, trace = _optimize(env, spec, spec.targets, run_idx)
-    row, extras = _evaluate_row(env, spec, config, spec.targets, run_idx,
-                                with_throughput=spec.mode == "throughput")
+    config, trace = _optimize(env, spec, run_idx)
+    row, extras = _evaluate_row(env, spec, config, run_idx)
     extras["config"] = config
     scan = _MODES[spec.mode].scan
     if scan is not None:
@@ -709,66 +687,49 @@ def run_exclusion(spec: ScenarioSpec) -> RunResult:
 
 
 def run_jsr_matrix(spec: ScenarioSpec, threads: int = 1) -> RunResult:
-    """One single-target optimization per device; rows stack into the matrix.
+    """One single-target ``power_sweep`` per device; rows stack into the
+    matrix.
 
-    Rows run in order.  ``threads`` is accepted and ignored: every row is
-    Python holding the GIL, so a thread pool only slowed it down.
+    A row hides ``spec.hidden`` minus its target.  When every non-target is
+    hidden, the run is the hidden-device experiment: a row hides every
+    other non-AP device, so only the target and the access point are
+    visible to the oracle, and an unselected random configuration (the
+    table head would already be best-of-B toward the target), measured at
+    the row's operating power, gives the "before" JSR.  Rows run in order;
+    ``threads`` is accepted and ignored, since every row is Python holding
+    the GIL.
     """
     env = spec.build_environment()
-    targets = spec.targets or spec.eval_devices()
-
-    def build(target: str):
-        run_idx = _run_index(spec, target)
-        sub = replace(spec, targets=(target,), non_targets=None,
-                      hidden=tuple(h for h in spec.hidden if h != target))
-        config, trace = _optimize(env, sub, (target,), run_idx)
-        return (config, trace,
-                *_evaluate_row(env, sub, config, (target,), run_idx))
-
-    results = [build(target) for target in targets]
-    extras = {"configs": {}, "knees_dbm": {}, "delivered_gain_db": {}}
-    for target, (config, _, _, row_extras) in zip(targets, results):
-        extras["configs"][target] = config
-        extras["knees_dbm"][target] = row_extras["knees_dbm"]
-        extras["delivered_gain_db"].update(row_extras["delivered_gain_db"])
-    return RunResult(spec.name, spec.mode, spec.eval_devices(),
-                     [r[2] for r in results], extras, [r[1] for r in results])
-
-
-def hidden_device_eval(spec: ScenarioSpec, threads: int = 1) -> RunResult:
-    """Single-target rows with every other device hidden from the oracle.
-
-    Only the target and the access point are visible during optimization;
-    the JSR is evaluated at all devices, hidden ones included, both for the
-    initial table head (before) and the final configuration (after).  Rows
-    run in order; ``threads`` is accepted and ignored, as in run_jsr_matrix.
-    """
-    env = spec.build_environment()
-    targets = spec.targets or spec.eval_devices()
-
-    def build(target: str):
-        run_idx = _run_index(spec, target)
-        hidden = tuple(d for d in spec.eval_devices() if d != target)
-        sub = replace(spec, targets=(target,), non_targets=None, hidden=hidden)
-        config, trace = _optimize(env, sub, (target,), run_idx)
-        # Pre-optimization reference: an unselected random configuration
-        # (the table head would already be best-of-B toward the target),
-        # measured at the same jamming power as the optimized result.
-        initial = random_config(env.n_elements,
-                                [spec.seed, _STREAM_RANDCONF, run_idx])
-        row, _ = _evaluate_row(env, sub, config, (target,), run_idx)
-        before, _ = _evaluate_row(env, sub, initial, (target,), run_idx,
-                                  operating_override=row.operating_jam_dbm)
-        return config, trace, row, before
-
-    results = [build(target) for target in targets]
-    extras = {
-        "configs": {t: r[0] for t, r in zip(targets, results)},
-        "before_norm_jsr_db": {r[3].label(): r[3].norm_jsr_db
-                               for r in results},
-    }
-    return RunResult(spec.name, spec.mode, spec.eval_devices(),
-                     [r[2] for r in results], extras, [r[1] for r in results])
+    devices = spec.eval_devices()
+    all_hidden = bool(spec.hidden) \
+        and set(spec.hidden) == set(devices) - set(spec.targets)
+    hidden = devices if all_hidden else spec.hidden
+    keys = ("before_norm_jsr_db",) if all_hidden \
+        else ("knees_dbm", "delivered_gain_db")
+    extras = {key: {} for key in ("configs", *keys)}
+    rows, traces = [], []
+    for target in spec.targets or devices:
+        sub = replace(spec, environment=env, targets=(target,),
+                      non_targets=None,
+                      hidden=tuple(h for h in hidden if h != target))
+        result = power_sweep(sub)
+        row, found = result.rows[0], result.extras
+        rows.append(row)
+        traces += result.traces
+        extras["configs"][target] = found["config"]
+        if all_hidden:
+            run_idx = _run_index(spec, target)
+            initial = random_config(env.n_elements,
+                                    [spec.seed, _STREAM_RANDCONF, run_idx])
+            before, _ = _evaluate_row(
+                env, sub, initial, run_idx,
+                operating_override=row.operating_jam_dbm)
+            extras["before_norm_jsr_db"][target] = before.norm_jsr_db
+        else:
+            extras["knees_dbm"][target] = found["knees_dbm"]
+            extras["delivered_gain_db"][target] = \
+                found["delivered_gain_db"][target]
+    return RunResult(spec.name, spec.mode, devices, rows, extras, traces)
 
 
 def random_config_eval(spec: ScenarioSpec, n_configs: int = 20) -> dict:
@@ -1007,13 +968,13 @@ def element_sweep(spec: ScenarioSpec) -> RunResult:
         for count in counts:
             if count == L:
                 # The full surface keeps run_single_target's stream tags.
-                full, _ = _optimize(env, spec, spec.targets, rep)
+                full, _ = _optimize(env, spec, rep)
             else:
                 mask_rng = np.random.default_rng(
                     [spec.seed, _STREAM_MASK, count, rep])
                 active = np.sort(mask_rng.choice(L, count, replace=False))
                 frozen = mask_rng.integers(0, 2, L, dtype=np.uint8)
-                full, _ = _optimize(env, spec, spec.targets, rep, count,
+                full, _ = _optimize(env, spec, rep, count,
                                     mask=(active, frozen))
             gains = _composed_gain_db(env, full, devices)
             sep = (gains[devices.index(target)]
@@ -1063,9 +1024,7 @@ def directional_baseline(spec: ScenarioSpec) -> RunResult:
         cos_t = float(np.clip(vec @ bore / dist, -1.0, 1.0))
         theta = math.degrees(math.acos(cos_t))
         g_db = directional_gain_db(theta, **pattern)
-        pl_amp = math.sqrt(
-            (env.wavelength_m / (4.0 * math.pi)) ** 2
-            * dist ** (-env.path_loss_exponent))
+        pl_amp = math.sqrt(path_loss_gain(env, dist))
         los = 10.0 ** (g_db / 20.0) * np.exp(1j * env.kappa * dist)
         diffuse = direct_channel(env, env.attacker_id, env.devices[d])
         unit_diffuse = diffuse / pl_amp
@@ -1073,7 +1032,7 @@ def directional_baseline(spec: ScenarioSpec) -> RunResult:
                                  * unit_diffuse)
 
     jam_gain_db = _gain_db(jam_gains)
-    row, extras = _evaluate_gains(env, spec, jam_gain_db, spec.targets, 0)
+    row, extras = _evaluate_gains(env, spec, jam_gain_db, 0)
     extras["antenna"] = {**pattern, "diffuse_db": diffuse_db}
     return RunResult(spec.name, spec.mode, devices, [row], extras)
 
@@ -1122,16 +1081,6 @@ def heatmap_scan(spec: ScenarioSpec) -> RunResult:
     return power_sweep(spec)
 
 
-def _matrix_run(spec: ScenarioSpec) -> RunResult:
-    """jsr-matrix: only the everything-hidden roster is the dedicated
-    hidden-device experiment; partial hidden sets stay with the plain
-    matrix."""
-    all_hidden = set(spec.eval_devices()) - set(spec.targets)
-    if spec.hidden and set(spec.hidden) == all_hidden:
-        return hidden_device_eval(spec)
-    return run_jsr_matrix(spec)
-
-
 @dataclass(frozen=True)
 class _Mode:
     """A scenario mode: its operation, the target counts it accepts, its
@@ -1155,7 +1104,7 @@ _MODES = {
         power_sweep, _SOME, {"offered_load_mbps": 30.0},
         lambda spec, params: _number_param(params, "offered_load_mbps",
                                            low=0, strict=True)),
-    "jsr-matrix": _Mode(_matrix_run, _ANY),
+    "jsr-matrix": _Mode(run_jsr_matrix, _ANY),
     "heatmap": _Mode(
         power_sweep, _ONE,
         {"step_m": 0.01, "x_extent_m": 0.75, "y_extent_m": 0.50,
@@ -1182,11 +1131,8 @@ _MODES = {
 MODES = tuple(_MODES)
 
 
-def run_scenario(spec: ScenarioSpec, threads: int = 1) -> RunResult:
-    """Dispatch a scenario to its mode's operation.
-
-    ``threads`` is accepted and has no effect; every mode runs in order.
-    """
+def run_scenario(spec: ScenarioSpec) -> RunResult:
+    """Dispatch a scenario to its mode's operation."""
     return _MODES[spec.mode].operation(spec)
 
 
@@ -1224,6 +1170,11 @@ def scenario_from_dict(doc: Mapping, base_dir=None) -> ScenarioSpec:
     spec_fields = fields(ScenarioSpec)
     _reject_unknown(doc, {f.name for f in spec_fields}
                     | set(_STORED_ENVIRONMENT))
+    worlds = [key for key in ("environment", *_STORED_ENVIRONMENT)
+              if key in doc]
+    if len(worlds) > 1:
+        raise ScenarioError(f"conflicts with {worlds[0]}: a scenario names "
+                            f"one world", worlds[1])
     kwargs = {f.name: doc[f.name] for f in spec_fields if f.name in doc}
     if any(key in doc for key in _STORED_ENVIRONMENT):
         kwargs["environment"] = _stored_environment(doc, base_dir)

@@ -52,9 +52,9 @@ MINI_SCENARIO = {
 SMALL_WORLD = environment_to_dict(scenario_from_dict(dict(
     MINI_SCENARIO, environment=dict(MINI_SCENARIO["environment"],
                                     n_elements=16))).build_environment())
-STORED_SCENARIO = {**{key: value for key, value in MINI_SCENARIO.items()
-                      if key != "environment"},
-                   "environment_document": SMALL_WORLD}
+WORLDLESS = {key: value for key, value in MINI_SCENARIO.items()
+             if key != "environment"}
+STORED_SCENARIO = {**WORLDLESS, "environment_document": SMALL_WORLD}
 
 
 def write_scenario(tmp_path, doc=None, name="scenario.json"):
@@ -387,6 +387,20 @@ def _replaced(doc, path, value):
         ("ensembles.ris_elements", 2.5),
         ("devices.0.x", "a"),
         ("devices.1.id", SMALL_WORLD["devices"][0]["id"]),
+        # Seeds and fractions are checked, not truncated.
+        ("seed", 2.5),
+        ("seed", True),
+        ("ensembles.perturbations", [[0.1, 2.7]]),
+        ("ensembles.perturbations", [[True, 3]]),
+    )),
+    # The stored-world checks above on a scenario that names no other
+    # world: with an "environment" beside them, the two-world rule fires
+    # first.
+    *(("", dict(WORLDLESS, **{key: value}), key) for key, value in (
+        ("environment_document", 5),
+        ("environment_document", {}),
+        ("environment_file", 5),
+        ("environment_file", "absent.json"),
     )),
 ])
 @pytest.mark.parametrize("command", ["validate", "run"])
@@ -406,6 +420,23 @@ def test_oversize_environment_file_exits_2_before_search(tmp_path, capsys,
     del doc["environment_document"]
     scenario = write_scenario(tmp_path, doc)
     _assert_exits_2(tmp_path, capsys, command, scenario, "environment_file")
+
+
+@pytest.mark.parametrize("worlds,field", [
+    (("environment", "environment_document"), "environment_document"),
+    (("environment", "environment_file"), "environment_file"),
+    (("environment_document", "environment_file"), "environment_file"),
+])
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_two_worlds_exit_2_before_search(tmp_path, capsys, no_search,
+                                         command, worlds, field):
+    (tmp_path / "world.json").write_text(json.dumps(SMALL_WORLD))
+    sources = {"environment": MINI_SCENARIO["environment"],
+               "environment_document": SMALL_WORLD,
+               "environment_file": "world.json"}
+    doc = dict(WORLDLESS, **{key: sources[key] for key in worlds})
+    _assert_exits_2(tmp_path, capsys, command, write_scenario(tmp_path, doc),
+                    field)
 
 
 def _assert_exits_2(tmp_path, capsys, command, scenario, field):

@@ -166,6 +166,35 @@ PINNED = {
          "trace_02.csv": "9ef3a67afd5c75e1283e4275432dddb4"
                          "5cef7b9960289000f1550998a1095131"},
     ),
+    # A targeted all-hidden matrix: row A also hides C, which the
+    # scenario's hidden set does not name.
+    "jsr-matrix-targeted-all-hidden": (
+        {"mode": "jsr-matrix", "targets": ["A"], "hidden": ["B", "C"]},
+        {"result.json": "95252379bba574a5ec6f134b82456f25"
+                        "b149b8cbce4ffc27c8e298b67e3877e2",
+         "results.csv": "1385cc0f9d069134b2602c266a1830ae"
+                        "a8744c9a4c70d47ac91099bdc77cd7f9",
+         "trace_00.csv": "d489d2b4b71bdf4160fe23879af45dcd"
+                         "ac62fa5857d7af838aa9da2f3f812413"},
+    ),
+    # The whole-grid evaluator's Rician and pattern-diversity path.
+    "heatmap-rician": (
+        {"mode": "heatmap", "targets": ["A"],
+         "environment": dict(ENVIRONMENT, rician_k=3.0,
+                             pattern_diversity=0.5),
+         "mode_params": {"x_extent_m": 0.04, "y_extent_m": 0.02,
+                         "step_m": 0.01}},
+        {"grid.csv": "01895bcd66b341d0a53db5801b50ce43"
+                     "f50f51c6584daeb138f4bc215b062965",
+         "result.json": "860b001ec6c6d0de46f9ac29498ba717"
+                        "25b486929a703e3e0f46e0dc9afb48be",
+         "results.csv": "28eb1f745820dd32a2d3aad986d3a9d8"
+                        "cdab7f6a5cf37c4387718c9c629356a1",
+         "sweep.csv": "1d9d6deb5a56e4f7eaf5d099397cfb3b"
+                      "16490fddd47bbc24cf7b30ca797acd89",
+         "trace_00.csv": "67d9b59cc9a810276c00770a3e18befb"
+                         "ea3434e535822b9973d58c66bd9722ee"},
+    ),
     "stored-environment": (
         {"mode": "packet-rate", "targets": ["B"], "environment": None,
          "environment_document": STORED},

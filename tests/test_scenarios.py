@@ -10,6 +10,7 @@ from risjam.channel import (
     received_rssi,
     ris_subchannels,
 )
+from risjam.cli import execute
 from risjam.ris import RisConfig, compose_channel
 from risjam.scenarios import (
     _TINY_GAIN,
@@ -27,7 +28,6 @@ from risjam.scenarios import (
     directional_gain_db,
     element_sweep,
     heatmap_scan,
-    hidden_device_eval,
     random_config_eval,
     run_exclusion,
     run_jsr_matrix,
@@ -259,14 +259,18 @@ def test_sweep_saturates_at_high_power():
 
 
 def test_long_records_and_csv(tmp_path, single_result):
-    records = list(single_result.long_records())
+    execute(mini_scenario(), tmp_path)
+    lines = (tmp_path / "results.csv").read_text().splitlines()
+    assert lines[0] == "scenario,target_set,device,metric,value"
+    records = [line.split(",") for line in lines[1:]]
     metrics = {r[3] for r in records}
-    assert {"attacker_rssi_dbm", "ap_rssi_dbm", "jsr_db", "norm_jsr_db",
-            "packet_rate"} <= metrics
-    path = tmp_path / "res.csv"
-    single_result.write_csv(path)
-    header = path.read_text().splitlines()[0]
-    assert header == "scenario,target_set,device,metric,value"
+    assert metrics == {"attacker_rssi_dbm", "ap_rssi_dbm", "jsr_db",
+                       "norm_jsr_db", "packet_rate"}
+    row = single_result.rows[0]
+    assert len(records) == len(metrics) * len(single_result.devices)
+    for scenario, label, device, metric, value in records:
+        assert (scenario, label) == ("mini", "A")
+        assert value == format(getattr(row, metric)[device], ".10g")
 
 
 # -- multi target / exclusion --------------------------------------------------
@@ -341,8 +345,9 @@ def test_jsr_matrix_threads_match_sequential():
 def test_hidden_eval_still_concentrates():
     # Hidden devices receive no explicit minimization, so their rejection is
     # weaker than in the visible experiment; the diagonal still dominates.
-    spec = mini_scenario(mode="jsr-matrix", targets=("A", "B"))
-    res = hidden_device_eval(spec)
+    spec = mini_scenario(mode="jsr-matrix", targets=("A", "B"),
+                         hidden=("C", "D", "E"))
+    res = run_jsr_matrix(spec)
     assert len(res.rows) == 2
     for row in res.rows:
         target = row.targets[0]
@@ -607,9 +612,10 @@ def test_hidden_concentration_emerges_at_full_scale():
     # Needs the full surface: selective focus with only the access point
     # visible relies on the large-surface focusing advantage.
     spec = desk_scenario("jsr-matrix", seed=28,
+                         hidden=tuple(f"D{i}" for i in range(1, 11)),
                          powers=PowerSettings(sweep_to_dbm=10.0),
                          optimizer=OptimizerSettings(steps=4000))
-    res = hidden_device_eval(spec, threads=4)
+    res = run_jsr_matrix(spec, threads=4)
 
     def frac_at_least_target(rows):
         vals = []
