@@ -14,6 +14,7 @@ Everything is drawn from a single 64-bit master seed; identical
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 import numbers
@@ -174,9 +175,8 @@ class Environment:
 
     The drawn arrays (``ris_*``, ``direct`` per transmitter,
     ``pattern_weights`` per device) are read-only.  Operations that change
-    the world (perturbation, moving a device) return a
-    ``dataclasses.replace`` copy, which starts with an empty gain-row memo
-    (see ris_subchannels).
+    the world (perturbation, moving a device) return a copy, which starts
+    with an empty gain-row memo (see ris_subchannels).
     """
 
     frequency_hz: float
@@ -497,7 +497,7 @@ def received_rssi(env: Environment, power_at_antenna_dbm, rng=None,
     Accepts scalars or arrays; returns int or an int array.
     """
     power = np.asarray(power_at_antenna_dbm, dtype=float)
-    if not np.all(np.isfinite(power)):
+    if not np.isfinite(power).all():
         raise ValueError("power_at_antenna_dbm must be finite")
     if sigma_db > 0:
         if rng is None:
@@ -610,14 +610,21 @@ def perturb_environment(env: Environment, fraction: float, seed: int) -> Environ
 
 
 def move_device(env: Environment, device_id: str, position) -> Environment:
-    """Return a world with one device relocated; all ensembles are kept."""
+    """Return a world with one device relocated; all ensembles are kept.
+
+    The ensembles' derived waves do not depend on the roster, so the copy
+    shares them; it starts with an empty gain-row memo.
+    """
     if device_id not in env.devices:
         raise KeyError(f"unknown device id {device_id!r}")
     new_pos = as_position(position)
     devices = dict(env.devices)
     devices[device_id] = new_pos
     _check_entity_distances(devices, env.attacker_position, env.attacker_id)
-    return replace(env, devices=devices)
+    moved = copy.copy(env)
+    moved.devices = devices
+    moved._rows = {}
+    return moved
 
 
 # ---------------------------------------------------------------------------
@@ -695,6 +702,9 @@ def environment_from_dict(doc: dict) -> Environment:
         attacker_id=attacker_id,
     )
     env = synthesize_environment(spec, doc["seed"])
+    if "seed" in ens and _seed(ens["seed"]) != env.master_seed:
+        raise ValueError(f"ensembles.seed {ens['seed']} does not match the "
+                         f"seed {env.master_seed} the ensembles are drawn from")
     if ens.get("draw_counter") not in (None, draw_counter(env)):
         raise ValueError("draw_counter mismatch: document was produced by an "
                          "incompatible synthesis procedure")

@@ -36,6 +36,10 @@ DEFAULT_EPSILON = 0.02
 # breaks the expected random-vs-final Hamming distance of L/2.
 PROBABILITY_PRIOR = 5.0
 
+# Largest candidate table.  It keeps every rank-weighted vote (at most
+# B(B+1)/2) below 2**24, where float32 sums of integers are exact.
+MAX_TABLE_SIZE = 4096
+
 
 @dataclass(frozen=True)
 class CostWeights:
@@ -64,11 +68,14 @@ def aggregate_cost(rssi_targets, rssi_nontargets,
     if t.size == 0:
         raise ValueError("target RSSI list must not be empty")
     n = np.asarray(rssi_nontargets, dtype=float)
-    a_t = weights.w_mean * t.mean() + weights.w_extreme * t.min()
+    # sum / size is the reduction and division of mean(), without its
+    # per-call overhead.
+    a_t = weights.w_mean * (t.sum() / t.size) + weights.w_extreme * t.min()
     if n.size == 0:
         a_n = float(noise_floor_dbm)
     else:
-        a_n = weights.w_mean * n.mean() + weights.w_extreme * n.max()
+        a_n = (weights.w_mean * (n.sum() / n.size)
+               + weights.w_extreme * n.max())
     diff = a_t - a_n
     return float(np.sign(diff) * diff * diff)
 
@@ -80,9 +87,13 @@ def cost_margin_db(cost: float) -> float:
 
 @dataclass
 class OptimizerState:
-    """Sorted candidate table plus sampling parameters; row 0 is the best."""
+    """Sorted candidate table plus sampling parameters; row 0 is the best.
 
-    bits: np.ndarray            # (B, L) float64 in {0, 1}, sorted by cost desc
+    ``probs`` caches element_probabilities of the table; optimizer_step
+    recomputes it whenever it changes the table.
+    """
+
+    bits: np.ndarray            # (B, L) float32 in {0, 1}, sorted by cost desc
     costs: np.ndarray           # (B,)
     founder: np.ndarray         # (B,) bool, True for initial random entries
     step: int
@@ -92,13 +103,17 @@ class OptimizerState:
     epsilon: float
     reeval_period: int
     rank_weights: np.ndarray = field(init=False)
+    probs: np.ndarray = field(init=False)
 
     def __post_init__(self):
         if not 0.0 < self.epsilon < 0.5:
             raise ValueError("epsilon must be in (0, 0.5)")
         b = self.bits.shape[0]
+        if b > MAX_TABLE_SIZE:
+            raise ValueError(f"table_size must be <= {MAX_TABLE_SIZE}")
         # Linear rank weights B..1 over the sorted table.
-        self.rank_weights = np.arange(b, 0, -1, dtype=float)
+        self.rank_weights = np.arange(b, 0, -1, dtype=np.float32)
+        self.probs = element_probabilities(self)
 
     @property
     def table_size(self) -> int:
@@ -109,7 +124,7 @@ class OptimizerState:
         return int(self.bits.shape[1])
 
     def best_config(self) -> RisConfig:
-        return RisConfig(self.bits[0].astype(np.uint8))
+        return RisConfig(self.bits[0])
 
     def best_cost(self) -> float:
         return float(self.costs[0])
@@ -122,17 +137,20 @@ def element_probabilities(state: OptimizerState) -> np.ndarray:
     """Rank-weighted one-probability per element, clipped to the exploration floor.
 
     Only entries discovered by the search vote; while the table is all
-    founders the probabilities sit at 0.5.
+    founders the probabilities sit at 0.5.  Every vote is an integer of at
+    most B(B+1)/2 < 2**24, so the float32 product is exact.
     """
-    w = np.where(state.founder, 0.0, state.rank_weights)
-    total = w.sum() + PROBABILITY_PRIOR
-    p = (w @ state.bits + PROBABILITY_PRIOR * 0.5) / total
-    return np.clip(p, state.epsilon, 1.0 - state.epsilon)
+    w = np.where(state.founder, np.float32(0.0), state.rank_weights)
+    total = float(w.sum()) + PROBABILITY_PRIOR
+    p = (w @ state.bits).astype(float)
+    p += PROBABILITY_PRIOR * 0.5
+    p /= total
+    return np.clip(p, state.epsilon, 1.0 - state.epsilon, out=p)
 
 
 def _measure(oracle: MeasurementOracle, bits_row: np.ndarray,
              weights: CostWeights, noise_floor_dbm: float) -> float:
-    t, n = oracle(RisConfig(bits_row.astype(np.uint8)))
+    t, n = oracle(RisConfig(bits_row))
     return aggregate_cost(t, n, weights, noise_floor_dbm)
 
 
@@ -142,13 +160,13 @@ def optimizer_init(table_size: int, n_elements: int, oracle: MeasurementOracle,
                    reeval_period: int = DEFAULT_REEVAL_PERIOD,
                    noise_floor_dbm: float = -95.0) -> OptimizerState:
     """Fill the table with random configurations, measured once each."""
-    if table_size < 2:
-        raise ValueError("table_size must be >= 2")
+    if not 2 <= table_size <= MAX_TABLE_SIZE:
+        raise ValueError(f"table_size must be in [2, {MAX_TABLE_SIZE}]")
     if n_elements < 1:
         raise ValueError("n_elements must be >= 1")
     weights = weights or CostWeights()
     rng = np.random.default_rng(seed)
-    bits = rng.integers(0, 2, (table_size, n_elements)).astype(float)
+    bits = rng.integers(0, 2, (table_size, n_elements)).astype(np.float32)
     costs = np.array([
         _measure(oracle, bits[i], weights, noise_floor_dbm)
         for i in range(table_size)
@@ -168,10 +186,12 @@ def optimizer_step(state: OptimizerState, oracle: MeasurementOracle) -> Optimize
     All oracle calls happen before any mutation, so a raised measurement
     error leaves the state untouched.  When the completed-step counter hits
     a multiple of reeval_period, the whole table is re-measured and
-    re-sorted as part of this step.
+    re-sorted as part of this step.  The cached probabilities are
+    recomputed only when the table changes.
     """
-    p = element_probabilities(state)
-    candidate = (state.rng.random(state.n_elements) < p).astype(float)
+    # The comparison's bytes are the 0/1 bits: a view, not a cast.
+    candidate = (state.rng.random(state.n_elements) < state.probs).view(
+        np.uint8)
     cand_cost = _measure(oracle, candidate, state.weights, state.noise_floor_dbm)
 
     bits = state.bits
@@ -179,7 +199,8 @@ def optimizer_step(state: OptimizerState, oracle: MeasurementOracle) -> Optimize
     founder = state.founder
     next_step = state.step + 1
     reeval = state.reeval_period and next_step % state.reeval_period == 0
-    if cand_cost >= costs[-1]:
+    accepted = cand_cost >= costs[-1]
+    if accepted:
         # Ties evict the incumbent worst and rank the newcomer above its
         # cost class: fresh genetic material wins ties.  The table is sorted,
         # so the newcomer goes before the first entry it does not beat.
@@ -204,6 +225,8 @@ def optimizer_step(state: OptimizerState, oracle: MeasurementOracle) -> Optimize
     state.costs = costs
     state.founder = founder
     state.step = next_step
+    if accepted or reeval:
+        state.probs = element_probabilities(state)
     return state
 
 

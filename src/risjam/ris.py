@@ -24,12 +24,13 @@ class RisConfig:
         arr = np.asarray(bits)
         if arr.ndim != 1 or arr.size < 1:
             raise ValueError("bits must be a non-empty 1-D sequence")
-        arr = arr.astype(np.uint8)
-        if not np.all((arr == 0) | (arr == 1)):
+        # A fresh contiguous copy; the values are checked against the input,
+        # since the cast alone would turn 0.5, 1.9 or 256 into a bit.
+        out = arr.astype(np.uint8)
+        if out.max() > 1 or (arr.dtype != np.uint8 and not (out == arr).all()):
             raise ValueError("bits must be 0 or 1")
-        arr = np.ascontiguousarray(arr)
-        arr.setflags(write=False)
-        object.__setattr__(self, "bits", arr)
+        out.setflags(write=False)
+        object.__setattr__(self, "bits", out)
 
     def __setattr__(self, name, value):
         raise AttributeError("RisConfig is immutable")

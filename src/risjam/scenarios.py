@@ -68,6 +68,10 @@ _TINY_GAIN = 1e-30
 # power sweep and perturbation series.  The scan holds a (points,
 # n_elements) complex sub-channel array: 1.2 GB at 768 elements.
 MAX_SCAN_POINTS = 100_000
+# Largest search, in table or trace bits: table_size * n_elements and
+# (steps + 1) * n_elements.  The table holds float32 bits (400 MB at the
+# cap) and the trace one uint8 configuration per step (100 MB).
+MAX_SEARCH_BITS = 100_000_000
 
 
 @dataclass(frozen=True)
@@ -116,7 +120,7 @@ class OptimizerSettings:
     def __post_init__(self):
         fields = vars(self)
         _number_param(fields, "table_size", prefix="optimizer.", integer=True,
-                      low=2)
+                      low=2, high=optimizer.MAX_TABLE_SIZE)
         for key in ("steps", "reeval_period"):
             _number_param(fields, key, prefix="optimizer.", integer=True,
                           low=0)
@@ -159,6 +163,7 @@ class ScenarioSpec:
         object.__setattr__(self, "name", str(self.name))
         object.__setattr__(self, "ap_id", str(self.ap_id))
         _seed(self.seed)
+        self._check_search_size()
         devices = self._device_ids()
         if self.ap_id not in devices:
             raise ScenarioError(f"access point {self.ap_id!r} is not in the "
@@ -204,6 +209,15 @@ class ScenarioSpec:
         _reject_unknown(self.mode_params, mode.params, "mode_params.")
         if mode.check is not None:
             mode.check(self, _mode_params(self))
+
+    def _check_search_size(self) -> None:
+        n_elements = self.environment.n_elements
+        for key, rows in (("table_size", self.optimizer.table_size),
+                          ("steps", self.optimizer.steps + 1)):
+            if rows * n_elements > MAX_SEARCH_BITS:
+                raise ScenarioError(
+                    f"{rows} rows x {n_elements} elements exceeds "
+                    f"{MAX_SEARCH_BITS} search bits", f"optimizer.{key}")
 
     def _device_ids(self) -> tuple[str, ...]:
         return tuple(self.environment.devices)

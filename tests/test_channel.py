@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -290,6 +291,20 @@ def test_move_device(small_env):
     pos = Position(2.9, 0.4, 1.0)
     np.testing.assert_array_equal(ris_subchannels(small_env, pos),
                                   ris_subchannels(moved, pos))
+
+
+def test_moved_world_equals_one_built_there():
+    spec = make_small_spec()
+    new = Position(2.5, 1.5, 1.0)
+    devices = dict(spec.devices, A=new)
+    fresh = synthesize_environment(replace(spec, devices=devices), 7)
+    env = synthesize_environment(spec, 7)
+    ris_subchannels(env, env.devices["A"], device="A")
+    moved = move_device(env, "A", new)
+    assert moved._rows == {} and env._rows
+    assert environments_equal(moved, fresh)
+    assert ris_subchannels(moved, new, device="A").tobytes() \
+        == ris_subchannels(fresh, new, device="A").tobytes()
 
 
 def test_path_loss_db_reference():

@@ -402,6 +402,22 @@ def _replaced(doc, path, value):
         ("environment_file", 5),
         ("environment_file", "absent.json"),
     )),
+    # Search sizes are capped before any table or trace is allocated.
+    ("optimizer.table_size", 10 ** 13, "optimizer.table_size"),
+    ("optimizer.table_size", 4097, "optimizer.table_size"),
+    ("optimizer.steps", 10 ** 13, "optimizer.steps"),
+    # (steps + 1) * 96 elements is one bit past the cap.
+    ("optimizer.steps", 10 ** 8 // 96, "optimizer.steps"),
+    # A table of 4096 on 10**5 elements: each size is in range alone.
+    ("", _replaced(_replaced(_replaced(
+        MINI_SCENARIO, "environment.n_elements", 100_000),
+        "environment.scatter_count", 16), "optimizer.table_size", 4096),
+     "optimizer.table_size"),
+    ("", _replaced(STORED_SCENARIO, "optimizer.steps", 10 ** 13),
+     "optimizer.steps"),
+    # A stored world's ensembles are drawn from its top-level seed.
+    *(("", _replaced(STORED_SCENARIO, "environment_document.ensembles.seed",
+                     value), "environment_document") for value in (99, 5.5)),
 ])
 @pytest.mark.parametrize("command", ["validate", "run"])
 def test_bad_document_exits_2_before_search(tmp_path, capsys, no_search,

@@ -5,7 +5,10 @@ import pytest
 
 from risjam.channel import synthesize_environment
 from risjam.optimizer import (
+    MAX_TABLE_SIZE,
+    PROBABILITY_PRIOR,
     CostWeights,
+    OptimizerState,
     Trace,
     aggregate_cost,
     brute_force_best,
@@ -74,6 +77,7 @@ def test_init_table_sorted_and_sized():
     oracle = make_oracle()
     state = optimizer_init(100, 10, oracle, 3)
     assert state.bits.shape == (100, 10)
+    assert state.bits.dtype == np.float32
     assert np.all(np.diff(state.costs) <= 0)
     assert state.founder.all()
 
@@ -97,6 +101,8 @@ def test_init_validation():
         optimizer_init(1, 10, oracle, 3)
     with pytest.raises(ValueError):
         optimizer_init(2, 0, oracle, 3)
+    with pytest.raises(ValueError, match="table_size"):
+        optimizer_init(MAX_TABLE_SIZE + 1, 10, oracle, 3)
 
 
 # -- stepping ----------------------------------------------------------------
@@ -138,10 +144,12 @@ def test_state_unchanged_on_oracle_error():
     for _ in range(2):
         optimizer_step(state, flaky)
     bits, costs, step = state.bits.copy(), state.costs.copy(), state.step
+    probs = state.probs.copy()
     with pytest.raises(RuntimeError):
         optimizer_step(state, flaky)
     np.testing.assert_array_equal(state.bits, bits)
     np.testing.assert_array_equal(state.costs, costs)
+    assert state.probs.tobytes() == probs.tobytes()
     assert state.step == step
 
 
@@ -158,13 +166,14 @@ def test_state_unchanged_when_reeval_fails_after_acceptance():
 
     state = optimizer_init(10, 6, failing_reeval, 1, reeval_period=1)
     bits, costs = state.bits.copy(), state.costs.copy()
-    founder = state.founder.copy()
+    founder, probs = state.founder.copy(), state.probs.copy()
     with pytest.raises(RuntimeError):
         optimizer_step(state, failing_reeval)
     assert calls["n"] == 13
     np.testing.assert_array_equal(state.bits, bits)
     np.testing.assert_array_equal(state.costs, costs)
     np.testing.assert_array_equal(state.founder, founder)
+    assert state.probs.tobytes() == probs.tobytes()
     assert state.step == 0
 
 
@@ -175,6 +184,46 @@ def test_probabilities_respect_exploration_floor():
         optimizer_step(state, oracle)
         p = element_probabilities(state)
         assert np.all(p >= 0.1) and np.all(p <= 0.9)
+
+
+def test_cached_probabilities_match_the_table():
+    # Accepted, rejected and re-evaluation steps while founders remain:
+    # after each, the cached probabilities are the from-scratch ones.
+    oracle = make_oracle(sigma=2.0, quantize=True)
+    state = optimizer_init(30, 10, oracle, 5, reeval_period=7)
+    assert state.probs.tobytes() == element_probabilities(state).tobytes()
+    seen = set()
+    for _ in range(60):
+        before = state.bits.copy()
+        optimizer_step(state, oracle)
+        if state.founder.any():
+            if state.step % state.reeval_period == 0:
+                seen.add("reeval")
+            else:
+                seen.add("accepted" if not np.array_equal(before, state.bits)
+                         else "rejected")
+        assert state.probs.tobytes() == element_probabilities(state).tobytes()
+    assert seen == {"accepted", "rejected", "reeval"}
+
+
+def test_float32_votes_are_exact_at_the_largest_table():
+    # Every row a discovered all-ones entry: each vote is the largest
+    # possible sum, B(B+1)/2.
+    b = MAX_TABLE_SIZE
+    state = OptimizerState(
+        bits=np.ones((b, 3), dtype=np.float32), costs=np.zeros(b),
+        founder=np.zeros(b, dtype=bool), step=0,
+        rng=np.random.default_rng(0), weights=CostWeights(),
+        noise_floor_dbm=-95.0, epsilon=0.02, reeval_period=0)
+    votes = state.rank_weights @ state.bits
+    assert votes.dtype == np.float32
+    want = state.rank_weights.astype(float) @ state.bits.astype(float)
+    assert votes.astype(float).tobytes() == want.tobytes()
+    assert want[0] == b * (b + 1) / 2
+    total = want[0] + PROBABILITY_PRIOR
+    np.testing.assert_array_equal(
+        element_probabilities(state),
+        np.clip((want + PROBABILITY_PRIOR * 0.5) / total, 0.02, 0.98))
 
 
 def test_probabilities_neutral_while_all_founders():

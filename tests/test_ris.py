@@ -41,6 +41,26 @@ def test_bits_validation():
         RisConfig([])
 
 
+@pytest.mark.parametrize("bits", [
+    # Each casts to a valid uint8 bit vector; the values are checked first.
+    [0.5, 1], [1.9, 0], [256, 1], [-255, 1],
+    np.array([257, 0], dtype=np.uint16), np.array([1.0, 1e-9]),
+])
+def test_bits_checked_before_the_cast(bits):
+    with pytest.raises(ValueError, match="0 or 1"):
+        RisConfig(bits)
+
+
+@pytest.mark.parametrize("bits", [
+    [1, 0], [True, False], np.array([1.0, 0.0], dtype=np.float32),
+    np.array([[1, 0], [0, 1]])[:, 0],
+])
+def test_bits_of_any_numeric_dtype_are_accepted(bits):
+    cfg = RisConfig(bits)
+    assert cfg.bits.dtype == np.uint8 and cfg.bits.flags.c_contiguous
+    assert cfg == RisConfig(np.array([1, 0], dtype=np.uint8))
+
+
 def test_config_immutable():
     cfg = RisConfig([0, 1, 1])
     with pytest.raises(AttributeError):
