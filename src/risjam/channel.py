@@ -572,8 +572,9 @@ def spatial_correlation(env: Environment, base, displacements,
 def perturb_environment(env: Environment, fraction: float, seed: int) -> Environment:
     """Re-draw angle and phase of ceil(fraction*M) scatterers per ensemble.
 
-    fraction 0 returns a bit-identical world; fraction 1 fully decorrelates
-    every ensemble.  Deterministic given the seed.
+    A fraction that redraws nothing (fraction 0) returns a bit-identical
+    world that shares the derived waves, as move_device does; fraction 1
+    fully decorrelates every ensemble.  Deterministic given the seed.
     """
     fraction = _number_param({"fraction": fraction}, "fraction", prefix="",
                              low=0, high=1)
@@ -582,7 +583,7 @@ def perturb_environment(env: Environment, fraction: float, seed: int) -> Environ
     k = math.ceil(fraction * M)
     perturbations = env.perturbations + ((fraction, seed),)
     if k == 0:
-        return replace(env, perturbations=perturbations)
+        return _shallow_copy(env, perturbations=perturbations)
 
     rng = np.random.default_rng([seed, _STREAM_PERTURB])
     L = env.n_elements
@@ -621,10 +622,17 @@ def move_device(env: Environment, device_id: str, position) -> Environment:
     devices = dict(env.devices)
     devices[device_id] = new_pos
     _check_entity_distances(devices, env.attacker_position, env.attacker_id)
-    moved = copy.copy(env)
-    moved.devices = devices
-    moved._rows = {}
-    return moved
+    return _shallow_copy(env, devices=devices)
+
+
+def _shallow_copy(env: Environment, **changes) -> Environment:
+    """A copy with ``changes`` applied that shares the frozen ensembles and
+    their derived waves, and starts with an empty gain-row memo."""
+    out = copy.copy(env)
+    for name, value in changes.items():
+        setattr(out, name, value)
+    out._rows = {}
+    return out
 
 
 # ---------------------------------------------------------------------------

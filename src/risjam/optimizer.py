@@ -8,7 +8,10 @@ is at least as good.  All B entries are re-measured periodically so stale
 lucky measurements get washed out.
 
 A measurement oracle is any callable mapping RisConfig to a pair of RSSI
-arrays (targets, non-targets), both in dBm.
+arrays (targets, non-targets), both in dBm.  An oracle whose
+``accepts_bits`` attribute is true (scenarios.RssiOracle and MaskedOracle)
+is given the search's raw 0/1 row instead (a uint8 candidate or a float32
+table row), so no RisConfig is built per measurement.
 """
 
 from __future__ import annotations
@@ -55,6 +58,11 @@ class CostWeights:
             raise ValueError("weights must sum to 1")
 
 
+def _signed_square(d: float) -> float:
+    """d * |d|; equal, -0.0 included, to np.sign(d) * d * d."""
+    return d * d if d >= 0 else -(d * d)
+
+
 def aggregate_cost(rssi_targets, rssi_nontargets,
                    weights: CostWeights = CostWeights(),
                    noise_floor_dbm: float = -95.0) -> float:
@@ -64,20 +72,29 @@ def aggregate_cost(rssi_targets, rssi_nontargets,
     with mean and max (loudest non-target dominates).  Higher is better.  An
     empty non-target set (everything hidden) falls back to the noise floor.
     """
-    t = np.asarray(rssi_targets, dtype=float)
+    t = np.asarray(rssi_targets, dtype=float).ravel()
     if t.size == 0:
         raise ValueError("target RSSI list must not be empty")
-    n = np.asarray(rssi_nontargets, dtype=float)
-    # sum / size is the reduction and division of mean(), without its
-    # per-call overhead.
-    a_t = weights.w_mean * (t.sum() / t.size) + weights.w_extreme * t.min()
+    n = np.asarray(rssi_nontargets, dtype=float).ravel()
+    return _aggregate(t, n, weights, noise_floor_dbm)
+
+
+def _aggregate(t: np.ndarray, n: np.ndarray, weights: CostWeights,
+               noise_floor_dbm: float) -> float:
+    """aggregate_cost of 1-D float64 readings, ``t`` not empty; no checks.
+
+    np.add.reduce / size is mean() without its per-call overhead; the
+    reduction keeps mean()'s pairwise summation order.  The rest is scalar
+    arithmetic on Python floats.
+    """
+    a_t = (weights.w_mean * (float(np.add.reduce(t)) / t.size)
+           + weights.w_extreme * min(t.tolist()))
     if n.size == 0:
         a_n = float(noise_floor_dbm)
     else:
-        a_n = (weights.w_mean * (n.sum() / n.size)
-               + weights.w_extreme * n.max())
-    diff = a_t - a_n
-    return float(np.sign(diff) * diff * diff)
+        a_n = (weights.w_mean * (float(np.add.reduce(n)) / n.size)
+               + weights.w_extreme * max(n.tolist()))
+    return _signed_square(a_t - a_n)
 
 
 def cost_margin_db(cost: float) -> float:
@@ -150,6 +167,10 @@ def element_probabilities(state: OptimizerState) -> np.ndarray:
 
 def _measure(oracle: MeasurementOracle, bits_row: np.ndarray,
              weights: CostWeights, noise_floor_dbm: float) -> float:
+    if getattr(oracle, "accepts_bits", False):
+        # Its readings are 1-D float64, with at least one target.
+        t, n = oracle(bits_row)
+        return _aggregate(t, n, weights, noise_floor_dbm)
     t, n = oracle(RisConfig(bits_row))
     return aggregate_cost(t, n, weights, noise_floor_dbm)
 

@@ -306,6 +306,11 @@ def desk_scenario(mode: str, targets=(), seed: int = 1, **overrides) -> Scenario
 # ---------------------------------------------------------------------------
 
 
+# Reflection coefficient per bit value, as RisConfig.coefficients gives it
+# once cast to complex: the complex gain products then cast nothing.
+_COEFFICIENTS = np.array([1.0 + 0.0j, -1.0 + 0.0j])
+
+
 class RssiOracle:
     """Eavesdropped per-device RSSI for a candidate configuration.
 
@@ -313,7 +318,13 @@ class RssiOracle:
     attacker-to-device gain, so the oracle evaluates the same composed
     surface channel that active jamming later uses.  Hidden devices are
     simply absent from the non-target list and never appear in the output.
+
+    A call takes a RisConfig or the optimizer's raw 0/1 row (uint8 or
+    float32, unchecked) and returns fresh arrays.  The gains and powers are
+    checked finite once, here; floored gains then keep every reading finite.
     """
+
+    accepts_bits = True
 
     def __init__(self, env: Environment, targets: Sequence[str],
                  non_targets: Sequence[str], device_tx_dbm: float,
@@ -328,39 +339,70 @@ class RssiOracle:
         self.quantize = bool(quantize)
         self._h_targets = _gain_matrix(env, self.targets)
         self._h_non_targets = _gain_matrix(env, self.non_targets)
-        self.calls = 0
+        # A composed gain is at most its row's summed magnitudes.
+        bounds = np.concatenate([np.abs(h).sum(axis=1) for h in
+                                 (self._h_targets, self._h_non_targets)])
+        if not (np.isfinite(bounds).all()
+                and math.isfinite(self.device_tx_dbm)
+                and math.isfinite(self.sigma_db)):
+            raise ValueError("oracle gains, device_tx_dbm and sigma_db "
+                             "must be finite")
+        if not self.targets:
+            raise ValueError("target list must not be empty")
+        if self.sigma_db > 0 and rng is None:
+            raise ValueError("rng is required when sigma_db > 0")
+        # Preallocated coefficient and gain buffers; every call overwrites
+        # them before it reads them.
+        self._coeff = np.empty(env.n_elements, dtype=complex)
+        self._n = n = len(self.targets)
+        self._gains = np.empty(n + len(self.non_targets), dtype=complex)
+        self._gains_t, self._gains_n = self._gains[:n], self._gains[n:]
 
-    def __call__(self, config: RisConfig) -> tuple[np.ndarray, np.ndarray]:
-        coeff = config.coefficients()
-        self.calls += 1
+    def __call__(self, config) -> tuple[np.ndarray, np.ndarray]:
+        bits = config.bits if isinstance(config, RisConfig) else config
+        if bits.dtype != np.uint8:
+            bits = bits.astype(np.uint8)
+        # mode="clip" writes straight into the buffer, where the default
+        # "raise" buffers it; the search's rows hold only 0 and 1.
+        coeff = _COEFFICIENTS.take(bits, out=self._coeff, mode="clip")
         # Two matvecs: a stacked (K, L) product differs from them in the
-        # last bits, which would move every trace.  One noise draw over
-        # targets then non-targets equals a draw per set.
-        power = self.device_tx_dbm + _gain_db(np.concatenate(
-            (self._h_targets @ coeff, self._h_non_targets @ coeff)))
+        # last bits, which would move every trace.
+        np.matmul(self._h_targets, coeff, out=self._gains_t)
+        np.matmul(self._h_non_targets, coeff, out=self._gains_n)
+        power = _gain_db(self._gains)
+        power += self.device_tx_dbm
+        # One noise draw over targets then non-targets equals a draw per set.
+        if self.sigma_db > 0:
+            power += self.rng.normal(0.0, self.sigma_db, power.shape)
         if self.quantize:
-            power = received_rssi(self.env, power, self.rng,
-                                  self.sigma_db).astype(float)
-        elif self.sigma_db > 0:
-            power = power + self.rng.normal(0.0, self.sigma_db, power.shape)
-        n = len(self.targets)
-        return power[:n], power[n:]
+            # received_rssi's floor clamp and 1 dB rounding; + 0.0 turns a
+            # rounded -0.0 into 0.0, as its integer readings do.
+            np.maximum(power, self.env.noise_floor_dbm, out=power)
+            np.rint(power, out=power)
+            power += 0.0
+        return power[:self._n], power[self._n:]
 
 
 class MaskedOracle:
     """Oracle over a subset of active elements; the rest stay frozen."""
 
+    accepts_bits = True
+
     def __init__(self, inner: RssiOracle, active: np.ndarray,
                  frozen_bits: np.ndarray):
         self.inner = inner
         self.active = np.asarray(active, dtype=int)
-        self.full = np.asarray(frozen_bits, dtype=np.uint8).copy()
+        # One full-width row: the frozen bits stay, each call overwrites
+        # the active ones.
+        self._row = np.asarray(frozen_bits, dtype=np.uint8).copy()
 
-    def __call__(self, config: RisConfig) -> tuple[np.ndarray, np.ndarray]:
-        return self.inner(self.expand(config))
+    def __call__(self, config) -> tuple[np.ndarray, np.ndarray]:
+        bits = config.bits if isinstance(config, RisConfig) else config
+        self._row[self.active] = bits
+        return self.inner(self._row)
 
     def expand(self, config: RisConfig) -> RisConfig:
-        full = self.full.copy()
+        full = self._row.copy()
         full[self.active] = config.bits
         return RisConfig(full)
 
@@ -375,8 +417,15 @@ def _gain_matrix(env: Environment, device_ids: Sequence[str]) -> np.ndarray:
 
 
 def _gain_db(h: np.ndarray) -> np.ndarray:
-    """Power gain in dB of complex amplitude gains, floored at _TINY_GAIN."""
-    return 20.0 * np.log10(np.maximum(np.abs(h), _TINY_GAIN))
+    """Power gain in dB of complex amplitude gains, floored at _TINY_GAIN.
+
+    A fresh array; the steps after np.abs run in place on it.
+    """
+    gain = np.abs(h)
+    np.maximum(gain, _TINY_GAIN, out=gain)
+    np.log10(gain, out=gain)
+    gain *= 20.0
+    return gain
 
 
 def _composed_gain_db(env: Environment, config: RisConfig,

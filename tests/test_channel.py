@@ -211,10 +211,21 @@ def test_spatial_correlation_needs_realizations(small_env):
 
 
 def test_perturbation_zero_is_identity(small_env):
+    # A shallow copy that keeps the derived waves, equal to the world
+    # dataclasses.replace builds, with its own empty gain-row memo.
+    ris_subchannels(small_env, small_env.devices["A"], device="A")
     same = perturb_environment(small_env, 0.0, 123)
+    built = replace(small_env, perturbations=((0.0, 123),))
+    assert environments_equal(same, built)
+    assert small_env.perturbations == ()
+    assert small_env._rows and same._rows == {}
+    assert same._ris_cis is small_env._ris_cis
+    assert same._direct is small_env._direct
     pos = Position(2.2, 1.7, 1.0)
     np.testing.assert_array_equal(ris_subchannels(small_env, pos),
                                   ris_subchannels(same, pos))
+    assert ris_subchannels(same, pos).tobytes() \
+        == ris_subchannels(built, pos).tobytes()
 
 
 def test_perturbation_full_decorrelates():

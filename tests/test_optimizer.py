@@ -1,4 +1,5 @@
 import csv
+import math
 
 import numpy as np
 import pytest
@@ -17,10 +18,11 @@ from risjam.optimizer import (
     element_probabilities,
     optimizer_init,
     optimizer_step,
+    _signed_square,
     run_optimizer,
 )
 from risjam.ris import enumerate_configs
-from risjam.scenarios import RssiOracle
+from risjam.scenarios import MaskedOracle, RssiOracle
 
 from conftest import make_small_spec
 
@@ -47,6 +49,45 @@ def test_aggregate_cost_hand_values():
     assert aggregate_cost([-80, -60], [-50]) == pytest.approx(-729.0)
 
 
+def _numpy_scalar_cost(t, n, weights=CostWeights(), noise_floor_dbm=-95.0):
+    """aggregate_cost in NumPy-scalar arithmetic, the form it replaced."""
+    t, n = np.asarray(t, dtype=float), np.asarray(n, dtype=float)
+    a_t = weights.w_mean * (t.sum() / t.size) + weights.w_extreme * t.min()
+    if n.size == 0:
+        a_n = float(noise_floor_dbm)
+    else:
+        a_n = (weights.w_mean * (n.sum() / n.size)
+               + weights.w_extreme * n.max())
+    diff = a_t - a_n
+    return np.sign(diff) * diff * diff
+
+
+@pytest.mark.parametrize("t,n,weights", [
+    ([-50.0], [-75.0, -71.0], CostWeights()),           # +d
+    ([-80.0, -60.0], [-50.0], CostWeights()),           # -d
+    ([-60.0], [-60.0], CostWeights()),                  # 0.0
+    # Both weighted terms underflow to -0.0: a -0.0 difference.
+    ([-5e-324], [0.0], CostWeights(0.5, 0.5)),
+    # Eleven non-targets whose cost differs in the last bit between
+    # NumPy's pairwise sum and a sequential one.
+    ([-61.3, -58.7], [-70.4, -45.5, -78.6, -58.8, -85.8, -48.4, -50.6,
+                      -78.0, -46.2, -87.1, -73.2], CostWeights()),
+    ([-93.0], [], CostWeights()),                       # noise floor
+])
+def test_aggregate_cost_matches_numpy_scalar_form(t, n, weights):
+    got = aggregate_cost(t, n, weights)
+    assert type(got) is float
+    want = _numpy_scalar_cost(t, n, weights)
+    assert np.float64(got).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("d", [2.5, -2.5, 0.0, -0.0, 1e-200, -1e150,
+                               math.inf, -math.inf])
+def test_signed_square_matches_sign_times_square(d):
+    want = np.sign(np.float64(d)) * d * d
+    assert np.float64(_signed_square(d)).tobytes() == want.tobytes()
+
+
 def test_aggregate_cost_empty_targets():
     with pytest.raises(ValueError, match="target"):
         aggregate_cost([], [-60])
@@ -68,6 +109,41 @@ def test_cost_margin_db():
     assert cost_margin_db(625.0) == pytest.approx(25.0)
     assert cost_margin_db(-729.0) == pytest.approx(-27.0)
     assert cost_margin_db(0.0) == 0.0
+
+
+# -- fused measurement path ----------------------------------------------------
+
+
+@pytest.mark.parametrize("sigma,quantize,non_targets,masked", [
+    (0.5, True, ("D0", "B", "C"), False),
+    (0.0, False, ("D0", "B", "C"), False),
+    (0.7, False, ("D0", "B", "C"), False),
+    (0.5, True, (), False),
+    (0.5, True, ("D0", "B", "C"), True),
+])
+def test_raw_bit_oracle_matches_plain_callable(sigma, quantize, non_targets,
+                                               masked):
+    # The RssiOracle gets the search's raw uint8 and float32 rows; the
+    # lambda hides accepts_bits, so its identically seeded twin gets a
+    # RisConfig per measurement.
+    env = synthesize_environment(make_small_spec(n_elements=24), 5)
+    active = np.arange(3, 20, 2)
+    frozen = np.random.default_rng(2).integers(0, 2, 24)
+
+    def oracle():
+        inner = RssiOracle(env, ("A",), non_targets, 15.0,
+                           np.random.default_rng([5, 1]), sigma_db=sigma,
+                           quantize=quantize)
+        return MaskedOracle(inner, active, frozen) if masked else inner
+
+    fused, twin = oracle(), oracle()
+    width = len(active) if masked else env.n_elements
+    _, a = run_optimizer(12, 300, width, fused, 7, reeval_period=50)
+    _, b = run_optimizer(12, 300, width, lambda c: twin(c), 7,
+                         reeval_period=50)
+    assert a.best_cost.tobytes() == b.best_cost.tobytes()
+    assert a.worst_cost.tobytes() == b.worst_cost.tobytes()
+    assert a.best_bits.tobytes() == b.best_bits.tobytes()
 
 
 # -- initialization ----------------------------------------------------------

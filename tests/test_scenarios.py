@@ -139,6 +139,22 @@ def test_oracle_excludes_hidden_devices():
     assert n.shape == (3,)      # D0, B, E
 
 
+@pytest.mark.parametrize("change", [
+    {"device_tx_dbm": float("nan")},
+    {"device_tx_dbm": float("inf")},
+    {"sigma_db": float("inf")},
+    {"targets": ()},
+    {"rng": None},
+])
+def test_oracle_checks_its_inputs_once_at_construction(change):
+    # Every reading is then finite without a per-call check.
+    env = mini_scenario().build_environment()
+    kwargs = dict(env=env, targets=("A",), non_targets=("B",),
+                  device_tx_dbm=15.0, rng=np.random.default_rng(0))
+    with pytest.raises(ValueError):
+        RssiOracle(**{**kwargs, **change})
+
+
 def _two_draw_measurement(oracle, config):
     """The oracle's reading as separate target and non-target matvecs, log
     and noise draws."""
@@ -174,9 +190,11 @@ def test_oracle_matches_two_draw_measurement(targets, non_targets, sigma,
                                    np.random.default_rng(8), sigma_db=sigma,
                                    quantize=quantize) for _ in range(2))
     configs = np.random.default_rng(1)
-    for _ in range(40):
+    for i in range(40):
         config = RisConfig(configs.integers(0, 2, env.n_elements))
-        got = fused(config)
+        # A RisConfig, or the search's raw uint8 or float32 row.
+        got = fused((config, config.bits,
+                     config.bits.astype(np.float32))[i % 3])
         want = _two_draw_measurement(reference, config)
         assert [a.tobytes() for a in got] == [b.tobytes() for b in want]
 
