@@ -18,7 +18,9 @@ import copy
 import json
 import math
 import numbers
-from dataclasses import dataclass, fields, replace
+import os
+import threading
+from dataclasses import dataclass, fields
 from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -42,9 +44,9 @@ ENV_FORMAT_VERSION = 1
 # float64 arrays of that size: 0.5 GB at the cap.
 MAX_ENSEMBLE_TERMS = 10_000_000
 
-# Surface elements per step of ris_subchannels_batch.  Bounds its
-# intermediates to _BATCH_BLOCK*(M*Ux + Uy*M + Uy*Ux) complex values; of
-# 8, 16, 32, 64 and 128, 8 was fastest on the desk heatmap grid.
+# Surface elements per step of ris_subchannels_batch.  Bounds each
+# thread's intermediates to _BATCH_BLOCK*(M*Ux + Uy*M + Uy*Ux) complex
+# values; of 8, 16, 32, 64 and 128, 8 was fastest on the desk heatmap grid.
 _BATCH_BLOCK = 8
 
 
@@ -441,6 +443,13 @@ def ris_subchannels_batch(env: Environment, positions,
     Values agree with ris_subchannels to rounding, not bit for bit, and a
     point's value can differ in the last bits with the grid it is
     evaluated in (the matmul's summation order depends on its shape).
+
+    The blocks run on one thread per CPU the process may use (its affinity
+    mask), the calling thread included; NumPy releases the interpreter
+    lock in their exponentials and matmuls.  Each block fills its own
+    columns of the result with the same operations on any thread, so the
+    values do not depend on the thread count, and ``--threads`` does not
+    set it.
     """
     pts = np.asarray([tuple(as_position(p)) for p in positions],
                      dtype=float).reshape(-1, 3)
@@ -454,20 +463,74 @@ def ris_subchannels_batch(env: Environment, positions,
 
     ux, ix = np.unique(pts[:, 0], return_inverse=True)
     uy, iy = np.unique(pts[:, 1], return_inverse=True)
-    cis = env._ris_cis
+    kx, ky, cis = env._ris_kx, env._ris_ky, env._ris_cis
     if device is not None and device in env.pattern_weights:
         cis = cis * env.pattern_weights[device]
     out = np.empty((len(pts), L), dtype=complex)
-    for start in range(0, L, _BATCH_BLOCK):
+
+    def block(start: int) -> None:
         sl = slice(start, start + _BATCH_BLOCK)
-        ex = np.exp(1j * (env._ris_kx[sl, :, None] * ux))          # (b, M, Ux)
+        ex = np.exp(1j * (kx[sl, :, None] * ux))                 # (b, M, Ux)
         ey = cis[sl, None, :] * np.exp(
-            1j * (uy[:, None] * env._ris_ky[sl, None, :]))          # (b, Uy, M)
+            1j * (uy[:, None] * ky[sl, None, :]))                 # (b, Uy, M)
         out[:, sl] = (ey @ ex)[:, iy, ix].T
+
+    _in_threads(block, range(0, L, _BATCH_BLOCK))
     out /= math.sqrt(M)
     out = _combine_rician(env, out, env.ris_los[:, 0], env.ris_los[:, 1],
                           pts[:, :1], pts[:, 1:2])
-    return amps[:, None] * out
+    # In place: saves one (P, L) complex temporary.
+    return np.multiply(amps[:, None], out, out=out)
+
+
+def _field_threads() -> int:
+    """Threads for the grid field: one per CPU this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+_DONE = object()
+
+
+def _in_threads(work, items: Sequence) -> None:
+    """Call ``work(item)`` for every item, over up to _field_threads() threads.
+
+    The calling thread and width - 1 workers (none at width 1) each pull
+    the next item from a shared iterator, so a busy CPU takes fewer.  After
+    the first error no thread takes another item.  Every worker is joined
+    before this returns or re-raises that error.
+    """
+    width = min(_field_threads(), len(items))
+    pending = iter(items)
+    lock = threading.Lock()
+    errors = []
+
+    def drain() -> None:
+        while True:
+            with lock:
+                item = _DONE if errors else next(pending, _DONE)
+            if item is _DONE:
+                return
+            try:
+                work(item)
+            except BaseException as exc:
+                with lock:
+                    errors.append(exc)
+                return
+
+    workers = []
+    try:
+        for _ in range(width - 1):
+            workers.append(threading.Thread(target=drain))
+            workers[-1].start()
+        drain()
+    finally:
+        for worker in workers:
+            worker.join()
+    if errors:
+        raise errors[0]
 
 
 def direct_channel(env: Environment, source: str, position) -> complex:
@@ -572,9 +635,11 @@ def spatial_correlation(env: Environment, base, displacements,
 def perturb_environment(env: Environment, fraction: float, seed: int) -> Environment:
     """Re-draw angle and phase of ceil(fraction*M) scatterers per ensemble.
 
-    A fraction that redraws nothing (fraction 0) returns a bit-identical
-    world that shares the derived waves, as move_device does; fraction 1
-    fully decorrelates every ensemble.  Deterministic given the seed.
+    The copy shares every unchanged array with ``env``, as move_device
+    does, and derives the waves of the redrawn scatterers only; a fraction
+    that redraws nothing (fraction 0) returns a bit-identical world.
+    Fraction 1 fully decorrelates every ensemble.  Deterministic given the
+    seed.
     """
     fraction = _number_param({"fraction": fraction}, "fraction", prefix="",
                              low=0, high=1)
@@ -587,27 +652,51 @@ def perturb_environment(env: Environment, fraction: float, seed: int) -> Environ
 
     rng = np.random.default_rng([seed, _STREAM_PERTURB])
     L = env.n_elements
-
-    ris_angles = np.array(env.ris_angles)
-    ris_phases = np.array(env.ris_phases)
     # Per-row index choice without replacement, vectorized across rows.
     idx = np.argpartition(rng.random((L, M)), k - 1, axis=1)[:, :k]
-    rows = np.arange(L)[:, None]
-    ris_angles[rows, idx] = rng.uniform(0.0, 2.0 * math.pi, (L, k))
-    ris_phases[rows, idx] = rng.uniform(0.0, 2.0 * math.pi, (L, k))
+    at = (np.arange(L)[:, None], idx)
+    ris_angles, ris_phases, ris_kx, ris_ky, ris_cis = _redraw(
+        env, (env.ris_angles, env.ris_phases),
+        (env._ris_kx, env._ris_ky, env._ris_cis), at,
+        rng.uniform(0.0, 2.0 * math.pi, (L, k)),
+        rng.uniform(0.0, 2.0 * math.pi, (L, k)))
 
-    direct = {}
+    direct, waves = {}, {}
     for dev_id in env.direct_ids():
-        ens = env.direct[dev_id]
-        angles = np.array(ens["angles"])
-        phases = np.array(ens["phases"])
+        drawn, derived = env.direct[dev_id], env._direct[dev_id]
         sel = rng.choice(M, size=k, replace=False)
-        angles[sel] = rng.uniform(0.0, 2.0 * math.pi, k)
-        phases[sel] = rng.uniform(0.0, 2.0 * math.pi, k)
+        angles, phases, kx, ky, cis = _redraw(
+            env, (drawn["angles"], drawn["phases"]),
+            (derived["kx"], derived["ky"], derived["cis"]), sel,
+            rng.uniform(0.0, 2.0 * math.pi, k),
+            rng.uniform(0.0, 2.0 * math.pi, k))
         direct[dev_id] = {"angles": angles, "phases": phases,
-                          "los": ens["los"]}
-    return replace(env, ris_angles=ris_angles, ris_phases=ris_phases,
-                   direct=direct, perturbations=perturbations)
+                          "los": drawn["los"]}
+        waves[dev_id] = {"kx": kx, "ky": ky, "cis": cis}
+    return _shallow_copy(env, ris_angles=ris_angles, ris_phases=ris_phases,
+                         _ris_kx=ris_kx, _ris_ky=ris_ky, _ris_cis=ris_cis,
+                         direct=direct, _direct=waves,
+                         perturbations=perturbations)
+
+
+def _redraw(env: Environment, drawn, derived, at, angles, phases) -> list:
+    """An ensemble's angles, phases, kx, ky and cis as new frozen arrays.
+
+    ``drawn`` (angles, phases) and ``derived`` (kx, ky, cis) are the old
+    arrays; the entries at ``at`` take the redrawn ``angles`` and
+    ``phases`` and their waves.  The waves are elementwise, so only those
+    entries are derived, unless every one was redrawn.
+    """
+    def put(old, values):
+        arr = np.array(old)
+        arr[at] = values
+        return _freeze(arr)
+
+    new = [put(old, values) for old, values in zip(drawn, (angles, phases))]
+    if angles.size == new[0].size:
+        return new + list(env._waves(*new))
+    return new + [put(old, values) for old, values
+                  in zip(derived, env._waves(angles, phases))]
 
 
 def move_device(env: Environment, device_id: str, position) -> Environment:

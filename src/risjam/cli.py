@@ -306,8 +306,10 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--seed", type=int, default=None,
                      help="override the scenario master seed")
     run.add_argument("--threads", type=int, default=1,
-                     help="accepted for compatibility; rows run in order "
-                          "and results do not depend on it")
+                     help="accepted for compatibility and ignored: rows "
+                          "run in order, the heatmap and displacement grid "
+                          "field uses the process's CPUs, and results do "
+                          "not depend on either")
     run.add_argument("--format", choices=("csv", "json"), default="csv")
 
     validate = sub.add_parser("validate",

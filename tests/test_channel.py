@@ -1,10 +1,14 @@
 import json
 import math
+import sys
+import threading
+import time
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from risjam import channel
 from risjam.channel import (
     Position,
     direct_channel,
@@ -117,6 +121,84 @@ def test_batch_matches_per_point_evaluator(points):
     assert np.max(np.abs(batch - ref)) <= 1e-12 * rms
 
 
+# 77 elements: ten blocks, the last one short.  The grid holds x = 0 and
+# y = 0 exactly.
+_SPLIT_GRID = [Position(x, y, 1.0) for y in (-0.1, 0.0, 0.4)
+               for x in (-0.2, -0.07, 0.0, 0.11, 0.25)]
+
+
+def _split_env():
+    return synthesize_environment(
+        make_small_spec(n_elements=77, rician_k=2.0, pattern_diversity=0.5),
+        99)
+
+
+@pytest.mark.parametrize("device", ["A", None])
+def test_batch_is_byte_equal_at_every_thread_count(monkeypatch, device):
+    env = _split_env()
+    monkeypatch.setattr(channel, "_field_threads", lambda: 1)
+    serial = ris_subchannels_batch(env, _SPLIT_GRID, device=device)
+    # 64 is more threads than blocks.
+    for width in (2, 3, 64):
+        monkeypatch.setattr(channel, "_field_threads", lambda: width)
+        got = ris_subchannels_batch(env, _SPLIT_GRID, device=device)
+        assert got.tobytes() == serial.tobytes(), width
+
+
+class _FailingWaves(np.ndarray):
+    """Wave components whose block at element 40 cannot be read."""
+
+    def __getitem__(self, key):
+        if isinstance(key, tuple) and key[0] == slice(40, 48):
+            raise RuntimeError("block 40 failed")
+        return np.asarray(self)[key]
+
+
+@pytest.mark.parametrize("width", [1, 2, 3])
+def test_batch_block_error_propagates_after_every_thread_ends(monkeypatch,
+                                                              width):
+    env = _split_env()
+    env._ris_kx = env._ris_kx.view(_FailingWaves)
+    monkeypatch.setattr(channel, "_field_threads", lambda: width)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="block 40 failed"):
+        ris_subchannels_batch(env, _SPLIT_GRID, device="A")
+    assert threading.active_count() == before
+
+
+def test_thread_split_takes_every_item_once(monkeypatch):
+    # More threads than CPUs and a short switch interval, so threads
+    # interleave often; a lost or repeated take breaks the invariant.
+    monkeypatch.setattr(channel, "_field_threads", lambda: 8)
+    taken = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        channel._in_threads(taken.append, range(5000))
+    finally:
+        sys.setswitchinterval(interval)
+    assert sorted(taken) == list(range(5000))
+
+
+def test_thread_split_reraises_a_worker_error_and_stops(monkeypatch):
+    monkeypatch.setattr(channel, "_field_threads", lambda: 3)
+    main = threading.current_thread()
+    taken = []
+
+    def work(item):
+        taken.append(item)
+        time.sleep(0.01)
+        if threading.current_thread() is not main:
+            raise RuntimeError(f"worker failed on {item}")
+
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="worker failed"):
+        channel._in_threads(work, range(100))
+    assert threading.active_count() == before
+    # No thread takes an item once an error is recorded.
+    assert len(taken) < 10
+
+
 def test_energy_law_matches_path_loss():
     # Ensemble-average |h|^2 over many elements approaches PL(d).
     spec = make_small_spec(n_elements=768, scatter_count=256)
@@ -226,6 +308,32 @@ def test_perturbation_zero_is_identity(small_env):
                                   ris_subchannels(same, pos))
     assert ris_subchannels(same, pos).tobytes() \
         == ris_subchannels(built, pos).tobytes()
+
+
+@pytest.mark.parametrize("fraction", [0.1, 0.3, 1.0])
+def test_perturbation_derives_only_redrawn_waves(fraction):
+    # Byte-equal to the world dataclasses.replace builds from the same
+    # draws, which derives every wave again; unchanged arrays are shared.
+    env = _diverse_env()
+    perturbed = perturb_environment(env, fraction, 8)
+    built = replace(env, ris_angles=perturbed.ris_angles,
+                    ris_phases=perturbed.ris_phases, direct=perturbed.direct,
+                    perturbations=((fraction, 8),))
+    assert environments_equal(perturbed, built)
+    for name in ("_ris_kx", "_ris_ky", "_ris_cis"):
+        assert getattr(perturbed, name).tobytes() \
+            == getattr(built, name).tobytes()
+    assert perturbed._direct.keys() == built._direct.keys()
+    for key, waves in perturbed._direct.items():
+        for name, wave in waves.items():
+            assert wave.tobytes() == built._direct[key][name].tobytes()
+            assert not wave.flags.writeable
+    assert perturbed.ris_los is env.ris_los
+    assert perturbed.pattern_weights is env.pattern_weights
+    assert not np.array_equal(perturbed._ris_cis, env._ris_cis)
+    pos = Position(2.2, 1.7, 1.0)
+    assert ris_subchannels(perturbed, pos, device="A").tobytes() \
+        == ris_subchannels(built, pos, device="A").tobytes()
 
 
 def test_perturbation_full_decorrelates():

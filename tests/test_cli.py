@@ -603,6 +603,19 @@ def test_cli_import_loads_no_scipy():
     assert proc.stdout.strip() == "[]"
 
 
+def test_cli_import_starts_no_thread():
+    # The grid field starts its worker threads when it runs, never at import.
+    src = str(Path(risjam.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    code = ("import risjam.cli, sys, threading; print(sorted(m for m in "
+            "sys.modules if m.split('.')[0] == 'concurrent'), "
+            "threading.active_count())")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True)
+    assert proc.stdout.strip() == "[] 1"
+
+
 # -- env synth ----------------------------------------------------------------------
 
 
