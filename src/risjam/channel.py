@@ -40,8 +40,9 @@ _STREAM_PERTURB = 14
 ENV_FORMAT_VERSION = 1
 
 # Largest surface ensemble, n_elements * scatter_count plane waves, about
-# 50 times the desk surface (768 * 256).  The environment holds about six
-# float64 arrays of that size: 0.5 GB at the cap.
+# 50 times the desk surface (768 * 256).  The environment holds four
+# float64 arrays of that size (kx, ky and the complex cis): 0.3 GB at the
+# cap.
 MAX_ENSEMBLE_TERMS = 10_000_000
 
 # Surface elements per step of ris_subchannels_batch.  Bounds each
@@ -175,10 +176,15 @@ class EnvironmentSpec:
 class Environment:
     """Immutable synthesized radio world.
 
-    The drawn arrays (``ris_*``, ``direct`` per transmitter,
-    ``pattern_weights`` per device) are read-only.  Operations that change
-    the world (perturbation, moving a device) return a copy, which starts
-    with an empty gain-row memo (see ris_subchannels).
+    Each plane-wave ensemble is a record of the read-only arrays its field
+    is evaluated from: the wave-vector components ``kx`` and ``ky``, the
+    unit phasors ``cis`` and the line-of-sight (angle, phase) pair ``los``.
+    ``ris`` holds the L surface-element ensembles ((L, M) waves, (L, 2)
+    ``los``) and ``direct`` one per transmitter ((M,) waves, (2,) ``los``);
+    the drawn angles and phases are not kept.  ``pattern_weights`` (per
+    device) are read-only too.  Operations that change the world
+    (perturbation, moving a device) return a copy, which starts with an
+    empty gain-row memo (see ris_subchannels).
     """
 
     frequency_hz: float
@@ -192,9 +198,7 @@ class Environment:
     attacker_position: Position
     rician_k: float
     pattern_delta: float
-    ris_angles: np.ndarray
-    ris_phases: np.ndarray
-    ris_los: np.ndarray  # (L, 2): angle, phase
+    ris: dict[str, np.ndarray]
     direct: dict[str, dict[str, np.ndarray]]
     pattern_weights: dict[str, np.ndarray]
     perturbations: tuple[tuple[float, int], ...] = ()
@@ -209,19 +213,9 @@ class Environment:
         self.perturbations = tuple(self.perturbations)
         self.wavelength_m = SPEED_OF_LIGHT / self.frequency_hz
 
-        self.ris_angles = _freeze(self.ris_angles)
-        self.ris_phases = _freeze(self.ris_phases)
-        self.ris_los = _freeze(self.ris_los)
-        self._ris_kx, self._ris_ky, self._ris_cis = self._waves(
-            self.ris_angles, self.ris_phases)
-        self.direct = {key: {name: _freeze(ens[name])
-                             for name in ("angles", "phases", "los")}
+        self.ris = {name: _freeze(arr) for name, arr in self.ris.items()}
+        self.direct = {key: {name: _freeze(arr) for name, arr in ens.items()}
                        for key, ens in self.direct.items()}
-        # Per direct transmitter: the waves of its drawn ensemble.
-        self._direct = {}
-        for key, drawn in self.direct.items():
-            kx, ky, cis = self._waves(drawn["angles"], drawn["phases"])
-            self._direct[key] = {"kx": kx, "ky": ky, "cis": cis}
         self.pattern_weights = {key: _freeze(arr) for key, arr
                                 in self.pattern_weights.items()}
         self._rows: dict[tuple[str, Position], np.ndarray] = {}
@@ -231,7 +225,7 @@ class Environment:
     @property
     def kappa(self) -> float:
         """Wavenumber 2*pi/lambda."""
-        return 2.0 * math.pi / self.wavelength_m
+        return _wavenumber(self.frequency_hz)
 
     def entity_position(self, entity_id: str) -> Position:
         if entity_id == self.attacker_id:
@@ -245,11 +239,9 @@ class Environment:
         """Direct-transmitter ids in the documented draw order."""
         return sorted(self.devices) + [self.attacker_id]
 
-    def _waves(self, angles: np.ndarray, phases: np.ndarray):
-        """Wave-vector components and unit phasors of an ensemble."""
-        kap = self.kappa
-        return (_freeze(kap * np.cos(angles)), _freeze(kap * np.sin(angles)),
-                _freeze(np.exp(1j * phases)))
+
+def _wavenumber(frequency_hz: float) -> float:
+    return 2.0 * math.pi / (SPEED_OF_LIGHT / frequency_hz)
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -294,10 +286,24 @@ def _check_entity_distances(devices: dict[str, Position], attacker: Position,
                 )
 
 
-def _draw_ensemble_block(rng: np.random.Generator, shape) -> tuple[np.ndarray, ...]:
+def _draw(rng: np.random.Generator, shape) -> tuple[np.ndarray, np.ndarray]:
+    """Angles, then phases: two uniform [0, 2*pi) arrays of ``shape``."""
     angles = rng.uniform(0.0, 2.0 * math.pi, shape)
     phases = rng.uniform(0.0, 2.0 * math.pi, shape)
     return angles, phases
+
+
+def _waves(kappa: float, angles: np.ndarray, phases: np.ndarray):
+    """Wave-vector components kx, ky and unit phasors cis of plane waves."""
+    return kappa * np.cos(angles), kappa * np.sin(angles), np.exp(1j * phases)
+
+
+def _draw_ensemble(rng: np.random.Generator, kappa: float, shape) -> dict:
+    """The waves of ``shape`` angles and phases, then one line-of-sight
+    (angle, phase) pair per ensemble (``shape`` without its last axis)."""
+    kx, ky, cis = _waves(kappa, *_draw(rng, shape))
+    return {"kx": kx, "ky": ky, "cis": cis,
+            "los": np.stack(_draw(rng, shape[:-1]), axis=-1)}
 
 
 def synthesize_environment(spec: EnvironmentSpec, seed: int) -> Environment:
@@ -313,15 +319,10 @@ def synthesize_environment(spec: EnvironmentSpec, seed: int) -> Environment:
 
     L, M = spec.n_elements, spec.scatter_count
     rng = np.random.default_rng([seed, _STREAM_ENSEMBLES])
-
-    ris_angles, ris_phases = _draw_ensemble_block(rng, (L, M))
-    ris_los = np.column_stack(_draw_ensemble_block(rng, (L,)))
-
-    direct = {}
-    for dev_id in sorted(spec.devices) + [spec.attacker_id]:
-        angles, phases = _draw_ensemble_block(rng, (M,))
-        los = np.array(_draw_ensemble_block(rng, ()))
-        direct[dev_id] = {"angles": angles, "phases": phases, "los": los}
+    kap = _wavenumber(float(spec.frequency_hz))
+    ris = _draw_ensemble(rng, kap, (L, M))
+    direct = {dev_id: _draw_ensemble(rng, kap, (M,))
+              for dev_id in sorted(spec.devices) + [spec.attacker_id]}
 
     pattern_weights = {}
     if spec.pattern_diversity > 0:
@@ -345,9 +346,7 @@ def synthesize_environment(spec: EnvironmentSpec, seed: int) -> Environment:
         attacker_position=spec.attacker_position,
         rician_k=spec.rician_k,
         pattern_delta=spec.pattern_diversity,
-        ris_angles=ris_angles,
-        ris_phases=ris_phases,
-        ris_los=ris_los,
+        ris=ris,
         direct=direct,
         pattern_weights=pattern_weights,
     )
@@ -388,14 +387,26 @@ def _diffuse_field(kx, ky, cis, x, y, weights=None):
     return terms.sum(axis=-1) / math.sqrt(terms.shape[-1])
 
 
-def _combine_rician(env: Environment, diffuse, los_angle, los_phase, x, y):
+def _combine_rician(env: Environment, diffuse, los, x, y):
     if env.rician_k == 0.0:
         return diffuse
     k = env.rician_k
     kap = env.kappa
-    los = np.exp(1j * (kap * (np.cos(los_angle) * x + np.sin(los_angle) * y)
-                       + los_phase))
-    return math.sqrt(k / (k + 1.0)) * los + math.sqrt(1.0 / (k + 1.0)) * diffuse
+    angle, phase = los[..., 0], los[..., 1]
+    wave = np.exp(1j * (kap * (np.cos(angle) * x + np.sin(angle) * y)
+                        + phase))
+    return (math.sqrt(k / (k + 1.0)) * wave
+            + math.sqrt(1.0 / (k + 1.0)) * diffuse)
+
+
+def _field_at(env: Environment, ensemble: dict, distance_m: float,
+              pos: Position, weights=None):
+    """An ensemble's path-loss-scaled field at ``pos``, ``distance_m`` from
+    its transmitter."""
+    amp = math.sqrt(path_loss_gain(env, distance_m))
+    diffuse = _diffuse_field(ensemble["kx"], ensemble["ky"], ensemble["cis"],
+                             pos.x, pos.y, weights)
+    return amp * _combine_rician(env, diffuse, ensemble["los"], pos.x, pos.y)
 
 
 def ris_subchannels(env: Environment, position, device: str | None = None) -> np.ndarray:
@@ -414,13 +425,8 @@ def ris_subchannels(env: Environment, position, device: str | None = None) -> np
     key = (device, pos)
     if key in env._rows:
         return env._rows[key].copy()
-    d = env.attacker_position.distance_to(pos)
-    amp = math.sqrt(path_loss_gain(env, d))
-    weights = env.pattern_weights.get(device) if device is not None else None
-    diffuse = _diffuse_field(env._ris_kx, env._ris_ky, env._ris_cis,
-                             pos.x, pos.y, weights)
-    gains = amp * _combine_rician(env, diffuse, env.ris_los[:, 0],
-                                  env.ris_los[:, 1], pos.x, pos.y)
+    gains = _field_at(env, env.ris, env.attacker_position.distance_to(pos),
+                      pos, env.pattern_weights.get(device))
     if device is not None and env.devices.get(device) == pos:
         env._rows[key] = _freeze(gains.copy())
     return gains
@@ -463,7 +469,7 @@ def ris_subchannels_batch(env: Environment, positions,
 
     ux, ix = np.unique(pts[:, 0], return_inverse=True)
     uy, iy = np.unique(pts[:, 1], return_inverse=True)
-    kx, ky, cis = env._ris_kx, env._ris_ky, env._ris_cis
+    kx, ky, cis = env.ris["kx"], env.ris["ky"], env.ris["cis"]
     if device is not None and device in env.pattern_weights:
         cis = cis * env.pattern_weights[device]
     out = np.empty((len(pts), L), dtype=complex)
@@ -477,8 +483,7 @@ def ris_subchannels_batch(env: Environment, positions,
 
     _in_threads(block, range(0, L, _BATCH_BLOCK))
     out /= math.sqrt(M)
-    out = _combine_rician(env, out, env.ris_los[:, 0], env.ris_los[:, 1],
-                          pts[:, :1], pts[:, 1:2])
+    out = _combine_rician(env, out, env.ris["los"], pts[:, :1], pts[:, 1:2])
     # In place: saves one (P, L) complex temporary.
     return np.multiply(amps[:, None], out, out=out)
 
@@ -538,19 +543,13 @@ def direct_channel(env: Environment, source: str, position) -> complex:
     if source != env.attacker_id and source not in env.devices:
         raise KeyError(f"unknown source id {source!r}")
     pos = as_position(position)
-    src_pos = env.entity_position(source)
-    d = src_pos.distance_to(pos)
+    d = env.entity_position(source).distance_to(pos)
     if d <= MIN_ENTITY_DISTANCE:
         raise ValueError(
             f"evaluation position coincides with source {source!r} "
             f"(distance {d} m below minimum)"
         )
-    amp = math.sqrt(path_loss_gain(env, d))
-    waves, los = env._direct[source], env.direct[source]["los"]
-    diffuse = _diffuse_field(waves["kx"], waves["ky"], waves["cis"],
-                             pos.x, pos.y)
-    gain = _combine_rician(env, diffuse, los[0], los[1], pos.x, pos.y)
-    return complex(amp * gain)
+    return complex(_field_at(env, env.direct[source], d, pos))
 
 
 def received_rssi(env: Environment, power_at_antenna_dbm, rng=None,
@@ -598,29 +597,20 @@ def spatial_correlation(env: Environment, base, displacements,
         raise ValueError("realizations must be >= 100")
     base_pos = as_position(base)
     disp = np.asarray(list(displacements), dtype=float)
-    kap = env.kappa
-    M = env.scatter_count
     rng = np.random.default_rng([env.master_seed, _STREAM_CORRELATION])
 
-    xs = base_pos.x + disp                      # (D,)
+    xs = (base_pos.x + disp)[:, None]           # (D, 1)
     num = np.zeros(len(disp), dtype=complex)
     den_d = np.zeros(len(disp))
     den_0 = 0.0
-    chunk = max(1, min(realizations, 200))
     remaining = realizations
     while remaining > 0:
-        r = min(chunk, remaining)
+        r = min(200, remaining)
         remaining -= r
-        angles = rng.uniform(0.0, 2.0 * math.pi, (r, M))
-        phases = rng.uniform(0.0, 2.0 * math.pi, (r, M))
-        kx = kap * np.cos(angles)               # (r, M)
-        ky = kap * np.sin(angles)
-        base_term = np.exp(1j * (kx * base_pos.x + ky * base_pos.y + phases))
-        f0 = base_term.sum(axis=1) / math.sqrt(M)           # (r,)
-        # (r, M, D) phase tensor for the displaced points
-        ph = kx[:, :, None] * xs[None, None, :] \
-            + (ky * base_pos.y + phases)[:, :, None]
-        fd = np.exp(1j * ph).sum(axis=1) / math.sqrt(M)     # (r, D)
+        kx, ky, cis = _waves(env.kappa, *_draw(rng, (r, env.scatter_count)))
+        f0 = _diffuse_field(kx, ky, cis, base_pos.x, base_pos.y)      # (r,)
+        fd = _diffuse_field(kx[:, None], ky[:, None], cis[:, None], xs,
+                            base_pos.y)                               # (r, D)
         num += (np.conj(f0)[:, None] * fd).sum(axis=0)
         den_0 += float((np.abs(f0) ** 2).sum())
         den_d += (np.abs(fd) ** 2).sum(axis=0)
@@ -636,10 +626,11 @@ def perturb_environment(env: Environment, fraction: float, seed: int) -> Environ
     """Re-draw angle and phase of ceil(fraction*M) scatterers per ensemble.
 
     The copy shares every unchanged array with ``env``, as move_device
-    does, and derives the waves of the redrawn scatterers only; a fraction
-    that redraws nothing (fraction 0) returns a bit-identical world.
-    Fraction 1 fully decorrelates every ensemble.  Deterministic given the
-    seed.
+    does: each ensemble's ``kx``, ``ky`` and ``cis`` are copied with the
+    waves of the redrawn scatterers set, and its ``los`` is shared.  A
+    fraction that redraws nothing (fraction 0) returns a bit-identical
+    world.  Fraction 1 fully decorrelates every ensemble.  Deterministic
+    given the seed.
     """
     fraction = _number_param({"fraction": fraction}, "fraction", prefix="",
                              low=0, high=1)
@@ -651,59 +642,38 @@ def perturb_environment(env: Environment, fraction: float, seed: int) -> Environ
         return _shallow_copy(env, perturbations=perturbations)
 
     rng = np.random.default_rng([seed, _STREAM_PERTURB])
-    L = env.n_elements
-    # Per-row index choice without replacement, vectorized across rows.
+    L, kap = env.n_elements, env.kappa
+    # Per-row index choice without replacement, vectorized across rows,
+    # as flat indices into the (L, M) arrays.
     idx = np.argpartition(rng.random((L, M)), k - 1, axis=1)[:, :k]
-    at = (np.arange(L)[:, None], idx)
-    ris_angles, ris_phases, ris_kx, ris_ky, ris_cis = _redraw(
-        env, (env.ris_angles, env.ris_phases),
-        (env._ris_kx, env._ris_ky, env._ris_cis), at,
-        rng.uniform(0.0, 2.0 * math.pi, (L, k)),
-        rng.uniform(0.0, 2.0 * math.pi, (L, k)))
-
-    direct, waves = {}, {}
+    ris = _redraw(env.ris, (np.arange(L)[:, None] * M + idx).ravel(),
+                  _waves(kap, *_draw(rng, (L, k))))
+    direct = {}
     for dev_id in env.direct_ids():
-        drawn, derived = env.direct[dev_id], env._direct[dev_id]
         sel = rng.choice(M, size=k, replace=False)
-        angles, phases, kx, ky, cis = _redraw(
-            env, (drawn["angles"], drawn["phases"]),
-            (derived["kx"], derived["ky"], derived["cis"]), sel,
-            rng.uniform(0.0, 2.0 * math.pi, k),
-            rng.uniform(0.0, 2.0 * math.pi, k))
-        direct[dev_id] = {"angles": angles, "phases": phases,
-                          "los": drawn["los"]}
-        waves[dev_id] = {"kx": kx, "ky": ky, "cis": cis}
-    return _shallow_copy(env, ris_angles=ris_angles, ris_phases=ris_phases,
-                         _ris_kx=ris_kx, _ris_ky=ris_ky, _ris_cis=ris_cis,
-                         direct=direct, _direct=waves,
+        direct[dev_id] = _redraw(env.direct[dev_id], sel,
+                                 _waves(kap, *_draw(rng, k)))
+    return _shallow_copy(env, ris=ris, direct=direct,
                          perturbations=perturbations)
 
 
-def _redraw(env: Environment, drawn, derived, at, angles, phases) -> list:
-    """An ensemble's angles, phases, kx, ky and cis as new frozen arrays.
-
-    ``drawn`` (angles, phases) and ``derived`` (kx, ky, cis) are the old
-    arrays; the entries at ``at`` take the redrawn ``angles`` and
-    ``phases`` and their waves.  The waves are elementwise, so only those
-    entries are derived, unless every one was redrawn.
-    """
-    def put(old, values):
-        arr = np.array(old)
-        arr[at] = values
-        return _freeze(arr)
-
-    new = [put(old, values) for old, values in zip(drawn, (angles, phases))]
-    if angles.size == new[0].size:
-        return new + list(env._waves(*new))
-    return new + [put(old, values) for old, values
-                  in zip(derived, env._waves(angles, phases))]
+def _redraw(ensemble: dict, at: np.ndarray, waves) -> dict:
+    """A copy of ``ensemble`` whose ``kx``, ``ky`` and ``cis`` take the
+    redrawn ``waves`` (in row-major order) at the flat indices ``at``;
+    ``los`` is shared."""
+    new = dict(ensemble)
+    for name, values in zip(("kx", "ky", "cis"), waves):
+        arr = ensemble[name].copy()
+        arr.reshape(-1)[at] = values.reshape(-1)
+        new[name] = _freeze(arr)
+    return new
 
 
 def move_device(env: Environment, device_id: str, position) -> Environment:
     """Return a world with one device relocated; all ensembles are kept.
 
-    The ensembles' derived waves do not depend on the roster, so the copy
-    shares them; it starts with an empty gain-row memo.
+    The ensembles do not depend on the roster, so the copy shares them; it
+    starts with an empty gain-row memo.
     """
     if device_id not in env.devices:
         raise KeyError(f"unknown device id {device_id!r}")
@@ -716,7 +686,7 @@ def move_device(env: Environment, device_id: str, position) -> Environment:
 
 def _shallow_copy(env: Environment, **changes) -> Environment:
     """A copy with ``changes`` applied that shares the frozen ensembles and
-    their derived waves, and starts with an empty gain-row memo."""
+    starts with an empty gain-row memo."""
     out = copy.copy(env)
     for name, value in changes.items():
         setattr(out, name, value)

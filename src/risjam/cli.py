@@ -22,6 +22,7 @@ from .scenarios import (
     RunResult,
     ScenarioError,
     ScenarioSpec,
+    read_json,
     run_scenario,
     scenario_from_dict,
     scenario_to_dict,
@@ -37,26 +38,7 @@ EXIT_RUNTIME = 3
 def parse_scenario(path) -> ScenarioSpec:
     """Load, validate, and default-fill a scenario JSON file."""
     path = Path(path)
-    try:
-        text = path.read_text()
-    except OSError as exc:
-        raise ScenarioError(f"cannot read scenario file: {exc}") from exc
-
-    def reject_duplicates(pairs):
-        seen = set()
-        out = {}
-        for key, value in pairs:
-            if key in seen:
-                raise ScenarioError(f"duplicate key {key!r} in scenario "
-                                    f"document")
-            seen.add(key)
-            out[key] = value
-        return out
-
-    try:
-        doc = json.loads(text, object_pairs_hook=reject_duplicates)
-    except json.JSONDecodeError as exc:
-        raise ScenarioError(f"invalid JSON: {exc}") from exc
+    doc = read_json(path, "scenario")
     if isinstance(doc, dict) and "name" not in doc:
         doc["name"] = path.stem
     return scenario_from_dict(doc, base_dir=path.parent)
@@ -363,12 +345,8 @@ def main(argv=None) -> int:
             print(json.dumps(report, sort_keys=True, indent=1))
             return EXIT_OK
         if args.command == "env" and args.env_command == "synth":
-            doc = {}
-            if args.spec is not None:
-                try:
-                    doc = json.loads(Path(args.spec).read_text())
-                except json.JSONDecodeError as exc:
-                    raise ScenarioError(f"invalid JSON: {exc}") from exc
+            doc = {} if args.spec is None \
+                else read_json(args.spec, "environment spec")
             env = synthesize_environment(_environment_spec_from_dict(doc),
                                          args.seed)
             save_environment(env, args.out)

@@ -13,6 +13,7 @@ is bit-reproducible.
 
 from __future__ import annotations
 
+import json
 import math
 import re
 from dataclasses import (MISSING, asdict, dataclass, field, fields,
@@ -34,7 +35,6 @@ from .channel import (
     direct_channel,
     environment_from_dict,
     environment_to_dict,
-    load_environment,
     move_device,
     path_loss_gain,
     perturb_environment,
@@ -1276,13 +1276,40 @@ def _stored_environment(doc: Mapping, base_dir) -> Environment:
         key, source = "environment_file", doc["environment_file"]
         if not isinstance(source, str):
             raise ScenarioError("must be a file path", key)
+        source = read_json(Path(base_dir or ".") / source, "environment", key)
     try:
-        if key == "environment_document":
-            return environment_from_dict(source)
-        return load_environment(Path(base_dir or ".") / source)
+        return environment_from_dict(source)
     except (AttributeError, KeyError, OSError, OverflowError, TypeError,
             ValueError) as exc:
         raise ScenarioError(f"not a stored environment: {exc}", key) from exc
+
+
+def read_json(path, what: str, fieldpath: str = ""):
+    """The JSON document in the file at ``path``.
+
+    A file that cannot be read, invalid JSON and a key given twice in one
+    object raise ScenarioError, naming ``what`` (as in "scenario") and
+    ``fieldpath``.
+    """
+    try:
+        text = Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ScenarioError(f"cannot read {what} file: {exc}",
+                            fieldpath) from exc
+
+    def reject_duplicates(pairs):
+        out = {}
+        for key, value in pairs:
+            if key in out:
+                raise ScenarioError(f"duplicate key {key!r} in {what} "
+                                    f"document", fieldpath)
+            out[key] = value
+        return out
+
+    try:
+        return json.loads(text, object_pairs_hook=reject_duplicates)
+    except json.JSONDecodeError as exc:
+        raise ScenarioError(f"invalid JSON: {exc}", fieldpath) from exc
 
 
 def _environment_spec_from_dict(env_doc: Mapping) -> EnvironmentSpec:

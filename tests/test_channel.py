@@ -56,9 +56,16 @@ def test_different_seed_changes_ensembles():
 def test_ensemble_counting():
     # 4 devices in the roster plus the attacker: 5 direct ensembles
     env = synthesize_environment(make_small_spec(n_elements=24), 3)
-    assert env.ris_angles.shape == (24, 32)
-    assert len(env._direct) == 5
-    assert env.attacker_id in env._direct
+    assert len(env.direct) == 5
+    assert env.attacker_id in env.direct
+    for ensemble, waves in [(env.ris, (24, 32))] + [
+            (ens, (32,)) for ens in env.direct.values()]:
+        assert ensemble.keys() == {"kx", "ky", "cis", "los"}
+        for name in ("kx", "ky", "cis"):
+            assert ensemble[name].shape == waves
+            assert not ensemble[name].flags.writeable
+        assert ensemble["los"].shape == waves[:-1] + (2,)
+        assert not ensemble["los"].flags.writeable
 
 
 def test_desk_roster_ensemble_counting():
@@ -66,8 +73,8 @@ def test_desk_roster_ensemble_counting():
     # 12 direct ensembles (11 devices and the attacker)
     from risjam.scenarios import desk_environment_spec
     env = synthesize_environment(desk_environment_spec(), 1)
-    assert env.ris_angles.shape[0] == 768
-    assert len(env._direct) == 12
+    assert env.ris["kx"].shape[0] == 768
+    assert len(env.direct) == 12
 
 
 def test_duplicate_device_ids_rejected():
@@ -158,7 +165,7 @@ class _FailingWaves(np.ndarray):
 def test_batch_block_error_propagates_after_every_thread_ends(monkeypatch,
                                                               width):
     env = _split_env()
-    env._ris_kx = env._ris_kx.view(_FailingWaves)
+    env.ris = dict(env.ris, kx=env.ris["kx"].view(_FailingWaves))
     monkeypatch.setattr(channel, "_field_threads", lambda: width)
     before = threading.active_count()
     with pytest.raises(RuntimeError, match="block 40 failed"):
@@ -301,8 +308,8 @@ def test_perturbation_zero_is_identity(small_env):
     assert environments_equal(same, built)
     assert small_env.perturbations == ()
     assert small_env._rows and same._rows == {}
-    assert same._ris_cis is small_env._ris_cis
-    assert same._direct is small_env._direct
+    assert same.ris is small_env.ris
+    assert same.direct is small_env.direct
     pos = Position(2.2, 1.7, 1.0)
     np.testing.assert_array_equal(ris_subchannels(small_env, pos),
                                   ris_subchannels(same, pos))
@@ -310,27 +317,57 @@ def test_perturbation_zero_is_identity(small_env):
         == ris_subchannels(built, pos).tobytes()
 
 
+def _replayed_perturbation(env, fraction, seed):
+    """The redrawn waves of perturb_environment, replayed from its documented
+    draw order: the surface's argpartition rows, its uniform angles and
+    phases, then per direct transmitter (sorted ids, attacker last) a choice
+    of scatterers and their angles and phases."""
+    L, M = env.n_elements, env.scatter_count
+    k = math.ceil(fraction * M)
+    rng = np.random.default_rng([seed, channel._STREAM_PERTURB])
+
+    def redrawn(ensemble, at, shape):
+        angles = rng.uniform(0.0, 2.0 * math.pi, shape)
+        phases = rng.uniform(0.0, 2.0 * math.pi, shape)
+        waves = {name: np.array(ensemble[name])
+                 for name in ("kx", "ky", "cis")}
+        waves["kx"][at] = env.kappa * np.cos(angles)
+        waves["ky"][at] = env.kappa * np.sin(angles)
+        waves["cis"][at] = np.exp(1j * phases)
+        return waves
+
+    rows = np.argpartition(rng.random((L, M)), k - 1, axis=1)[:, :k]
+    ris = redrawn(env.ris, (np.arange(L)[:, None], rows), (L, k))
+    direct = {}
+    for key in sorted(env.devices) + [env.attacker_id]:
+        direct[key] = redrawn(env.direct[key],
+                              rng.choice(M, size=k, replace=False), k)
+    return ris, direct
+
+
 @pytest.mark.parametrize("fraction", [0.1, 0.3, 1.0])
 def test_perturbation_derives_only_redrawn_waves(fraction):
-    # Byte-equal to the world dataclasses.replace builds from the same
-    # draws, which derives every wave again; unchanged arrays are shared.
+    # Byte-equal to a replay of the documented draws; unchanged arrays are
+    # shared.
     env = _diverse_env()
     perturbed = perturb_environment(env, fraction, 8)
-    built = replace(env, ris_angles=perturbed.ris_angles,
-                    ris_phases=perturbed.ris_phases, direct=perturbed.direct,
+    ris, direct = _replayed_perturbation(env, fraction, 8)
+    assert perturbed.direct.keys() == direct.keys()
+    for got, want, old in [(perturbed.ris, ris, env.ris)] + [
+            (perturbed.direct[key], waves, env.direct[key])
+            for key, waves in direct.items()]:
+        assert got.keys() == old.keys()
+        for name, wave in want.items():
+            assert got[name].tobytes() == wave.tobytes()
+            assert not got[name].flags.writeable
+        assert got["los"] is old["los"]
+    assert perturbed.pattern_weights is env.pattern_weights
+    assert not np.array_equal(perturbed.ris["cis"], env.ris["cis"])
+    built = replace(env, ris=dict(env.ris, **ris),
+                    direct={key: dict(env.direct[key], **waves)
+                            for key, waves in direct.items()},
                     perturbations=((fraction, 8),))
     assert environments_equal(perturbed, built)
-    for name in ("_ris_kx", "_ris_ky", "_ris_cis"):
-        assert getattr(perturbed, name).tobytes() \
-            == getattr(built, name).tobytes()
-    assert perturbed._direct.keys() == built._direct.keys()
-    for key, waves in perturbed._direct.items():
-        for name, wave in waves.items():
-            assert wave.tobytes() == built._direct[key][name].tobytes()
-            assert not wave.flags.writeable
-    assert perturbed.ris_los is env.ris_los
-    assert perturbed.pattern_weights is env.pattern_weights
-    assert not np.array_equal(perturbed._ris_cis, env._ris_cis)
     pos = Position(2.2, 1.7, 1.0)
     assert ris_subchannels(perturbed, pos, device="A").tobytes() \
         == ris_subchannels(built, pos, device="A").tobytes()

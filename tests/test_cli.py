@@ -652,6 +652,61 @@ def test_env_synth_malformed_spec_exits_2(tmp_path, capsys):
     assert not (tmp_path / "env.json").exists()
 
 
+# Unreadable files, invalid JSON and duplicate keys, for any file the CLI
+# is handed.
+_BAD_FILES = {
+    "missing": None,
+    "directory": "",
+    "not-utf8": b"\xff\xfe{}",
+    "invalid-json": "{nope",
+}
+
+
+def _write_bad_file(path, content):
+    if content == "":
+        path.mkdir()
+    elif isinstance(content, bytes):
+        path.write_bytes(content)
+    elif content is not None:
+        path.write_text(content)
+
+
+@pytest.mark.parametrize("content", [
+    *_BAD_FILES.values(), '{"n_elements": 16, "n_elements": 32}'],
+    ids=[*_BAD_FILES, "duplicate-key"])
+def test_env_synth_unreadable_spec_exits_2(tmp_path, capsys, content):
+    spec_path = tmp_path / "envspec.json"
+    _write_bad_file(spec_path, content)
+    rc = main(["env", "synth", "--spec", str(spec_path), "--seed", "5",
+               "--out", str(tmp_path / "env.json")])
+    assert rc == EXIT_VALIDATION
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert json.loads(err[0])["error"] == "ScenarioError"
+    assert not (tmp_path / "env.json").exists()
+
+
+@pytest.mark.parametrize("content", [
+    *_BAD_FILES.values(),
+    json.dumps(SMALL_WORLD)[:-1] + f', "seed": {SMALL_WORLD["seed"]}}}'],
+    ids=[*_BAD_FILES, "duplicate-seed"])
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_unreadable_environment_file_exits_2_before_search(
+        tmp_path, capsys, no_search, command, content):
+    _write_bad_file(tmp_path / "world.json", content)
+    doc = dict(WORLDLESS, environment_file="world.json")
+    _assert_exits_2(tmp_path, capsys, command, write_scenario(tmp_path, doc),
+                    "environment_file")
+    assert not (tmp_path / "out").exists()
+
+
+def test_unreadable_scenario_exits_2(tmp_path, capsys):
+    path = tmp_path / "scenario.json"
+    path.write_bytes(_BAD_FILES["not-utf8"])
+    assert main(["validate", str(path)]) == EXIT_VALIDATION
+    assert len(capsys.readouterr().err.splitlines()) == 1
+
+
 @pytest.mark.parametrize("spec_doc,field", [
     ({"scatter_count": "x"}, "environment.scatter_count"),
     ({"scatter_count": 10 ** 13}, "environment"),
