@@ -21,6 +21,7 @@ import numbers
 import os
 import threading
 from dataclasses import dataclass, fields
+from pathlib import Path
 from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -294,8 +295,19 @@ def _draw(rng: np.random.Generator, shape) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _waves(kappa: float, angles: np.ndarray, phases: np.ndarray):
-    """Wave-vector components kx, ky and unit phasors cis of plane waves."""
-    return kappa * np.cos(angles), kappa * np.sin(angles), np.exp(1j * phases)
+    """Wave-vector components kx, ky and unit phasors cis of plane waves.
+
+    Each is computed in its own array, with no full-size temporary; the
+    values are those of kappa * cos(angles), kappa * sin(angles) and
+    exp(1j * phases).
+    """
+    kx = np.cos(angles)
+    kx *= kappa
+    ky = np.sin(angles)
+    ky *= kappa
+    cis = np.multiply(1j, phases)
+    np.exp(cis, out=cis)
+    return kx, ky, cis
 
 
 def _draw_ensemble(rng: np.random.Generator, kappa: float, shape) -> dict:
@@ -380,8 +392,12 @@ def path_loss_db(env: Environment, distance_m: float) -> float:
 
 def _diffuse_field(kx, ky, cis, x, y, weights=None):
     # kx, ky, cis: (..., M) arrays; returns the unit-mean-power scattered sum.
-    phase = kx * x + ky * y
-    terms = cis * np.exp(1j * phase)
+    # The phase is inline, so its float array is freed before the
+    # exponential.  The product stays as written, not in place or blocked:
+    # from 256 KiB NumPy's temporary elision computes it as exp(...) * cis,
+    # and a complex product is not bitwise commutative, so another form
+    # would move the last bits of every gain row.
+    terms = cis * np.exp(1j * (kx * x + ky * y))
     if weights is not None:
         terms = terms * weights
     return terms.sum(axis=-1) / math.sqrt(terms.shape[-1])
@@ -780,9 +796,36 @@ def environment_from_dict(doc: dict) -> Environment:
     return env
 
 
+def read_json(path, what: str, fieldpath: str = ""):
+    """The JSON document in the file at ``path``.
+
+    A file that cannot be read, invalid JSON and a key given twice in one
+    object raise ScenarioError, naming ``what`` (as in "scenario") and
+    ``fieldpath``.
+    """
+    try:
+        text = Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ScenarioError(f"cannot read {what} file: {exc}",
+                            fieldpath) from exc
+
+    def reject_duplicates(pairs):
+        out = {}
+        for key, value in pairs:
+            if key in out:
+                raise ScenarioError(f"duplicate key {key!r} in {what} "
+                                    f"document", fieldpath)
+            out[key] = value
+        return out
+
+    try:
+        return json.loads(text, object_pairs_hook=reject_duplicates)
+    except json.JSONDecodeError as exc:
+        raise ScenarioError(f"invalid JSON: {exc}", fieldpath) from exc
+
+
 def load_environment(path) -> Environment:
-    with open(path) as fh:
-        return environment_from_dict(json.load(fh))
+    return environment_from_dict(read_json(path, "environment"))
 
 
 def environments_equal(a: Environment, b: Environment) -> bool:

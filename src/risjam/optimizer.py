@@ -251,25 +251,65 @@ def optimizer_step(state: OptimizerState, oracle: MeasurementOracle) -> Optimize
     return state
 
 
-@dataclass
-class Trace:
-    """Per-step best-cost / best-configuration records (index 0 = post-init)."""
+# Set bits of each byte value, for Hamming distances of packed rows.
+_POPCOUNT = np.array([bin(v).count("1") for v in range(256)], dtype=np.uint8)
 
-    best_cost: np.ndarray       # (steps + 1,)
-    worst_cost: np.ndarray      # (steps + 1,)
-    best_bits: np.ndarray       # (steps + 1, L) uint8
-    reeval_period: int
+# Best configurations run_optimizer gathers as uint8 rows before packing.
+_TRACE_CHUNK = 256
+
+
+def _pack(rows: np.ndarray) -> np.ndarray:
+    """(n, L) 0/1 rows, 8 bits per byte; bits[0] is the most significant."""
+    return np.packbits(rows, axis=1, bitorder="big")
+
+
+class Trace:
+    """Per-step best-cost / best-configuration records (index 0 = post-init).
+
+    Each step's best configuration is held packed, as ``packed``: a
+    (steps + 1, ceil(L / 8)) uint8 array, 8 bits per byte with bits[0] the
+    most significant (as in RisConfig.to_hex).  The constructor packs the
+    (steps + 1, L) 0/1 rows it is given.
+    """
+
+    def __init__(self, best_cost: np.ndarray, worst_cost: np.ndarray,
+                 best_bits: np.ndarray, reeval_period: int):
+        bits = np.asarray(best_bits)
+        self._set(best_cost, worst_cost, _pack(bits), bits.shape[1],
+                  reeval_period)
+
+    @classmethod
+    def _from_packed(cls, best_cost, worst_cost, packed, n_elements,
+                     reeval_period) -> "Trace":
+        trace = cls.__new__(cls)
+        trace._set(best_cost, worst_cost, packed, n_elements, reeval_period)
+        return trace
+
+    def _set(self, best_cost, worst_cost, packed, n_elements, reeval_period):
+        self.best_cost = best_cost        # (steps + 1,)
+        self.worst_cost = worst_cost      # (steps + 1,)
+        self.packed = packed              # (steps + 1, ceil(L / 8)) uint8
+        self.n_elements = n_elements
+        self.reeval_period = reeval_period
 
     @property
     def n_steps(self) -> int:
         return len(self.best_cost) - 1
 
+    @property
+    def best_bits(self) -> np.ndarray:
+        """The (steps + 1, L) uint8 rows; allocates the full array on each
+        access."""
+        return np.unpackbits(self.packed, axis=1, count=self.n_elements,
+                             bitorder="big")
+
     def final_config(self) -> RisConfig:
-        return RisConfig(self.best_bits[-1])
+        return RisConfig(np.unpackbits(self.packed[-1], count=self.n_elements,
+                                       bitorder="big"))
 
     def hamming_to_final(self) -> np.ndarray:
-        final = self.best_bits[-1]
-        return (self.best_bits != final[None, :]).sum(axis=1)
+        diff = self.packed ^ self.packed[-1]
+        return _POPCOUNT[diff].sum(axis=1, dtype=int)
 
     def cost_drop_steps(self) -> np.ndarray:
         """Steps at which the recorded best cost decreased."""
@@ -277,14 +317,13 @@ class Trace:
         return drops
 
     def write_csv(self, path) -> None:
-        # Each row's hex is RisConfig.to_hex of its bits, packed at once.
-        packed = np.packbits(self.best_bits, axis=1, bitorder="big")
-        n_chars = math.ceil(self.best_bits.shape[1] / 4)
+        # Each row's hex is RisConfig.to_hex of its bits.
+        n_chars = math.ceil(self.n_elements / 4)
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["step", "best_cost", "best_config_hex",
                              "table_worst_cost"])
-            for step, row in enumerate(packed):
+            for step, row in enumerate(self.packed):
                 writer.writerow([
                     step,
                     format(self.best_cost[step], ".10g"),
@@ -299,7 +338,12 @@ def run_optimizer(table_size: int, steps: int, n_elements: int,
                   epsilon: float = DEFAULT_EPSILON,
                   reeval_period: int = DEFAULT_REEVAL_PERIOD,
                   noise_floor_dbm: float = -95.0) -> tuple[RisConfig, Trace]:
-    """Initialized search for the given number of steps; returns best + trace."""
+    """Initialized search for the given number of steps; returns best + trace.
+
+    Each step's best configuration is copied into a block of _TRACE_CHUNK
+    uint8 rows, and each full block is packed into the trace, so the
+    search never holds a (steps + 1, L) byte array.
+    """
     if steps < 0:
         raise ValueError("steps must be >= 0")
     state = optimizer_init(table_size, n_elements, oracle, seed,
@@ -308,17 +352,20 @@ def run_optimizer(table_size: int, steps: int, n_elements: int,
                            noise_floor_dbm=noise_floor_dbm)
     best_cost = np.empty(steps + 1)
     worst_cost = np.empty(steps + 1)
-    best_bits = np.empty((steps + 1, n_elements), dtype=np.uint8)
-    best_cost[0] = state.best_cost()
-    worst_cost[0] = state.worst_cost()
-    best_bits[0] = state.bits[0]
-    for i in range(1, steps + 1):
-        optimizer_step(state, oracle)
+    packed = np.empty((steps + 1, (n_elements + 7) // 8), dtype=np.uint8)
+    rows = np.empty((min(_TRACE_CHUNK, steps + 1), n_elements),
+                    dtype=np.uint8)
+    for i in range(steps + 1):
+        if i:
+            optimizer_step(state, oracle)
         best_cost[i] = state.best_cost()
         worst_cost[i] = state.worst_cost()
-        best_bits[i] = state.bits[0]
-    trace = Trace(best_cost=best_cost, worst_cost=worst_cost,
-                  best_bits=best_bits, reeval_period=reeval_period)
+        j = i % _TRACE_CHUNK
+        rows[j] = state.bits[0]
+        if j == _TRACE_CHUNK - 1 or i == steps:
+            packed[i - j:i + 1] = _pack(rows[:j + 1])
+    trace = Trace._from_packed(best_cost, worst_cost, packed, n_elements,
+                               reeval_period)
     return state.best_config(), trace
 
 

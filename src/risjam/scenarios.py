@@ -13,7 +13,6 @@ is bit-reproducible.
 
 from __future__ import annotations
 
-import json
 import math
 import re
 from dataclasses import (MISSING, asdict, dataclass, field, fields,
@@ -38,6 +37,7 @@ from .channel import (
     move_device,
     path_loss_gain,
     perturb_environment,
+    read_json,
     received_rssi,
     ris_subchannels,
     ris_subchannels_batch,
@@ -70,7 +70,7 @@ _TINY_GAIN = 1e-30
 MAX_SCAN_POINTS = 100_000
 # Largest search, in table or trace bits: table_size * n_elements and
 # (steps + 1) * n_elements.  The table holds float32 bits (400 MB at the
-# cap) and the trace one uint8 configuration per step (100 MB).
+# cap) and the trace one packed configuration per step (12.5 MB).
 MAX_SEARCH_BITS = 100_000_000
 
 
@@ -1282,34 +1282,6 @@ def _stored_environment(doc: Mapping, base_dir) -> Environment:
     except (AttributeError, KeyError, OSError, OverflowError, TypeError,
             ValueError) as exc:
         raise ScenarioError(f"not a stored environment: {exc}", key) from exc
-
-
-def read_json(path, what: str, fieldpath: str = ""):
-    """The JSON document in the file at ``path``.
-
-    A file that cannot be read, invalid JSON and a key given twice in one
-    object raise ScenarioError, naming ``what`` (as in "scenario") and
-    ``fieldpath``.
-    """
-    try:
-        text = Path(path).read_text()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ScenarioError(f"cannot read {what} file: {exc}",
-                            fieldpath) from exc
-
-    def reject_duplicates(pairs):
-        out = {}
-        for key, value in pairs:
-            if key in out:
-                raise ScenarioError(f"duplicate key {key!r} in {what} "
-                                    f"document", fieldpath)
-            out[key] = value
-        return out
-
-    try:
-        return json.loads(text, object_pairs_hook=reject_duplicates)
-    except json.JSONDecodeError as exc:
-        raise ScenarioError(f"invalid JSON: {exc}", fieldpath) from exc
 
 
 def _environment_spec_from_dict(env_doc: Mapping) -> EnvironmentSpec:

@@ -11,6 +11,7 @@ import pytest
 from risjam import channel
 from risjam.channel import (
     Position,
+    ScenarioError,
     direct_channel,
     environment_from_dict,
     environment_to_dict,
@@ -299,6 +300,36 @@ def test_spatial_correlation_needs_realizations(small_env):
         spatial_correlation(small_env, Position(2, 1, 1), [0.01], 50)
 
 
+@pytest.mark.parametrize("n_elements, scatter_count", [(16, 32), (77, 256)])
+def test_synthesis_waves_match_replayed_draws(n_elements, scatter_count):
+    # Byte-equal to the plain expressions of a replay of the documented
+    # draw order: the surface's angles and phases, its line-of-sight
+    # pairs, then per direct transmitter (sorted ids, attacker last) the
+    # same three draws.
+    env = synthesize_environment(
+        make_small_spec(n_elements=n_elements, scatter_count=scatter_count),
+        21)
+    rng = np.random.default_rng([21, channel._STREAM_ENSEMBLES])
+    kappa = env.kappa
+
+    def replayed(shape):
+        angles, phases = channel._draw(rng, shape)
+        return {"kx": kappa * np.cos(angles), "ky": kappa * np.sin(angles),
+                "cis": np.exp(1j * phases),
+                "los": np.stack(channel._draw(rng, shape[:-1]), axis=-1)}
+
+    want = {"ris": replayed((n_elements, scatter_count))}
+    for key in env.direct_ids():
+        want[key] = replayed((scatter_count,))
+    assert list(env.direct) == env.direct_ids()
+    for key, waves in want.items():
+        got = env.ris if key == "ris" else env.direct[key]
+        assert got.keys() == waves.keys()
+        for name, wave in waves.items():
+            assert got[name].dtype == wave.dtype
+            assert got[name].tobytes() == wave.tobytes()
+
+
 def test_perturbation_zero_is_identity(small_env):
     # A shallow copy that keeps the derived waves, equal to the world
     # dataclasses.replace builds, with its own empty gain-row memo.
@@ -414,6 +445,16 @@ def test_serialization_round_trip(tmp_path, small_env):
     again = tmp_path / "env2.json"
     save_environment(loaded, again)
     assert path.read_bytes() == again.read_bytes()
+
+
+def test_load_environment_rejects_duplicate_keys(tmp_path, small_env):
+    path = tmp_path / "env.json"
+    save_environment(small_env, path)
+    text = path.read_text()
+    assert text.startswith("{\n")
+    path.write_text("{\n \"seed\": 1,\n" + text[2:])
+    with pytest.raises(ScenarioError, match="duplicate key 'seed'"):
+        load_environment(path)
 
 
 def test_serialization_round_trip_after_perturbation(tmp_path, small_env):

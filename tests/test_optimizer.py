@@ -1,5 +1,6 @@
 import csv
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from risjam.optimizer import (
     element_probabilities,
     optimizer_init,
     optimizer_step,
+    _TRACE_CHUNK,
     _signed_square,
     run_optimizer,
 )
@@ -439,3 +441,88 @@ def test_trace_csv(tmp_path):
     assert len(rows) == 26
     assert rows[-1]["best_config_hex"] == best.to_hex()
     assert float(rows[-1]["best_cost"]) == pytest.approx(trace.best_cost[-1])
+
+
+# -- packed trace ------------------------------------------------------------
+
+
+def _reference_records(table_size, steps, n_elements, oracle, seed):
+    """run_optimizer's records kept as one uint8 row per step, the layout
+    the packed trace replaced."""
+    state = optimizer_init(table_size, n_elements, oracle, seed,
+                           reeval_period=50)
+    best_cost, worst_cost = [state.best_cost()], [state.worst_cost()]
+    rows = [state.bits[0].astype(np.uint8)]
+    for _ in range(steps):
+        optimizer_step(state, oracle)
+        best_cost.append(state.best_cost())
+        worst_cost.append(state.worst_cost())
+        rows.append(state.bits[0].astype(np.uint8))
+    return np.array(best_cost), np.array(worst_cost), np.array(rows)
+
+
+def _write_unpacked_csv(path, best_cost, worst_cost, best_bits):
+    """The trace writer over uint8 rows, as it was before packing."""
+    packed = np.packbits(best_bits, axis=1, bitorder="big")
+    n_chars = math.ceil(best_bits.shape[1] / 4)
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["step", "best_cost", "best_config_hex",
+                         "table_worst_cost"])
+        for step, row in enumerate(packed):
+            writer.writerow([
+                step,
+                format(best_cost[step], ".10g"),
+                row.tobytes().hex()[:n_chars],
+                format(worst_cost[step], ".10g"),
+            ])
+
+
+@pytest.mark.parametrize("n_elements", [1, 7, 8, 9, 77])
+@pytest.mark.parametrize("steps", [0, 1, _TRACE_CHUNK - 1, _TRACE_CHUNK,
+                                   _TRACE_CHUNK + 1, 2 * _TRACE_CHUNK + 3])
+def test_packed_trace_matches_unpacked_records(tmp_path, steps, n_elements):
+    best_cost, worst_cost, rows = _reference_records(
+        6, steps, n_elements, make_oracle(3, n_elements, 0.5, True), 2)
+    best, trace = run_optimizer(6, steps, n_elements,
+                                make_oracle(3, n_elements, 0.5, True), 2,
+                                reeval_period=50)
+    assert trace.best_cost.tobytes() == best_cost.tobytes()
+    assert trace.worst_cost.tobytes() == worst_cost.tobytes()
+    assert trace.best_bits.dtype == np.uint8
+    assert trace.best_bits.shape == rows.shape
+    assert trace.best_bits.tobytes() == rows.tobytes()
+    distances = (rows != rows[-1]).sum(axis=1)
+    assert trace.hamming_to_final().dtype == distances.dtype
+    np.testing.assert_array_equal(trace.hamming_to_final(), distances)
+    assert trace.final_config() == best
+    np.testing.assert_array_equal(trace.final_config().bits, rows[-1])
+    trace.write_csv(tmp_path / "packed.csv")
+    _write_unpacked_csv(tmp_path / "rows.csv", best_cost, worst_cost, rows)
+    assert (tmp_path / "packed.csv").read_bytes() \
+        == (tmp_path / "rows.csv").read_bytes()
+
+
+class _FixedOracle:
+    """A raw-bit oracle with fixed readings: every candidate ties."""
+
+    accepts_bits = True
+    targets = np.array([-60.0])
+    non_targets = np.array([-70.0, -75.0])
+
+    def __call__(self, bits):
+        return self.targets, self.non_targets
+
+
+def test_run_optimizer_never_holds_unpacked_trace():
+    # One uint8 byte per element per step would alone reach the bound.  A
+    # warm-up run keeps NumPy's one-time allocations out of the count.
+    steps, n_elements = 3000, 768
+    run_optimizer(20, 1000, n_elements, _FixedOracle(), 1)
+    tracemalloc.start()
+    try:
+        run_optimizer(20, steps, n_elements, _FixedOracle(), 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < (steps + 1) * n_elements
