@@ -14,13 +14,14 @@ Everything is drawn from a single 64-bit master seed; identical
 
 from __future__ import annotations
 
-import copy
+import csv
+import itertools
 import json
 import math
 import numbers
 import os
 import threading
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Mapping, NamedTuple, Sequence
 
@@ -50,6 +51,9 @@ MAX_ENSEMBLE_TERMS = 10_000_000
 # thread's intermediates to _BATCH_BLOCK*(M*Ux + Uy*M + Uy*Ux) complex
 # values; of 8, 16, 32, 64 and 128, 8 was fastest on the desk heatmap grid.
 _BATCH_BLOCK = 8
+
+# Floor of a linear amplitude gain taken to dB, so a null stays finite.
+_TINY_GAIN = 1e-30
 
 
 class ScenarioError(ValueError):
@@ -151,12 +155,14 @@ class EnvironmentSpec:
         if size > MAX_ENSEMBLE_TERMS:
             raise ScenarioError(f"n_elements * scatter_count = {size} exceeds "
                                 f"{MAX_ENSEMBLE_TERMS}", "environment")
-        _number_param(values, "frequency_hz", prefix="environment.", low=0,
-                      strict=True)
-        for key in ("rician_k", "pattern_diversity"):
-            _number_param(values, key, prefix="environment.", low=0)
-        for key in ("path_loss_exponent", "noise_floor_dbm"):
-            _number_param(values, key, prefix="environment.")
+        # The bounds keep (wavelength / 4 pi)**2, distance**-exponent at
+        # 1 um and 1 + pattern_diversity**2 finite.
+        for key, lo, hi in (("frequency_hz", 1, math.inf),
+                            ("rician_k", 0, math.inf),
+                            ("pattern_diversity", 0, 100),
+                            ("path_loss_exponent", 0, 10),
+                            ("noise_floor_dbm", -math.inf, math.inf)):
+            _number_param(values, key, prefix="environment.", low=lo, high=hi)
         if not isinstance(self.attacker_id, str):
             raise ScenarioError("must be a string", "environment.attacker_id")
         try:
@@ -184,8 +190,9 @@ class Environment:
     ``los``) and ``direct`` one per transmitter ((M,) waves, (2,) ``los``);
     the drawn angles and phases are not kept.  ``pattern_weights`` (per
     device) are read-only too.  Operations that change the world
-    (perturbation, moving a device) return a copy, which starts with an
-    empty gain-row memo (see ris_subchannels).
+    (perturbation, moving a device) return a ``dataclasses.replace`` copy:
+    it shares every unchanged array and starts with an empty gain-row memo
+    (see ris_subchannels).
     """
 
     frequency_hz: float
@@ -574,18 +581,28 @@ def received_rssi(env: Environment, power_at_antenna_dbm, rng=None,
 
     Accepts scalars or arrays; returns int or an int array.
     """
-    power = np.asarray(power_at_antenna_dbm, dtype=float)
+    power = np.array(power_at_antenna_dbm, dtype=float)
     if not np.isfinite(power).all():
         raise ValueError("power_at_antenna_dbm must be finite")
+    if sigma_db > 0 and rng is None:
+        raise ValueError("rng is required when sigma_db > 0")
+    quantized = _read_in_place(power, env.noise_floor_dbm, rng,
+                               sigma_db).astype(int)
+    return int(quantized) if quantized.ndim == 0 else quantized
+
+
+def _read_in_place(power: np.ndarray, noise_floor_dbm: float, rng,
+                   sigma_db: float, quantize: bool = True) -> np.ndarray:
+    """Readings of received ``power`` (float dBm), written over it: noise,
+    then (if ``quantize``) the floor clamp and 1 dB rounding, where + 0.0
+    turns a rounded -0.0 into 0.0."""
     if sigma_db > 0:
-        if rng is None:
-            raise ValueError("rng is required when sigma_db > 0")
-        power = power + rng.normal(0.0, sigma_db, power.shape)
-    power = np.maximum(power, env.noise_floor_dbm)
-    quantized = np.rint(power).astype(int)
-    if quantized.ndim == 0:
-        return int(quantized)
-    return quantized
+        power += rng.normal(0.0, sigma_db, power.shape)
+    if quantize:
+        np.maximum(power, noise_floor_dbm, out=power)
+        np.rint(power, out=power)
+        power += 0.0
+    return power
 
 
 def expected_spatial_correlation(displacements_m, wavelength_m: float) -> np.ndarray:
@@ -655,7 +672,7 @@ def perturb_environment(env: Environment, fraction: float, seed: int) -> Environ
     k = math.ceil(fraction * M)
     perturbations = env.perturbations + ((fraction, seed),)
     if k == 0:
-        return _shallow_copy(env, perturbations=perturbations)
+        return replace(env, perturbations=perturbations)
 
     rng = np.random.default_rng([seed, _STREAM_PERTURB])
     L, kap = env.n_elements, env.kappa
@@ -669,8 +686,7 @@ def perturb_environment(env: Environment, fraction: float, seed: int) -> Environ
         sel = rng.choice(M, size=k, replace=False)
         direct[dev_id] = _redraw(env.direct[dev_id], sel,
                                  _waves(kap, *_draw(rng, k)))
-    return _shallow_copy(env, ris=ris, direct=direct,
-                         perturbations=perturbations)
+    return replace(env, ris=ris, direct=direct, perturbations=perturbations)
 
 
 def _redraw(ensemble: dict, at: np.ndarray, waves) -> dict:
@@ -697,17 +713,7 @@ def move_device(env: Environment, device_id: str, position) -> Environment:
     devices = dict(env.devices)
     devices[device_id] = new_pos
     _check_entity_distances(devices, env.attacker_position, env.attacker_id)
-    return _shallow_copy(env, devices=devices)
-
-
-def _shallow_copy(env: Environment, **changes) -> Environment:
-    """A copy with ``changes`` applied that shares the frozen ensembles and
-    starts with an empty gain-row memo."""
-    out = copy.copy(env)
-    for name, value in changes.items():
-        setattr(out, name, value)
-    out._rows = {}
-    return out
+    return replace(env, devices=devices)
 
 
 # ---------------------------------------------------------------------------
@@ -822,6 +828,14 @@ def read_json(path, what: str, fieldpath: str = ""):
         return json.loads(text, object_pairs_hook=reject_duplicates)
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"invalid JSON: {exc}", fieldpath) from exc
+
+
+def _write_table(path, header, rows) -> None:
+    """CSV with floats written ``.10g`` and every other cell as ``str``."""
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerows(
+            [format(v, ".10g") if isinstance(v, float) else str(v)
+             for v in row] for row in itertools.chain([header], rows))
 
 
 def load_environment(path) -> Environment:

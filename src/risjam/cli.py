@@ -7,17 +7,15 @@ error.  Failures emit a single machine-readable JSON object on stderr.
 from __future__ import annotations
 
 import argparse
-import csv
 import datetime
 import hashlib
-import itertools
 import json
 import sys
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 from . import __version__
-from .channel import save_environment, synthesize_environment
+from .channel import _write_table, save_environment, synthesize_environment
 from .scenarios import (
     RunResult,
     ScenarioError,
@@ -156,14 +154,6 @@ def _tables(result: RunResult, fmt: str):
             for d in devices)
 
 
-def _write_table(path: Path, header, rows) -> None:
-    """CSV with floats written ``.10g`` and every other cell as ``str``."""
-    with open(path, "w", newline="") as fh:
-        csv.writer(fh).writerows(
-            [format(v, ".10g") if isinstance(v, float) else str(v)
-             for v in row] for row in itertools.chain([header], rows))
-
-
 def compare_runs(manifest_a, manifest_b) -> dict:
     """Per-metric deltas between two runs of compatible shape."""
     a = _load_run(manifest_a)
@@ -273,8 +263,13 @@ def _strings(value) -> bool:
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a usage error exits 2 like any bad input
+        raise ScenarioError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="risjam",
         description="Selective-jamming simulator for binary reconfigurable "
                     "surfaces",
@@ -324,9 +319,8 @@ def _fail(exc: Exception, code: int) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         if args.command == "run":
             spec = parse_scenario(args.scenario)
             if args.seed is not None:
@@ -354,12 +348,11 @@ def main(argv=None) -> int:
                               "devices": len(env.devices),
                               "elements": env.n_elements}, sort_keys=True))
             return EXIT_OK
-        parser.error(f"unknown command {args.command!r}")
+        raise ScenarioError(f"unknown command {args.command!r}")
     except ScenarioError as exc:
         return _fail(exc, EXIT_VALIDATION)
     except (ValueError, KeyError, OSError, RuntimeError) as exc:
         return _fail(exc, EXIT_RUNTIME)
-    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -131,7 +131,15 @@ def packet_rate(env: channel.Environment, config: ris.RisConfig,
     pos = env.devices[device]
     jam_gain = ris.compose_channel(config, channel.ris_subchannels(env, pos, device))
     sig_gain = channel.direct_channel(env, ap_id, pos)
-    jam_dbm = jam_power_dbm + 20.0 * math.log10(max(abs(jam_gain), 1e-30))
+    jam_dbm = jam_power_dbm + 20.0 * math.log10(max(abs(jam_gain),
+                                                    channel._TINY_GAIN))
     sig_dbm = ap_power_dbm + 20.0 * math.log10(abs(sig_gain))
+    return _packet_rates(env, jam_dbm, sig_dbm)
+
+
+def _packet_rates(env: channel.Environment, jam_dbm, sig_dbm,
+                  mcs: int = MONITOR_MCS):
+    """Packet rates at fixed MCS for jamming and access-point levels (dBm,
+    scalars or arrays)."""
     ratio = sjnr_db(sig_dbm, jam_dbm, env.noise_floor_dbm)
-    return PACKETS_PER_SECOND * packet_success_prob(ratio, MONITOR_MCS)
+    return PACKETS_PER_SECOND * packet_success_prob(ratio, mcs)

@@ -16,13 +16,13 @@ table row), so no RisConfig is built per measurement.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 
+from .channel import _write_table
 from .ris import RisConfig, enumerate_configs
 
 MeasurementOracle = Callable[[RisConfig], tuple[np.ndarray, np.ndarray]]
@@ -131,10 +131,6 @@ class OptimizerState:
         # Linear rank weights B..1 over the sorted table.
         self.rank_weights = np.arange(b, 0, -1, dtype=np.float32)
         self.probs = element_probabilities(self)
-
-    @property
-    def table_size(self) -> int:
-        return int(self.bits.shape[0])
 
     @property
     def n_elements(self) -> int:
@@ -319,17 +315,10 @@ class Trace:
     def write_csv(self, path) -> None:
         # Each row's hex is RisConfig.to_hex of its bits.
         n_chars = math.ceil(self.n_elements / 4)
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["step", "best_cost", "best_config_hex",
-                             "table_worst_cost"])
-            for step, row in enumerate(self.packed):
-                writer.writerow([
-                    step,
-                    format(self.best_cost[step], ".10g"),
-                    row.tobytes().hex()[:n_chars],
-                    format(self.worst_cost[step], ".10g"),
-                ])
+        header = ["step", "best_cost", "best_config_hex", "table_worst_cost"]
+        _write_table(path, header, (
+            [step, self.best_cost[step], row.tobytes().hex()[:n_chars],
+             self.worst_cost[step]] for step, row in enumerate(self.packed)))
 
 
 def run_optimizer(table_size: int, steps: int, n_elements: int,

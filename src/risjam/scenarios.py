@@ -28,7 +28,9 @@ from .channel import (
     EnvironmentSpec,
     Position,
     ScenarioError,
+    _TINY_GAIN,
     _number_param,
+    _read_in_place,
     _seed,
     as_position,
     direct_channel,
@@ -59,11 +61,9 @@ _STREAM_MASK = 25
 _STREAM_RANDCONF = 26
 
 DISRUPTED_RATE = 5.0        # pkt/s at or below which a device counts as jammed
-OPERATIONAL_RATE = 90.0     # pkt/s at or above which a device counts as healthy
 AUTO_POWER_MARGIN_DB = 3.0  # headroom above the target's disruption knee
 THROUGHPUT_POWER_MARGIN_DB = 2.0
 LINK_SIM_WINDOWS = 40
-_TINY_GAIN = 1e-30
 # Largest heatmap grid or displacement rail, in points; also the longest
 # power sweep and perturbation series.  The scan holds a (points,
 # n_elements) complex sub-channel array: 1.2 GB at 768 elements.
@@ -372,14 +372,8 @@ class RssiOracle:
         power = _gain_db(self._gains)
         power += self.device_tx_dbm
         # One noise draw over targets then non-targets equals a draw per set.
-        if self.sigma_db > 0:
-            power += self.rng.normal(0.0, self.sigma_db, power.shape)
-        if self.quantize:
-            # received_rssi's floor clamp and 1 dB rounding; + 0.0 turns a
-            # rounded -0.0 into 0.0, as its integer readings do.
-            np.maximum(power, self.env.noise_floor_dbm, out=power)
-            np.rint(power, out=power)
-            power += 0.0
+        _read_in_place(power, self.env.noise_floor_dbm, self.rng,
+                       self.sigma_db, self.quantize)
         return power[:self._n], power[self._n:]
 
 
@@ -556,19 +550,12 @@ def _optimize(env: Environment, spec: ScenarioSpec, *tag: int,
     return (config if mask is None else oracle.expand(config)), trace
 
 
-def _packet_rates(env: Environment, jam_dbm: np.ndarray, sig_dbm: np.ndarray,
-                  mcs: int = link.MONITOR_MCS) -> np.ndarray:
-    """Packet rates at fixed MCS for jamming and access-point levels (dBm)."""
-    ratio = link.sjnr_db(sig_dbm, jam_dbm, env.noise_floor_dbm)
-    return link.PACKETS_PER_SECOND * link.packet_success_prob(ratio, mcs)
-
-
 def _sweep_rates(env: Environment, jam_gain_db: np.ndarray,
                  sig_dbm: np.ndarray, powers: np.ndarray,
                  mcs: int = link.MONITOR_MCS) -> np.ndarray:
     """Packet rates over a (power grid x device) lattice, fixed MCS."""
-    return _packet_rates(env, powers[:, None] + jam_gain_db[None, :],
-                         sig_dbm[None, :], mcs)
+    return link._packet_rates(env, powers[:, None] + jam_gain_db[None, :],
+                              sig_dbm[None, :], mcs)
 
 
 def _knee_dbm(powers: np.ndarray, rates: np.ndarray) -> float | None:
@@ -651,7 +638,8 @@ def _evaluate_gains(env: Environment, spec: ScenarioSpec,
         ap_rssi_dbm=dict(zip(devices, ap_rssi)),
         jsr_db=dict(zip(devices, jsr)),
         norm_jsr_db=dict(zip(devices, norm)),
-        packet_rate=dict(zip(devices, _packet_rates(env, jam_dbm, sig_dbm))),
+        packet_rate=dict(zip(devices,
+                             link._packet_rates(env, jam_dbm, sig_dbm))),
         operating_jam_dbm=operating,
         target_knee_dbm=target_knee,
         first_nontarget_knee_dbm=first_nt,
@@ -876,12 +864,14 @@ def _perturbation_duration(params: Mapping) -> int:
 
 
 def _antenna(params: Mapping) -> tuple[dict, float]:
-    """Validated directional pattern keywords and diffuse level (dB)."""
-    pattern = {key: _number_param(params, key)
+    """Validated directional pattern keywords and diffuse level (dB); the
+    bounds keep the amplitude 10**(dB / 20) finite off the boresight."""
+    pattern = {key: _number_param(params, key, low=-1000.0, high=1000.0)
                for key in ("gain_dbi", "front_back_db")}
-    pattern["beamwidth_deg"] = _number_param(params, "beamwidth_deg", low=0,
-                                             strict=True)
-    return pattern, _number_param(params, "diffuse_db")
+    pattern["beamwidth_deg"] = _number_param(params, "beamwidth_deg",
+                                             low=1e-3)
+    return pattern, _number_param(params, "diffuse_db", low=-1000.0,
+                                  high=1000.0)
 
 
 def _check_exclusion(spec: ScenarioSpec, params: Mapping) -> None:
@@ -1128,7 +1118,7 @@ def _perturbation_series(env: Environment, spec: ScenarioSpec,
             else:
                 current = move_device(current, event["device"],
                                       event["position"])
-        series[t] = _packet_rates(
+        series[t] = link._packet_rates(
             current, operating + _composed_gain_db(current, config, devices),
             _ap_signal_dbm(current, spec, devices))
     return {"timeseries": {

@@ -263,9 +263,10 @@ def test_received_rssi_requires_rng_for_noise(small_env):
 
 def test_received_rssi_noise_mean(small_env, rng):
     # Law of large numbers: 1e4 noisy quantized samples of -60 dBm
-    values = received_rssi(small_env, np.full(10000, -60.0), rng,
-                           sigma_db=0.5)
+    powers = np.full(10000, -60.0)
+    values = received_rssi(small_env, powers, rng, sigma_db=0.5)
     assert values.mean() == pytest.approx(-60.0, abs=0.05)
+    assert (powers == -60.0).all()  # the readings are taken on a copy
 
 
 def test_received_rssi_rejects_non_finite(small_env):
@@ -330,8 +331,19 @@ def test_synthesis_waves_match_replayed_draws(n_elements, scatter_count):
             assert got[name].tobytes() == wave.tobytes()
 
 
+def _shares_arrays(new, old, names=("ris", "direct", "pattern_weights")):
+    """Every array in ``old``'s fields ``names`` (dicts of arrays, and
+    ``direct`` a dict of such dicts) is the same object in ``new``."""
+    for name in names:
+        a, b = getattr(new, name), getattr(old, name)
+        pairs = ([(a[k][n], b[k][n]) for k in b for n in b[k]]
+                 if name == "direct" else [(a[n], b[n]) for n in b])
+        assert a.keys() == b.keys()
+        assert all(x is y for x, y in pairs), name
+
+
 def test_perturbation_zero_is_identity(small_env):
-    # A shallow copy that keeps the derived waves, equal to the world
+    # A copy that keeps the derived waves, equal to the world
     # dataclasses.replace builds, with its own empty gain-row memo.
     ris_subchannels(small_env, small_env.devices["A"], device="A")
     same = perturb_environment(small_env, 0.0, 123)
@@ -339,8 +351,7 @@ def test_perturbation_zero_is_identity(small_env):
     assert environments_equal(same, built)
     assert small_env.perturbations == ()
     assert small_env._rows and same._rows == {}
-    assert same.ris is small_env.ris
-    assert same.direct is small_env.direct
+    _shares_arrays(same, small_env)
     pos = Position(2.2, 1.7, 1.0)
     np.testing.assert_array_equal(ris_subchannels(small_env, pos),
                                   ris_subchannels(same, pos))
@@ -392,7 +403,7 @@ def test_perturbation_derives_only_redrawn_waves(fraction):
             assert got[name].tobytes() == wave.tobytes()
             assert not got[name].flags.writeable
         assert got["los"] is old["los"]
-    assert perturbed.pattern_weights is env.pattern_weights
+    _shares_arrays(perturbed, env, ("pattern_weights",))
     assert not np.array_equal(perturbed.ris["cis"], env.ris["cis"])
     built = replace(env, ris=dict(env.ris, **ris),
                     direct={key: dict(env.direct[key], **waves)
@@ -499,6 +510,7 @@ def test_moved_world_equals_one_built_there():
     ris_subchannels(env, env.devices["A"], device="A")
     moved = move_device(env, "A", new)
     assert moved._rows == {} and env._rows
+    _shares_arrays(moved, env)
     assert environments_equal(moved, fresh)
     assert ris_subchannels(moved, new, device="A").tobytes() \
         == ris_subchannels(fresh, new, device="A").tobytes()

@@ -418,6 +418,20 @@ def _replaced(doc, path, value):
     # A stored world's ensembles are drawn from its top-level seed.
     *(("", _replaced(STORED_SCENARIO, "environment_document.ensembles.seed",
                      value), "environment_document") for value in (99, 5.5)),
+    # Values whose scalar arithmetic overflows in a run: the path loss at a
+    # device 0.5 m from the attacker, the pattern-diversity norm, the
+    # path-loss reference at a vast wavelength, and a directional pattern
+    # off its boresight.
+    ("", _replaced(_replaced(MINI_SCENARIO, "environment.devices.B",
+                             [0.9, 0.9, 1.0]),
+                   "environment.path_loss_exponent", 2000),
+     "environment.path_loss_exponent"),
+    ("environment.pattern_diversity", 1e200, "environment.pattern_diversity"),
+    ("environment.frequency_hz", 1e-200, "environment.frequency_hz"),
+    *(("", dict(MINI_SCENARIO, mode="directional-baseline",
+                mode_params={key: value}), f"mode_params.{key}")
+      for key, value in (("gain_dbi", 1e5), ("diffuse_db", 1e5),
+                         ("front_back_db", -1e5), ("beamwidth_deg", 1e-300))),
 ])
 @pytest.mark.parametrize("command", ["validate", "run"])
 def test_bad_document_exits_2_before_search(tmp_path, capsys, no_search,
@@ -507,6 +521,28 @@ def test_seed_override_is_validated(tmp_path, capsys, no_search):
 
 def test_missing_file_is_validation_error(tmp_path):
     assert main(["validate", str(tmp_path / "absent.json")]) == EXIT_VALIDATION
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "s.json", "--out", "o", "--format", "xml"],
+    ["run", "s.json", "--out", "o", "--seed", "abc"],
+    [],
+], ids=["format-xml", "seed-abc", "no-command"])
+def test_usage_error_exits_2_with_one_json_line(capsys, argv):
+    assert main(argv) == EXIT_VALIDATION
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert isinstance(json.loads(err), dict)
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["--version"], ["run", "-h"]])
+def test_help_and_version_exit_0_on_stdout(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    out, err = capsys.readouterr()
+    assert out and err == ""
 
 
 # -- compare -----------------------------------------------------------------------
@@ -843,15 +879,16 @@ FUZZ_FIELDS = {
     "optimizer.": ["table_size", "steps", "reeval_period", "epsilon",
                    "w_mean", "w_extreme", "meas_sigma_db", "quantize"],
     "environment.": ["frequency_hz", "n_elements", "scatter_count",
-                     "rician_k", "attacker_id", "attacker_position",
+                     "rician_k", "path_loss_exponent", "pattern_diversity",
+                     "noise_floor_dbm", "attacker_id", "attacker_position",
                      "devices"],
     "environment_document.": ["M", "seed", "frequency_hz", "devices",
                               "ensembles.ris_elements",
                               "ensembles.perturbations"],
     "mode_params.": ["step_m", "x_extent_m", "x_min_m", "counts", "repeats",
                      "minimized", "step_mm", "exclude", "gain_dbi",
-                     "beamwidth_deg", "schedule", "duration",
-                     "offered_load_mbps"],
+                     "beamwidth_deg", "diffuse_db", "front_back_db",
+                     "schedule", "duration", "offered_load_mbps"],
 }
 
 
