@@ -14,7 +14,6 @@ Everything is drawn from a single 64-bit master seed; identical
 
 from __future__ import annotations
 
-import csv
 import itertools
 import json
 import math
@@ -41,6 +40,12 @@ _STREAM_PERTURB = 14
 
 ENV_FORMAT_VERSION = 1
 
+# Bound on the magnitude of every dBm level a scenario or stored world
+# gives (noise floor, transmit and jamming powers, sweep ends).  With it,
+# each reading and each 10 ** (dBm / 10) stays far inside float64 and
+# int64 range.
+MAX_ABS_DBM = 300.0
+
 # Largest surface ensemble, n_elements * scatter_count plane waves, about
 # 50 times the desk surface (768 * 256).  The environment holds four
 # float64 arrays of that size (kx, ky and the complex cis): 0.3 GB at the
@@ -51,6 +56,23 @@ MAX_ENSEMBLE_TERMS = 10_000_000
 # thread's intermediates to _BATCH_BLOCK*(M*Ux + Uy*M + Uy*Ux) complex
 # values; of 8, 16, 32, 64 and 128, 8 was fastest on the desk heatmap grid.
 _BATCH_BLOCK = 8
+
+# Rows (surface elements, or realizations) per block of the per-point field
+# and of wave synthesis, which run their blocks on every CPU.  A block of
+# 64 rows of M >= 16 waves starts a whole number of SIMD vectors into its
+# array, so NumPy's loops split it as they split the whole array.
+_FIELD_BLOCK = 64
+
+# Size, in bytes, from which NumPy's temporary elision evaluated the
+# unblocked `cis * np.exp(...)` in place as `exp(...) * cis`: it does so
+# when the exponential is a temporary of at least 256 KiB (its
+# NPY_MIN_ELIDE_BYTES) with the shape of cis, and where it can inspect the
+# call stack.  A complex product is not bitwise commutative, so the
+# blocked per-point field writes that order out, chosen from the size of
+# the whole term array, not of a block: the bits are those the unblocked
+# expression gave where NumPy elides, and no longer depend on whether it
+# can.
+_ELIDE_BYTES = 256 * 1024
 
 # Floor of a linear amplitude gain taken to dB, so a null stays finite.
 _TINY_GAIN = 1e-30
@@ -161,7 +183,7 @@ class EnvironmentSpec:
                             ("rician_k", 0, math.inf),
                             ("pattern_diversity", 0, 100),
                             ("path_loss_exponent", 0, 10),
-                            ("noise_floor_dbm", -math.inf, math.inf)):
+                            ("noise_floor_dbm", -MAX_ABS_DBM, MAX_ABS_DBM)):
             _number_param(values, key, prefix="environment.", low=lo, high=hi)
         if not isinstance(self.attacker_id, str):
             raise ScenarioError("must be a string", "environment.attacker_id")
@@ -304,16 +326,24 @@ def _draw(rng: np.random.Generator, shape) -> tuple[np.ndarray, np.ndarray]:
 def _waves(kappa: float, angles: np.ndarray, phases: np.ndarray):
     """Wave-vector components kx, ky and unit phasors cis of plane waves.
 
-    Each is computed in its own array, with no full-size temporary; the
+    Each is written into its own preallocated array, in blocks of
+    _FIELD_BLOCK rows over _in_rows, with no full-size temporary; the
     values are those of kappa * cos(angles), kappa * sin(angles) and
     exp(1j * phases).
     """
-    kx = np.cos(angles)
-    kx *= kappa
-    ky = np.sin(angles)
-    ky *= kappa
-    cis = np.multiply(1j, phases)
-    np.exp(cis, out=cis)
+    kx = np.empty_like(angles)
+    ky = np.empty_like(angles)
+    cis = np.empty(angles.shape, dtype=complex)
+
+    def block(rows: slice) -> None:
+        for wave, fn in ((kx[rows], np.cos), (ky[rows], np.sin)):
+            fn(angles[rows], out=wave)
+            wave *= kappa
+        phasors = cis[rows]
+        np.multiply(1j, phases[rows], out=phasors)
+        np.exp(phasors, out=phasors)
+
+    _in_rows(block, angles.shape)
     return kx, ky, cis
 
 
@@ -332,7 +362,10 @@ def synthesize_environment(spec: EnvironmentSpec, seed: int) -> Environment:
     one block, then one ensemble per direct transmitter in sorted-id order
     with the attacker last.  A line-of-sight (angle, phase) pair is drawn
     per ensemble unconditionally so that toggling the Rician K factor never
-    shifts any other draw.
+    shifts any other draw.  The draws are made on the calling thread; the
+    waves evaluated from them (_waves) run in blocks of surface elements
+    on every CPU, elementwise, so their bits do not depend on the thread
+    count.
     """
     seed = _seed(seed)
 
@@ -398,16 +431,33 @@ def path_loss_db(env: Environment, distance_m: float) -> float:
 
 
 def _diffuse_field(kx, ky, cis, x, y, weights=None):
-    # kx, ky, cis: (..., M) arrays; returns the unit-mean-power scattered sum.
-    # The phase is inline, so its float array is freed before the
-    # exponential.  The product stays as written, not in place or blocked:
-    # from 256 KiB NumPy's temporary elision computes it as exp(...) * cis,
-    # and a complex product is not bitwise commutative, so another form
-    # would move the last bits of every gain row.
-    terms = cis * np.exp(1j * (kx * x + ky * y))
-    if weights is not None:
-        terms = terms * weights
-    return terms.sum(axis=-1) / math.sqrt(terms.shape[-1])
+    # kx, ky, cis: (..., M) arrays, and x, y scalars or arrays that
+    # broadcast against their trailing axes; returns the unit-mean-power
+    # scattered sum.  Rows are evaluated in blocks of _FIELD_BLOCK over
+    # _in_rows, each block summing its own rows along the contiguous last
+    # axis, so a row's sum does not depend on the block size or the thread
+    # count.  The product of cis and the exponential is written out in the
+    # order the unblocked `cis * np.exp(...)` took from NumPy's temporary
+    # elision (see _ELIDE_BYTES), and the weights product as
+    # `terms * weights`.
+    shape = np.broadcast_shapes(kx.shape, np.shape(x), ky.shape, np.shape(y))
+    exp_first = (cis.shape == shape and math.prod(shape)
+                 * np.dtype(complex).itemsize >= _ELIDE_BYTES)
+    sums = np.empty(shape[:-1], dtype=complex)
+
+    def block(rows: slice) -> None:
+        terms = np.exp(1j * (kx[rows] * x + ky[rows] * y))
+        if exp_first:
+            np.multiply(terms, cis[rows], out=terms)
+        else:
+            np.multiply(cis[rows], terms, out=terms)
+        if weights is not None:
+            np.multiply(terms, weights[rows], out=terms)
+        sums[rows] = terms.sum(axis=-1)
+
+    _in_rows(block, shape)
+    sums /= math.sqrt(shape[-1])
+    return sums
 
 
 def _combine_rician(env: Environment, diffuse, los, x, y):
@@ -443,6 +493,13 @@ def ris_subchannels(env: Environment, position, device: str | None = None) -> np
     A roster device's row at its own roster position is memoised on the
     environment (searches and evaluations ask for the same few rows again
     and again); every call returns a fresh, writable array.
+
+    The row is evaluated in blocks of _FIELD_BLOCK surface elements on one
+    thread per CPU the process may use, as ris_subchannels_batch's blocks
+    are.  Each element's sum is computed by the same operations in any
+    block and on any thread, and the product order is written out (see
+    _diffuse_field), so the bits depend on neither the thread count nor
+    the block size, and ``--threads`` does not set either.
     """
     pos = as_position(position)
     key = (device, pos)
@@ -519,6 +576,17 @@ def _field_threads() -> int:
         return os.cpu_count() or 1
 
 
+def _in_rows(work, shape) -> None:
+    """Call ``work(rows)`` for each block of _FIELD_BLOCK rows (slices of
+    the first axis) of an array of ``shape``, over _in_threads.  A 1-D
+    array is one block: its single row is never split."""
+    if len(shape) < 2:
+        work(...)
+        return
+    _in_threads(lambda start: work(slice(start, start + _FIELD_BLOCK)),
+                range(0, shape[0], _FIELD_BLOCK))
+
+
 _DONE = object()
 
 
@@ -579,7 +647,11 @@ def received_rssi(env: Environment, power_at_antenna_dbm, rng=None,
                   sigma_db: float = 0.5):
     """Measured RSSI: Gaussian measurement noise, floor clamp, 1 dB rounding.
 
-    Accepts scalars or arrays; returns int or an int array.
+    Accepts scalars or arrays; returns int or an int array.  The int cast
+    cannot overflow for a parsed scenario or stored world: its dBm levels
+    lie within ±MAX_ABS_DBM and its noise sigma within
+    scenarios.MAX_SIGMA_DB, and the bounded environment fields keep every
+    gain finite, so a reading stays within a few thousand dB.
     """
     power = np.array(power_at_antenna_dbm, dtype=float)
     if not np.isfinite(power).all():
@@ -831,11 +903,34 @@ def read_json(path, what: str, fieldpath: str = ""):
 
 
 def _write_table(path, header, rows) -> None:
-    """CSV with floats written ``.10g`` and every other cell as ``str``."""
+    """CSV with floats written ``.10g`` and every other cell as ``str``.
+
+    The file is built as one string with the bytes ``csv.writer`` (excel
+    dialect) writes: lines end in ``\\r\\n``, and a cell holding ``,``,
+    ``"``, ``\\r`` or ``\\n``, or a row's lone empty cell, is quoted.
+    """
+    lines = []
+    for row in itertools.chain([header], rows):
+        cells = [format(v, ".10g") if isinstance(v, float) else str(v)
+                 for v in row]
+        line = ",".join(cells)
+        # More commas than delimiters: a cell holds one.
+        if (line.count(",") >= len(cells) or '"' in line or "\r" in line
+                or "\n" in line):
+            line = ",".join(map(_csv_cell, cells))
+        elif cells == [""]:
+            line = '""'
+        lines.append(line + "\r\n")
     with open(path, "w", newline="") as fh:
-        csv.writer(fh).writerows(
-            [format(v, ".10g") if isinstance(v, float) else str(v)
-             for v in row] for row in itertools.chain([header], rows))
+        fh.write("".join(lines))
+
+
+def _csv_cell(cell: str) -> str:
+    """A cell as csv.writer writes it: quoted, with its quotes doubled, if
+    it holds a delimiter, a quote or a line break."""
+    if any(c in cell for c in ',"\r\n'):
+        return '"' + cell.replace('"', '""') + '"'
+    return cell
 
 
 def load_environment(path) -> Environment:

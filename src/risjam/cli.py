@@ -307,6 +307,10 @@ def _build_parser() -> argparse.ArgumentParser:
                             "roster)")
     synth.add_argument("--seed", type=int, required=True)
     synth.add_argument("--out", required=True)
+    # A missing-command error names the metavar: the commands, as the help
+    # shows them, not the destination.
+    for commands in (sub, env_sub):
+        commands.metavar = "{" + ",".join(commands.choices) + "}"
     return parser
 
 

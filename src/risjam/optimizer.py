@@ -313,12 +313,16 @@ class Trace:
         return drops
 
     def write_csv(self, path) -> None:
-        # Each row's hex is RisConfig.to_hex of its bits.
+        # Each row's hex is RisConfig.to_hex of its bits, cut from one hex
+        # string of every packed row.
         n_chars = math.ceil(self.n_elements / 4)
+        width = 2 * self.packed.shape[1]
+        hexes = self.packed.tobytes().hex()
         header = ["step", "best_cost", "best_config_hex", "table_worst_cost"]
         _write_table(path, header, (
-            [step, self.best_cost[step], row.tobytes().hex()[:n_chars],
-             self.worst_cost[step]] for step, row in enumerate(self.packed)))
+            [step, best, hexes[step * width:step * width + n_chars], worst]
+            for step, (best, worst) in enumerate(zip(self.best_cost,
+                                                     self.worst_cost))))
 
 
 def run_optimizer(table_size: int, steps: int, n_elements: int,

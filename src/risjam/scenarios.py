@@ -24,6 +24,7 @@ import numpy as np
 
 from . import link, optimizer
 from .channel import (
+    MAX_ABS_DBM,
     Environment,
     EnvironmentSpec,
     Position,
@@ -72,6 +73,8 @@ MAX_SCAN_POINTS = 100_000
 # (steps + 1) * n_elements.  The table holds float32 bits (400 MB at the
 # cap) and the trace one packed configuration per step (12.5 MB).
 MAX_SEARCH_BITS = 100_000_000
+# Largest measurement noise standard deviation, in dB.
+MAX_SIGMA_DB = 100.0
 
 
 @dataclass(frozen=True)
@@ -85,11 +88,10 @@ class PowerSettings:
 
     def __post_init__(self):
         fields = vars(self)
-        for key in ("ap_dbm", "device_tx_dbm", "sweep_from_dbm",
-                    "sweep_to_dbm"):
-            _number_param(fields, key, prefix="powers.")
-        if self.jam_dbm is not None:
-            _number_param(fields, "jam_dbm", prefix="powers.")
+        keys = ("ap_dbm", "device_tx_dbm", "sweep_from_dbm", "sweep_to_dbm")
+        for key in keys + (("jam_dbm",) if self.jam_dbm is not None else ()):
+            _number_param(fields, key, prefix="powers.", low=-MAX_ABS_DBM,
+                          high=MAX_ABS_DBM)
         _number_param(fields, "sweep_step_db", prefix="powers.", low=0,
                       strict=True)
         if self.sweep_to_dbm <= self.sweep_from_dbm:
@@ -126,8 +128,11 @@ class OptimizerSettings:
                           low=0)
         _number_param(fields, "epsilon", prefix="optimizer.", low=0,
                       high=0.5, strict=True)
-        for key in ("w_mean", "w_extreme", "meas_sigma_db"):
+        for key in ("w_mean", "w_extreme"):
             _number_param(fields, key, prefix="optimizer.", low=0)
+        # Like the dBm bounds, keeps every noisy reading inside int64.
+        _number_param(fields, "meas_sigma_db", prefix="optimizer.", low=0,
+                      high=MAX_SIGMA_DB)
         if abs(self.w_mean + self.w_extreme - 1.0) > 1e-9:
             raise ScenarioError("w_mean + w_extreme must be 1",
                                 "optimizer.w_extreme")

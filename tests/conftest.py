@@ -1,7 +1,14 @@
+import os
+
 import numpy as np
 import pytest
 
 from risjam.channel import EnvironmentSpec, Position, synthesize_environment
+
+# The CLI runs and demos the tests start as subprocesses fail on a
+# RuntimeWarning, as the tests themselves do (filterwarnings in
+# pyproject.toml).
+os.environ["PYTHONWARNINGS"] = "error::RuntimeWarning"
 
 
 def make_small_spec(**overrides) -> EnvironmentSpec:

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import sys
@@ -7,6 +8,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from risjam import channel
 from risjam.channel import (
@@ -151,6 +153,60 @@ def test_batch_is_byte_equal_at_every_thread_count(monkeypatch, device):
         monkeypatch.setattr(channel, "_field_threads", lambda: width)
         got = ris_subchannels_batch(env, _SPLIT_GRID, device=device)
         assert got.tobytes() == serial.tobytes(), width
+
+
+def _unblocked_row(env, pos, device):
+    """ris_subchannels as the one unblocked expression it was written as,
+    whose product order NumPy's temporary elision picks."""
+    kx, ky, cis = env.ris["kx"], env.ris["ky"], env.ris["cis"]
+    terms = cis * np.exp(1j * (kx * pos.x + ky * pos.y))
+    weights = env.pattern_weights.get(device)
+    if weights is not None:
+        terms = terms * weights
+    diffuse = terms.sum(axis=-1) / math.sqrt(terms.shape[-1])
+    amp = math.sqrt(path_loss_gain(env,
+                                   env.attacker_position.distance_to(pos)))
+    return amp * channel._combine_rician(env, diffuse, env.ris["los"], pos.x,
+                                         pos.y)
+
+
+def _field_spec(size):
+    if size == "desk":
+        from risjam.scenarios import desk_environment_spec
+        return replace(desk_environment_spec(), rician_k=2.0,
+                       pattern_diversity=0.5)
+    n_elements, scatter_count = size
+    return make_small_spec(n_elements=n_elements, scatter_count=scatter_count,
+                           rician_k=2.0, pattern_diversity=0.5)
+
+
+# The desk surface (768 x 256) and 64 x 256 hold 256 KiB of terms or more,
+# 48 x 32 and 63 x 256 less.  Blocks of 7 rows divide neither 768 nor 48.
+@pytest.mark.parametrize("block", [64, 7])
+@pytest.mark.parametrize("width", [1, 2])
+@pytest.mark.parametrize("size", ["desk", (48, 32), (64, 256), (63, 256)],
+                         ids=["768x256", "48x32", "64x256", "63x256"])
+def test_blocked_field_is_byte_equal_to_unblocked_expressions(
+        monkeypatch, size, width, block):
+    monkeypatch.setattr(channel, "_field_threads", lambda: width)
+    monkeypatch.setattr(channel, "_FIELD_BLOCK", block)
+    env = synthesize_environment(_field_spec(size), 31)
+    L, M = env.n_elements, env.scatter_count
+    assert (L * M * 16 >= channel._ELIDE_BYTES) == (size in ("desk",
+                                                             (64, 256)))
+
+    angles, phases = channel._draw(
+        np.random.default_rng([31, channel._STREAM_ENSEMBLES]), (L, M))
+    for name, wave in (("kx", env.kappa * np.cos(angles)),
+                       ("ky", env.kappa * np.sin(angles)),
+                       ("cis", np.exp(1j * phases))):
+        assert env.ris[name].tobytes() == wave.tobytes(), name
+
+    off = Position(1.234, 0.77, 0.9)
+    for device in [None, *sorted(env.devices)]:
+        for pos in (env.devices.get(device, off), off):
+            got = ris_subchannels(env, pos, device)
+            assert got.tobytes() == _unblocked_row(env, pos, device).tobytes()
 
 
 class _FailingWaves(np.ndarray):
@@ -489,6 +545,47 @@ def test_load_rejects_bad_version(small_env):
     doc["version"] = 99
     with pytest.raises(ValueError, match="version"):
         environment_from_dict(doc)
+
+
+def _csv_writer_bytes(path, header, rows):
+    """The table as csv.writer writes it, cells formatted as _write_table
+    formats them."""
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerows(
+            [format(v, ".10g") if isinstance(v, float) else str(v)
+             for v in row] for row in [header, *rows])
+    return path.read_bytes()
+
+
+# Text cells that csv.writer quotes (a delimiter, a quote, a line break,
+# a row's lone empty cell) and some it does not.
+_TEXT_CELLS = ["plain", "a,b", 'say "hi"', "line\nbreak", "cr\rhere", "\r\n",
+               '"', ",", "", " padded ", "é"]
+
+
+def test_table_writer_writes_the_bytes_of_csv_writer(tmp_path):
+    rows = [[cell, 1.5, -3, 0.1 + 0.2, np.float64(2.0) / 3, 10 ** 20,
+             float("nan"), float("-inf"), np.float32(0.1), np.int64(7),
+             True, None] for cell in _TEXT_CELLS]
+    rows += [[cell] for cell in _TEXT_CELLS] + [[], ["", ""], [2.5]]
+    header = ["y_m\\x_m", "a,b", ""]
+    channel._write_table(tmp_path / "table.csv", header, iter(rows))
+    assert (tmp_path / "table.csv").read_bytes() \
+        == _csv_writer_bytes(tmp_path / "reference.csv", header, rows)
+
+
+_cells = st.one_of(st.text(alphabet='a ,"\r\né'), st.floats(), st.integers())
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.lists(_cells, max_size=4), st.lists(st.lists(_cells, max_size=4),
+                                              max_size=6))
+def test_table_writer_matches_csv_writer_on_any_cells(tmp_path_factory,
+                                                      header, rows):
+    tmp = tmp_path_factory.mktemp("table")
+    channel._write_table(tmp / "table.csv", header, rows)
+    assert (tmp / "table.csv").read_bytes() \
+        == _csv_writer_bytes(tmp / "reference.csv", header, rows)
 
 
 def test_move_device(small_env):

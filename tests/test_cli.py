@@ -12,8 +12,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from risjam import channel
-from risjam.channel import (MAX_ENSEMBLE_TERMS, environment_to_dict,
-                            environments_equal, load_environment)
+from risjam.channel import (MAX_ABS_DBM, MAX_ENSEMBLE_TERMS,
+                            environment_to_dict, environments_equal,
+                            load_environment)
 from risjam.cli import (
     EXIT_OK,
     EXIT_RUNTIME,
@@ -358,7 +359,7 @@ def _replaced(doc, path, value):
     ("powers.sweep_step_db", float("nan"), "powers.sweep_step_db"),
     ("powers.ap_dbm", None, "powers.ap_dbm"),
     ("powers.sweep_step_db", 1e-12, "powers.sweep_step_db"),
-    ("powers.sweep_to_dbm", 1e308, "powers.sweep_step_db"),
+    ("powers.sweep_to_dbm", 1e308, "powers.sweep_to_dbm"),
     ("environment.scatter_count", "x", "environment.scatter_count"),
     ("environment.scatter_count", 8, "environment.scatter_count"),
     ("environment.n_elements", 2.5, "environment.n_elements"),
@@ -481,6 +482,56 @@ def _assert_exits_2(tmp_path, capsys, command, scenario, field):
     assert json.loads(err[0])["field"] == field
 
 
+# A 3-device, 8-element packet-rate run.  A noise floor of 1e20 dBm used to
+# run to exit 0 with -9.2e18 dBm readings from an overflowing int cast.
+TINY_SCENARIO = {
+    "mode": "packet-rate",
+    "targets": ["A"],
+    "seed": 5,
+    "environment": {
+        "n_elements": 8,
+        "scatter_count": 16,
+        "attacker_position": [0.4, 0.9, 1.0],
+        "devices": {"D0": [3.0, 3.6, 1.2], "A": [1.6, 3.0, 0.9],
+                    "B": [1.9, 2.8, 0.9]},
+    },
+    "powers": {"jam_dbm": 0.0},
+    "optimizer": {"steps": 5, "reeval_period": 2, "table_size": 4},
+}
+
+
+@pytest.mark.parametrize("path,value,field", [
+    ("environment.noise_floor_dbm", 1e20, "environment.noise_floor_dbm"),
+    ("environment.noise_floor_dbm", -300.5, "environment.noise_floor_dbm"),
+    ("powers.jam_dbm", 1e20, "powers.jam_dbm"),
+    ("powers.ap_dbm", 301, "powers.ap_dbm"),
+    ("powers.device_tx_dbm", -1e20, "powers.device_tx_dbm"),
+    ("powers.sweep_from_dbm", -1e20, "powers.sweep_from_dbm"),
+    ("powers.sweep_to_dbm", 1e20, "powers.sweep_to_dbm"),
+    ("optimizer.meas_sigma_db", 1e300, "optimizer.meas_sigma_db"),
+    ("", _replaced(STORED_SCENARIO, "environment_document.noise_floor_dbm",
+                   1e20), "environment_document"),
+])
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_out_of_range_level_exits_2_before_search(tmp_path, capsys,
+                                                  no_search, command, path,
+                                                  value, field):
+    scenario = write_scenario(tmp_path, _replaced(TINY_SCENARIO, path, value))
+    _assert_exits_2(tmp_path, capsys, command, scenario, field)
+
+
+def test_levels_at_their_bounds_validate(tmp_path, capsys):
+    doc = _replaced(TINY_SCENARIO, "environment.noise_floor_dbm",
+                    -MAX_ABS_DBM)
+    doc["powers"] = {"jam_dbm": MAX_ABS_DBM, "ap_dbm": -MAX_ABS_DBM,
+                     "device_tx_dbm": MAX_ABS_DBM,
+                     "sweep_from_dbm": -MAX_ABS_DBM,
+                     "sweep_to_dbm": MAX_ABS_DBM}
+    doc["optimizer"]["meas_sigma_db"] = scenarios.MAX_SIGMA_DB
+    assert main(["validate", str(write_scenario(tmp_path, doc))]) == EXIT_OK
+    capsys.readouterr()
+
+
 @pytest.mark.parametrize("mode,rows", [("packet-rate", 1), ("jsr-matrix", 3)])
 def test_run_checks_the_roster_once(tmp_path, monkeypatch, mode, rows):
     calls = []
@@ -534,6 +585,15 @@ def test_usage_error_exits_2_with_one_json_line(capsys, argv):
     assert out == ""
     assert len(err.splitlines()) == 1
     assert isinstance(json.loads(err), dict)
+
+
+@pytest.mark.parametrize("argv,commands", [([], "{run,validate,compare,env}"),
+                                           (["env"], "{synth}")],
+                         ids=["no-command", "env"])
+def test_missing_command_error_names_the_commands(capsys, argv, commands):
+    assert main(argv) == EXIT_VALIDATION
+    message = json.loads(capsys.readouterr().err)["message"]
+    assert message == f"the following arguments are required: {commands}"
 
 
 @pytest.mark.parametrize("argv", [["-h"], ["--version"], ["run", "-h"]])

@@ -111,11 +111,15 @@ def test_sweep_settings_validated():
 
 
 def test_sweep_and_series_lengths_bounded():
-    top = float(MAX_SCAN_POINTS - 1)
-    assert len(PowerSettings(sweep_from_dbm=0.0, sweep_to_dbm=top)
+    # Steps of 1 mdB keep the sweep ends inside the dBm bounds.
+    step = 1e-3
+    top = (MAX_SCAN_POINTS - 1) * step
+    assert len(PowerSettings(sweep_from_dbm=0.0, sweep_to_dbm=top,
+                             sweep_step_db=step)
                .sweep_grid()) == MAX_SCAN_POINTS
     with pytest.raises(ScenarioError, match="sweep grid"):
-        PowerSettings(sweep_from_dbm=0.0, sweep_to_dbm=top + 1.0)
+        PowerSettings(sweep_from_dbm=0.0, sweep_to_dbm=top + step,
+                      sweep_step_db=step)
     mini_scenario("perturbation", mode_params={"duration": MAX_SCAN_POINTS})
     last = {"time": MAX_SCAN_POINTS - 2, "fraction": 0.1}
     mini_scenario("perturbation", mode_params={"schedule": [last]})
