@@ -63,17 +63,6 @@ _BATCH_BLOCK = 8
 # array, so NumPy's loops split it as they split the whole array.
 _FIELD_BLOCK = 64
 
-# Size, in bytes, from which NumPy's temporary elision evaluated the
-# unblocked `cis * np.exp(...)` in place as `exp(...) * cis`: it does so
-# when the exponential is a temporary of at least 256 KiB (its
-# NPY_MIN_ELIDE_BYTES) with the shape of cis, and where it can inspect the
-# call stack.  A complex product is not bitwise commutative, so the
-# blocked per-point field writes that order out, chosen from the size of
-# the whole term array, not of a block: the bits are those the unblocked
-# expression gave where NumPy elides, and no longer depend on whether it
-# can.
-_ELIDE_BYTES = 256 * 1024
-
 # Floor of a linear amplitude gain taken to dB, so a null stays finite.
 _TINY_GAIN = 1e-30
 
@@ -436,21 +425,15 @@ def _diffuse_field(kx, ky, cis, x, y, weights=None):
     # scattered sum.  Rows are evaluated in blocks of _FIELD_BLOCK over
     # _in_rows, each block summing its own rows along the contiguous last
     # axis, so a row's sum does not depend on the block size or the thread
-    # count.  The product of cis and the exponential is written out in the
-    # order the unblocked `cis * np.exp(...)` took from NumPy's temporary
-    # elision (see _ELIDE_BYTES), and the weights product as
-    # `terms * weights`.
+    # count.  The products are written out, as `cis * exp(...)` and
+    # `terms * weights`, so that NumPy's temporary elision cannot choose
+    # their operand order (a complex product is not bitwise commutative).
     shape = np.broadcast_shapes(kx.shape, np.shape(x), ky.shape, np.shape(y))
-    exp_first = (cis.shape == shape and math.prod(shape)
-                 * np.dtype(complex).itemsize >= _ELIDE_BYTES)
     sums = np.empty(shape[:-1], dtype=complex)
 
     def block(rows: slice) -> None:
         terms = np.exp(1j * (kx[rows] * x + ky[rows] * y))
-        if exp_first:
-            np.multiply(terms, cis[rows], out=terms)
-        else:
-            np.multiply(cis[rows], terms, out=terms)
+        np.multiply(cis[rows], terms, out=terms)
         if weights is not None:
             np.multiply(terms, weights[rows], out=terms)
         sums[rows] = terms.sum(axis=-1)
@@ -497,9 +480,10 @@ def ris_subchannels(env: Environment, position, device: str | None = None) -> np
     The row is evaluated in blocks of _FIELD_BLOCK surface elements on one
     thread per CPU the process may use, as ris_subchannels_batch's blocks
     are.  Each element's sum is computed by the same operations in any
-    block and on any thread, and the product order is written out (see
-    _diffuse_field), so the bits depend on neither the thread count nor
-    the block size, and ``--threads`` does not set either.
+    block and on any thread, and the product is written out as
+    ``cis * exp(...)`` (see _diffuse_field), so the bits depend on neither
+    the thread count, the block size nor the platform, and ``--threads``
+    does not set any of them.
     """
     pos = as_position(position)
     key = (device, pos)
@@ -557,8 +541,8 @@ def ris_subchannels_batch(env: Environment, positions,
     def block(start: int) -> None:
         sl = slice(start, start + _BATCH_BLOCK)
         ex = np.exp(1j * (kx[sl, :, None] * ux))                 # (b, M, Ux)
-        ey = cis[sl, None, :] * np.exp(
-            1j * (uy[:, None] * ky[sl, None, :]))                 # (b, Uy, M)
+        ey = np.exp(1j * (uy[:, None] * ky[sl, None, :]))       # (b, Uy, M)
+        np.multiply(cis[sl, None, :], ey, out=ey)
         out[:, sl] = (ey @ ex)[:, iy, ix].T
 
     _in_threads(block, range(0, L, _BATCH_BLOCK))

@@ -269,24 +269,22 @@ class Trace:
     """
 
     def __init__(self, best_cost: np.ndarray, worst_cost: np.ndarray,
-                 best_bits: np.ndarray, reeval_period: int):
+                 best_bits: np.ndarray):
         bits = np.asarray(best_bits)
-        self._set(best_cost, worst_cost, _pack(bits), bits.shape[1],
-                  reeval_period)
+        self._set(best_cost, worst_cost, _pack(bits), bits.shape[1])
 
     @classmethod
-    def _from_packed(cls, best_cost, worst_cost, packed, n_elements,
-                     reeval_period) -> "Trace":
+    def _from_packed(cls, best_cost, worst_cost, packed,
+                     n_elements) -> "Trace":
         trace = cls.__new__(cls)
-        trace._set(best_cost, worst_cost, packed, n_elements, reeval_period)
+        trace._set(best_cost, worst_cost, packed, n_elements)
         return trace
 
-    def _set(self, best_cost, worst_cost, packed, n_elements, reeval_period):
+    def _set(self, best_cost, worst_cost, packed, n_elements):
         self.best_cost = best_cost        # (steps + 1,)
         self.worst_cost = worst_cost      # (steps + 1,)
         self.packed = packed              # (steps + 1, ceil(L / 8)) uint8
         self.n_elements = n_elements
-        self.reeval_period = reeval_period
 
     @property
     def n_steps(self) -> int:
@@ -357,8 +355,7 @@ def run_optimizer(table_size: int, steps: int, n_elements: int,
         rows[j] = state.bits[0]
         if j == _TRACE_CHUNK - 1 or i == steps:
             packed[i - j:i + 1] = _pack(rows[:j + 1])
-    trace = Trace._from_packed(best_cost, worst_cost, packed, n_elements,
-                               reeval_period)
+    trace = Trace._from_packed(best_cost, worst_cost, packed, n_elements)
     return state.best_config(), trace
 
 

@@ -179,6 +179,7 @@ class ScenarioSpec:
             if t not in devices:
                 raise ScenarioError(f"target {t!r} has no position in the "
                                     f"roster", "targets")
+        _reject_repeats(targets, "targets")
         if self.ap_id in targets:
             raise ScenarioError(f"the access point {self.ap_id!r} cannot be a "
                                 f"target", "targets")
@@ -201,12 +202,14 @@ class ScenarioSpec:
                 if d not in devices:
                     raise ScenarioError(f"non-target {d!r} has no position in "
                                         f"the roster", "non_targets")
+            _reject_repeats(non_targets, "non_targets")
         object.__setattr__(self, "non_targets", non_targets)
         hidden = tuple(self.hidden)
         for h in hidden:
             if h not in non_targets:
                 raise ScenarioError(f"hidden device {h!r} must be a "
                                     f"non-target", "hidden")
+        _reject_repeats(hidden, "hidden")
         object.__setattr__(self, "hidden", hidden)
         if not isinstance(self.mode_params, Mapping):
             raise ScenarioError("must be an object", "mode_params")
@@ -253,6 +256,15 @@ def _natural_key(name: str):
 
 def _natural_sorted(names) -> list[str]:
     return sorted(names, key=_natural_key)
+
+
+def _reject_repeats(items: Sequence, path: str) -> None:
+    """A ScenarioError at ``path`` naming the first item listed twice."""
+    seen = set()
+    for item in items:
+        if item in seen:
+            raise ScenarioError(f"{item!r} is listed twice", path)
+        seen.add(item)
 
 
 def _reject_unknown(keys, known, prefix: str = "") -> None:
@@ -819,8 +831,8 @@ def _mode_params(spec: ScenarioSpec) -> dict:
 
 
 def _heatmap_window(params: Mapping, focus: Position
-                    ) -> tuple[float, float, float, float, float]:
-    """Validated (step, x0, x1, y0, y1) of a heatmap scan around ``focus``."""
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """Validated x and y axes of a heatmap scan around ``focus``."""
     step = _number_param(params, "step_m", low=0, strict=True)
     if any(key in params for key in _WINDOW_KEYS):
         x0, x1, y0, y1 = (_number_param(params, key) for key in _WINDOW_KEYS)
@@ -841,7 +853,8 @@ def _heatmap_window(params: Mapping, focus: Position
     if not (x0 <= focus.x <= x1 and y0 <= focus.y <= y1):
         raise ScenarioError("grid excludes the optimization point",
                             "mode_params")
-    return step, x0, x1, y0, y1
+    return (x0 + step * np.arange(round(nx) + 1),
+            y0 + step * np.arange(round(ny) + 1))
 
 
 def _displacement_offsets_m(params: Mapping) -> np.ndarray:
@@ -899,6 +912,7 @@ def _check_counts(spec: ScenarioSpec, params: Mapping) -> None:
                             "mode_params.counts", "mode_params.counts")
     for count in counts:
         _number_param({"counts": count}, "counts", integer=True, low=1)
+    _reject_repeats(counts, "mode_params.counts")
     if list(counts) != sorted(counts):
         raise ScenarioError("counts must be sorted ascending",
                             "mode_params.counts")
@@ -954,9 +968,7 @@ def _heatmap_grid(env: Environment, spec: ScenarioSpec, config: RisConfig,
     """Normalized attacker power on a planar grid around the optimized focus."""
     target = spec.targets[0]
     focus = env.devices[target]
-    step, x0, x1, y0, y1 = _heatmap_window(_mode_params(spec), focus)
-    xs = x0 + step * np.arange(int(round((x1 - x0) / step)) + 1)
-    ys = y0 + step * np.arange(int(round((y1 - y0) / step)) + 1)
+    xs, ys = _heatmap_window(_mode_params(spec), focus)
 
     focus_gain = abs(compose_channel(
         config, ris_subchannels(env, focus, device=target)))

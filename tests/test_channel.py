@@ -156,10 +156,12 @@ def test_batch_is_byte_equal_at_every_thread_count(monkeypatch, device):
 
 
 def _unblocked_row(env, pos, device):
-    """ris_subchannels as the one unblocked expression it was written as,
-    whose product order NumPy's temporary elision picks."""
+    """ris_subchannels as one unblocked expression, with the exponentials
+    a named array so that NumPy's temporary elision cannot reorder
+    `cis * waves`."""
     kx, ky, cis = env.ris["kx"], env.ris["ky"], env.ris["cis"]
-    terms = cis * np.exp(1j * (kx * pos.x + ky * pos.y))
+    waves = np.exp(1j * (kx * pos.x + ky * pos.y))
+    terms = cis * waves
     weights = env.pattern_weights.get(device)
     if weights is not None:
         terms = terms * weights
@@ -192,8 +194,6 @@ def test_blocked_field_is_byte_equal_to_unblocked_expressions(
     monkeypatch.setattr(channel, "_FIELD_BLOCK", block)
     env = synthesize_environment(_field_spec(size), 31)
     L, M = env.n_elements, env.scatter_count
-    assert (L * M * 16 >= channel._ELIDE_BYTES) == (size in ("desk",
-                                                             (64, 256)))
 
     angles, phases = channel._draw(
         np.random.default_rng([31, channel._STREAM_ENSEMBLES]), (L, M))
@@ -207,6 +207,41 @@ def test_blocked_field_is_byte_equal_to_unblocked_expressions(
         for pos in (env.devices.get(device, off), off):
             got = ris_subchannels(env, pos, device)
             assert got.tobytes() == _unblocked_row(env, pos, device).tobytes()
+
+
+def _per_element_batch(env, points, device):
+    """ris_subchannels_batch one surface element at a time, with the
+    y-axis exponentials a named array so that NumPy's temporary elision
+    cannot reorder `cis * waves`."""
+    pts = np.array([tuple(p) for p in points])
+    ux, ix = np.unique(pts[:, 0], return_inverse=True)
+    uy, iy = np.unique(pts[:, 1], return_inverse=True)
+    kx, ky, cis = env.ris["kx"], env.ris["ky"], env.ris["cis"]
+    if device is not None:
+        cis = cis * env.pattern_weights[device]
+    out = np.empty((len(pts), env.n_elements), dtype=complex)
+    for el in range(env.n_elements):
+        waves = np.exp(1j * (uy[:, None] * ky[el]))
+        ey = cis[el] * waves
+        out[:, el] = (ey @ np.exp(1j * (kx[el][:, None] * ux)))[iy, ix]
+    out /= math.sqrt(env.scatter_count)
+    out = channel._combine_rician(env, out, env.ris["los"], pts[:, :1],
+                                  pts[:, 1:2])
+    dists = np.linalg.norm(pts - np.array(tuple(env.attacker_position)),
+                           axis=1)
+    ref = (env.wavelength_m / (4.0 * math.pi)) ** 2
+    return np.sqrt(ref * dists ** -env.path_loss_exponent)[:, None] * out
+
+
+# At desk size a block's y-axis exponentials hold 8 x Uy x 256 complex
+# values: 672 KiB for the 21 rows of the heatmap grid, 96 KiB for 3.
+@pytest.mark.parametrize("rows", [21, 3])
+def test_batch_is_byte_equal_to_written_out_expression(rows):
+    env = synthesize_environment(_field_spec("desk"), 31)
+    grid = [Position(x, y, 1.0) for y in np.linspace(3.0, 3.4, rows)
+            for x in np.linspace(0.5, 0.9, 4)]
+    got = ris_subchannels_batch(env, grid, device="D2")
+    assert got.tobytes() == _per_element_batch(env, grid, "D2").tobytes()
 
 
 class _FailingWaves(np.ndarray):

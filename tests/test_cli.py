@@ -6,13 +6,14 @@ import os
 import shutil
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from risjam import channel
-from risjam.channel import (MAX_ABS_DBM, MAX_ENSEMBLE_TERMS,
+from risjam.channel import (MAX_ABS_DBM, MAX_ENSEMBLE_TERMS, EnvironmentSpec,
                             environment_to_dict, environments_equal,
                             load_environment)
 from risjam.cli import (
@@ -27,7 +28,8 @@ from risjam.cli import (
 )
 import risjam
 from risjam import scenarios
-from risjam.scenarios import (ScenarioError, scenario_from_dict,
+from risjam.scenarios import (OptimizerSettings, PowerSettings,
+                              ScenarioError, ScenarioSpec, scenario_from_dict,
                               scenario_to_dict)
 
 MINI_SCENARIO = {
@@ -433,6 +435,14 @@ def _replaced(doc, path, value):
                 mode_params={key: value}), f"mode_params.{key}")
       for key, value in (("gain_dbi", 1e5), ("diffuse_db", 1e5),
                          ("front_back_db", -1e5), ("beamwidth_deg", 1e-300))),
+    # A device or an element count listed twice.
+    ("non_targets", ["B", "B"], "non_targets"),
+    ("hidden", ["B", "B"], "hidden"),
+    ("", dict(MINI_SCENARIO, mode="jsr-matrix", targets=["A", "A"]),
+     "targets"),
+    ("", dict(MINI_SCENARIO, mode="element-sweep",
+              mode_params={"counts": [8, 8], "repeats": 1}),
+     "mode_params.counts"),
 ])
 @pytest.mark.parametrize("command", ["validate", "run"])
 def test_bad_document_exits_2_before_search(tmp_path, capsys, no_search,
@@ -930,25 +940,18 @@ FUZZ_BASES = [dict(MINI_SCENARIO, **fields) for fields in (
                      {"time": 2, "device": "B",
                       "position": [1.9, 2.9, 0.9]}], "duration": 3}},
 )] + [STORED_SCENARIO]
+# Every field the declarations accept: the spec and settings dataclasses,
+# every mode's params, and the keys environment_to_dict stores.
 FUZZ_FIELDS = {
-    "": ["name", "mode", "seed", "ap_id", "targets", "non_targets", "hidden",
-         "powers", "optimizer", "mode_params", "environment",
-         "environment_file", "environment_document"],
-    "powers.": ["jam_dbm", "ap_dbm", "device_tx_dbm", "sweep_from_dbm",
-                "sweep_to_dbm", "sweep_step_db"],
-    "optimizer.": ["table_size", "steps", "reeval_period", "epsilon",
-                   "w_mean", "w_extreme", "meas_sigma_db", "quantize"],
-    "environment.": ["frequency_hz", "n_elements", "scatter_count",
-                     "rician_k", "path_loss_exponent", "pattern_diversity",
-                     "noise_floor_dbm", "attacker_id", "attacker_position",
-                     "devices"],
-    "environment_document.": ["M", "seed", "frequency_hz", "devices",
-                              "ensembles.ris_elements",
-                              "ensembles.perturbations"],
-    "mode_params.": ["step_m", "x_extent_m", "x_min_m", "counts", "repeats",
-                     "minimized", "step_mm", "exclude", "gain_dbi",
-                     "beamwidth_deg", "diffuse_db", "front_back_db",
-                     "schedule", "duration", "offered_load_mbps"],
+    "": [f.name for f in fields(ScenarioSpec)]
+        + list(scenarios._STORED_ENVIRONMENT),
+    **{f"{name}.": [f.name for f in fields(declared)] for name, declared in (
+        ("powers", PowerSettings), ("optimizer", OptimizerSettings),
+        ("environment", EnvironmentSpec))},
+    "environment_document.": list(SMALL_WORLD) + [
+        f"ensembles.{key}" for key in SMALL_WORLD["ensembles"]],
+    "mode_params.": sorted({key for mode in scenarios._MODES.values()
+                            for key in mode.params}),
 }
 
 
@@ -995,7 +998,7 @@ RUN_FUZZ_FIELDS = [
                      "environment_document.M",
                      "environment_document.ensembles.ris_elements",
                      "mode_params.repeats", "mode_params.duration",
-                     "mode_params.schedule")]
+                     "mode_params.schedule", "mode_params.max_mm")]
 
 
 def _exit_and_errors(argv):

@@ -391,7 +391,7 @@ def test_brute_force_cap():
 def test_convergence_stats_constant_trace():
     bits = np.tile(np.array([0, 1, 1, 0], dtype=np.uint8), (5, 1))
     trace = Trace(best_cost=np.zeros(5), worst_cost=np.zeros(5),
-                  best_bits=bits, reeval_period=0)
+                  best_bits=bits)
     stats = convergence_stats(trace)
     assert stats["mean_distance"] == [0.0] * 5
 
@@ -402,7 +402,7 @@ def test_convergence_stats_random_walk_initial_distance(rng):
     for _ in range(20):
         bits = rng.integers(0, 2, (11, 768)).astype(np.uint8)
         traces.append(Trace(best_cost=np.zeros(11), worst_cost=np.zeros(11),
-                            best_bits=bits, reeval_period=0))
+                            best_bits=bits))
     stats = convergence_stats(traces)
     assert stats["initial_mean_distance"] == pytest.approx(384, abs=20)
     assert "p5_distance" in stats

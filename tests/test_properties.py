@@ -96,8 +96,7 @@ def test_trace_csv_hex_matches_config_hex(tmp_path_factory, length, rows,
         st.lists(st.integers(0, 1), min_size=length, max_size=length),
         min_size=rows, max_size=rows)), dtype=np.uint8)
     trace = optimizer.Trace(best_cost=np.zeros(rows),
-                            worst_cost=np.zeros(rows), best_bits=bits,
-                            reeval_period=0)
+                            worst_cost=np.zeros(rows), best_bits=bits)
     path = tmp_path_factory.mktemp("trace") / "trace.csv"
     trace.write_csv(path)
     hexes = [line.split(",")[2] for line in path.read_text().splitlines()[1:]]
