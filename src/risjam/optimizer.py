@@ -1,11 +1,16 @@
 """Table-based greedy genetic search over binary surface configurations.
 
 The search keeps a table of the B best (configuration, cost) pairs seen so
-far, sorted by cost.  Each step samples a candidate bit-wise from
+far, ranked by cost.  Each step samples a candidate bit-wise from
 rank-weighted per-element one-probabilities, measures it through the
 (noisy) RSSI oracle, and replaces the worst table entry when the candidate
 is at least as good.  All B entries are re-measured periodically so stale
 lucky measurements get washed out.
+
+Each table row stays in the slot it was written to: an accepted candidate
+overwrites the evicted worst row's slot, and an index of slots by rank
+(``OptimizerState.order``) keeps the ranking, so no step moves or copies
+the (B, L) table.
 
 A measurement oracle is any callable mapping RisConfig to a pair of RSSI
 arrays (targets, non-targets), both in dBm.  An oracle whose
@@ -17,7 +22,7 @@ table row), so no RisConfig is built per measurement.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -38,6 +43,9 @@ DEFAULT_EPSILON = 0.02
 # retains a few dozen bits of memory of the random initialization, which
 # breaks the expected random-vs-final Hamming distance of L/2.
 PROBABILITY_PRIOR = 5.0
+
+# Founding-table rows drawn at a time hold at most this many int64 draws.
+_DRAW_BLOCK = 8192
 
 # Largest candidate table.  It keeps every rank-weighted vote (at most
 # B(B+1)/2) below 2**24, where float32 sums of integers are exact.
@@ -102,42 +110,70 @@ def cost_margin_db(cost: float) -> float:
     return math.copysign(math.sqrt(abs(cost)), cost)
 
 
-@dataclass
 class OptimizerState:
-    """Sorted candidate table plus sampling parameters; row 0 is the best.
+    """Candidate table plus sampling parameters.
 
-    ``probs`` caches element_probabilities of the table; optimizer_step
-    recomputes it whenever it changes the table.
+    ``table`` holds the (B, L) rows in the slots they were written to, and
+    ``order`` is the slot at each rank (rank 0 the best).  ``costs`` and
+    ``founder`` are in rank order.  ``bits``, the table in rank order, is a
+    gathered copy for callers and tests; the search itself never gathers.
+    The constructor takes the table in rank order, as ``bits``.
+
+    ``slot_weights`` is each slot's vote (B - rank, or 0 for a founder) and
+    ``votes`` their sum; ``probs`` caches element_probabilities.
+    optimizer_step keeps all three up to date whenever it changes the table.
     """
 
-    bits: np.ndarray            # (B, L) float32 in {0, 1}, sorted by cost desc
-    costs: np.ndarray           # (B,)
-    founder: np.ndarray         # (B,) bool, True for initial random entries
-    step: int
-    rng: np.random.Generator
-    weights: CostWeights
-    noise_floor_dbm: float
-    epsilon: float
-    reeval_period: int
-    rank_weights: np.ndarray = field(init=False)
-    probs: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        if not 0.0 < self.epsilon < 0.5:
+    def __init__(self, bits: np.ndarray, costs: np.ndarray,
+                 founder: np.ndarray, step: int, rng: np.random.Generator,
+                 weights: CostWeights, noise_floor_dbm: float, epsilon: float,
+                 reeval_period: int):
+        if not 0.0 < epsilon < 0.5:
             raise ValueError("epsilon must be in (0, 0.5)")
-        b = self.bits.shape[0]
+        b = bits.shape[0]
         if b > MAX_TABLE_SIZE:
             raise ValueError(f"table_size must be <= {MAX_TABLE_SIZE}")
-        # Linear rank weights B..1 over the sorted table.
+        self.table = bits           # (B, L) float32 in {0, 1}, by slot
+        self.order = np.arange(b)   # (B,) slot at each rank
+        self.costs = costs          # (B,) by rank, descending
+        # (B,) bool by rank, True for initial random entries
+        self.founder = founder
+        self.step = step
+        self.rng = rng
+        self.weights = weights
+        self.noise_floor_dbm = noise_floor_dbm
+        self.epsilon = epsilon
+        self.reeval_period = reeval_period
+        # Linear rank weights B..1 over the ranked table.
         self.rank_weights = np.arange(b, 0, -1, dtype=np.float32)
-        self.probs = element_probabilities(self)
+        self._reweigh()
+
+    def _reweigh(self) -> None:
+        """Slot weights, vote total and probabilities from scratch."""
+        self.slot_weights = _slot_weights(self)
+        self.votes = int(self.slot_weights.sum())
+        self.probs = _probabilities(self.slot_weights, self.votes, self.table,
+                                    self.epsilon)
+
+    def _rank(self, costs: np.ndarray) -> None:
+        """Re-rank by ``costs``, measured per current rank; stable on ties."""
+        perm = np.argsort(-costs, kind="stable")
+        self.order = self.order[perm]
+        self.costs = costs[perm]
+        self.founder = self.founder[perm]
+        self._reweigh()
+
+    @property
+    def bits(self) -> np.ndarray:
+        """The table in rank order, row 0 the best; a copy."""
+        return self.table[self.order]
 
     @property
     def n_elements(self) -> int:
-        return int(self.bits.shape[1])
+        return int(self.table.shape[1])
 
     def best_config(self) -> RisConfig:
-        return RisConfig(self.bits[0])
+        return RisConfig(self.table[self.order[0]])
 
     def best_cost(self) -> float:
         return float(self.costs[0])
@@ -146,19 +182,33 @@ class OptimizerState:
         return float(self.costs[-1])
 
 
+def _slot_weights(state: OptimizerState) -> np.ndarray:
+    w = np.zeros(len(state.order), dtype=np.float32)
+    w[state.order] = np.where(state.founder, np.float32(0.0),
+                              state.rank_weights)
+    return w
+
+
+def _probabilities(slot_weights: np.ndarray, votes: int, table: np.ndarray,
+                   epsilon: float) -> np.ndarray:
+    p = (slot_weights @ table).astype(float)
+    p += PROBABILITY_PRIOR * 0.5
+    p /= votes + PROBABILITY_PRIOR
+    # np.clip, for finite values, at half its cost.
+    np.maximum(p, epsilon, out=p)
+    return np.minimum(p, 1.0 - epsilon, out=p)
+
+
 def element_probabilities(state: OptimizerState) -> np.ndarray:
     """Rank-weighted one-probability per element, clipped to the exploration floor.
 
     Only entries discovered by the search vote; while the table is all
     founders the probabilities sit at 0.5.  Every vote is an integer of at
-    most B(B+1)/2 < 2**24, so the float32 product is exact.
+    most B(B+1)/2 < 2**24, so the float32 product is exact, in any order of
+    the table's rows.
     """
-    w = np.where(state.founder, np.float32(0.0), state.rank_weights)
-    total = float(w.sum()) + PROBABILITY_PRIOR
-    p = (w @ state.bits).astype(float)
-    p += PROBABILITY_PRIOR * 0.5
-    p /= total
-    return np.clip(p, state.epsilon, 1.0 - state.epsilon, out=p)
+    w = _slot_weights(state)
+    return _probabilities(w, int(w.sum()), state.table, state.epsilon)
 
 
 def _measure(oracle: MeasurementOracle, bits_row: np.ndarray,
@@ -183,35 +233,47 @@ def optimizer_init(table_size: int, n_elements: int, oracle: MeasurementOracle,
         raise ValueError("n_elements must be >= 1")
     weights = weights or CostWeights()
     rng = np.random.default_rng(seed)
-    bits = rng.integers(0, 2, (table_size, n_elements)).astype(np.float32)
+    # The int64 draws are made a block of rows at a time, into the float32
+    # table: the same stream as one (B, L) draw, without its 8 bytes per bit.
+    table = np.empty((table_size, n_elements), dtype=np.float32)
+    rows = max(1, _DRAW_BLOCK // n_elements)
+    for r in range(0, table_size, rows):
+        block = table[r:r + rows]
+        block[...] = rng.integers(0, 2, block.shape)
     costs = np.array([
-        _measure(oracle, bits[i], weights, noise_floor_dbm)
+        _measure(oracle, table[i], weights, noise_floor_dbm)
         for i in range(table_size)
     ])
-    order = np.argsort(-costs, kind="stable")
-    return OptimizerState(
-        bits=bits[order], costs=costs[order],
+    # Ranked as drawn, then by cost: the rows stay where they were drawn.
+    state = OptimizerState(
+        bits=table, costs=costs,
         founder=np.ones(table_size, dtype=bool), step=0, rng=rng,
         weights=weights, noise_floor_dbm=noise_floor_dbm,
         epsilon=epsilon, reeval_period=reeval_period,
     )
+    state._rank(costs)
+    return state
 
 
 def optimizer_step(state: OptimizerState, oracle: MeasurementOracle) -> OptimizerState:
     """One candidate generation / measurement / table update.
 
     All oracle calls happen before any mutation, so a raised measurement
-    error leaves the state untouched.  When the completed-step counter hits
-    a multiple of reeval_period, the whole table is re-measured and
-    re-sorted as part of this step.  The cached probabilities are
-    recomputed only when the table changes.
+    error leaves the state untouched.  An accepted candidate is written
+    into the evicted worst row's slot, the one row the step writes; the
+    ranks below its own shift down in ``order``, ``costs`` and ``founder``,
+    and the slot weights follow.  When the completed-step counter hits a
+    multiple of reeval_period, the whole table is re-measured in its new
+    rank order and re-ranked as part of this step.  The cached
+    probabilities are recomputed only when the table changes.
     """
     # The comparison's bytes are the 0/1 bits: a view, not a cast.
     candidate = (state.rng.random(state.n_elements) < state.probs).view(
         np.uint8)
     cand_cost = _measure(oracle, candidate, state.weights, state.noise_floor_dbm)
 
-    bits = state.bits
+    table = state.table
+    order = state.order
     costs = state.costs
     founder = state.founder
     next_step = state.step + 1
@@ -219,31 +281,44 @@ def optimizer_step(state: OptimizerState, oracle: MeasurementOracle) -> Optimize
     accepted = cand_cost >= costs[-1]
     if accepted:
         # Ties evict the incumbent worst and rank the newcomer above its
-        # cost class: fresh genetic material wins ties.  The table is sorted,
-        # so the newcomer goes before the first entry it does not beat.
-        i = int(np.searchsorted(-costs[:-1], -cand_cost, side="left"))
+        # cost class: fresh genetic material wins ties.  The costs are
+        # sorted, so the newcomer goes before the first entry it does not
+        # beat.
+        i = int((-costs[:-1]).searchsorted(-cand_cost, side="left"))
+        slot = order[-1]
         if reeval:
             # Oracle calls follow: update copies, not the state.
-            bits, costs, founder = bits.copy(), costs.copy(), founder.copy()
-        bits[i + 1:] = bits[i:-1]
+            order, costs, founder = order.copy(), costs.copy(), founder.copy()
+        else:
+            # Each discovered entry from rank i down loses one vote; the
+            # worst leaves, and the newcomer's slot gets B - i.
+            demoted = ~founder[i:]
+            state.slot_weights[order[i:-1]] -= demoted[:-1]
+            state.slot_weights[slot] = len(order) - i
+            state.votes += len(order) - i - int(np.count_nonzero(demoted))
+            table[slot] = candidate
+        order[i + 1:] = order[i:-1]
         costs[i + 1:] = costs[i:-1]
         founder[i + 1:] = founder[i:-1]
-        bits[i], costs[i], founder[i] = candidate, cand_cost, False
+        order[i], costs[i], founder[i] = slot, cand_cost, False
 
     if reeval:
+        # The newcomer is measured from a float32 row, as a table row is.
+        new_row = candidate.astype(table.dtype) if accepted else None
         costs = np.array([
-            _measure(oracle, bits[i], state.weights, state.noise_floor_dbm)
-            for i in range(bits.shape[0])
+            _measure(oracle,
+                     new_row if accepted and r == i else table[order[r]],
+                     state.weights, state.noise_floor_dbm)
+            for r in range(len(order))
         ])
-        order = np.argsort(-costs, kind="stable")
-        bits, costs, founder = bits[order], costs[order], founder[order]
-
-    state.bits = bits
-    state.costs = costs
-    state.founder = founder
+        if accepted:
+            table[slot] = new_row
+        state.order, state.founder = order, founder
+        state._rank(costs)
+    elif accepted:
+        state.probs = _probabilities(state.slot_weights, state.votes, table,
+                                     state.epsilon)
     state.step = next_step
-    if accepted or reeval:
-        state.probs = element_probabilities(state)
     return state
 
 
@@ -352,7 +427,7 @@ def run_optimizer(table_size: int, steps: int, n_elements: int,
         best_cost[i] = state.best_cost()
         worst_cost[i] = state.worst_cost()
         j = i % _TRACE_CHUNK
-        rows[j] = state.bits[0]
+        rows[j] = state.table[state.order[0]]
         if j == _TRACE_CHUNK - 1 or i == steps:
             packed[i - j:i + 1] = _pack(rows[:j + 1])
     trace = Trace._from_packed(best_cost, worst_cost, packed, n_elements)

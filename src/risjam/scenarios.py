@@ -193,15 +193,16 @@ class ScenarioSpec:
                                 if d not in targets)
         else:
             non_targets = tuple(self.non_targets)
+            # Roster ids first: they are strings, so the sets below hash.
+            for d in non_targets:
+                if d not in devices:
+                    raise ScenarioError(f"non-target {d!r} has no position in "
+                                        f"the roster", "non_targets")
             overlap = sorted(set(non_targets) & set(targets))
             if overlap:
                 raise ScenarioError(
                     f"devices {overlap} appear in both the target and "
                     f"non-target sets", "non_targets")
-            for d in non_targets:
-                if d not in devices:
-                    raise ScenarioError(f"non-target {d!r} has no position in "
-                                        f"the roster", "non_targets")
             _reject_repeats(non_targets, "non_targets")
         object.__setattr__(self, "non_targets", non_targets)
         hidden = tuple(self.hidden)

@@ -443,6 +443,8 @@ def _replaced(doc, path, value):
     ("", dict(MINI_SCENARIO, mode="element-sweep",
               mode_params={"counts": [8, 8], "repeats": 1}),
      "mode_params.counts"),
+    # A nested (unhashable) device id in each device list.
+    *((key, [["B"]], key) for key in ("targets", "non_targets", "hidden")),
 ])
 @pytest.mark.parametrize("command", ["validate", "run"])
 def test_bad_document_exits_2_before_search(tmp_path, capsys, no_search,

@@ -1,5 +1,8 @@
+import copy
 import csv
+import itertools
 import math
+from types import SimpleNamespace
 import tracemalloc
 
 import numpy as np
@@ -23,7 +26,7 @@ from risjam.optimizer import (
     _signed_square,
     run_optimizer,
 )
-from risjam.ris import enumerate_configs
+from risjam.ris import RisConfig, enumerate_configs
 from risjam.scenarios import MaskedOracle, RssiOracle
 
 from conftest import make_small_spec
@@ -173,6 +176,22 @@ def test_init_deterministic():
     np.testing.assert_array_equal(a.costs, b.costs)
 
 
+@pytest.mark.parametrize("table_size,n_elements", [
+    (7, 1), (100, 3), (2, 16), (100, 77), (101, 768), (8, 768), (5, 3001),
+    (3, 8193),
+])
+def test_init_table_is_the_one_shot_draw(table_size, n_elements):
+    # The founding table is drawn a block of rows at a time (one row per
+    # block at 8193 elements, an odd count of draws); the draws, and the
+    # stream after them, are those of one (B, L) draw.
+    oracle = lambda cfg: (np.array([-50.0]), np.array([-70.0]))
+    state = optimizer_init(table_size, n_elements, oracle, 11)
+    rng = np.random.default_rng(11)
+    want = rng.integers(0, 2, (table_size, n_elements)).astype(np.float32)
+    assert state.table.tobytes() == want.tobytes()
+    assert state.rng.random(5).tobytes() == rng.random(5).tobytes()
+
+
 def test_init_validation():
     oracle = make_oracle()
     with pytest.raises(ValueError):
@@ -206,6 +225,29 @@ def test_worst_cost_monotone_without_reeval():
         prev = state.worst_cost()
 
 
+def _assert_steps_as_untouched(failed, untouched):
+    """Twenty working steps from a failed step's state and from a copy
+    taken before it, drawing the same candidates, end byte-equal: the
+    failed step left no state behind, seen or unseen.  The steps do not
+    re-evaluate, which would recompute the slot weights from scratch."""
+    untouched.rng.bit_generator.state = failed.rng.bit_generator.state
+    failed.reeval_period = untouched.reeval_period = 0
+
+    def working(cfg):
+        # Fixed per configuration and in the range of the failed tests'
+        # table costs: candidates enter at varying ranks, with ties.
+        code = int(cfg.bits @ (1 << np.arange(6)))
+        return np.array([-40.0 + code % 13]), np.array([-70.0])
+
+    for state in (failed, untouched):
+        for _ in range(20):
+            optimizer_step(state, working)
+    assert not failed.founder.all()
+    assert failed.bits.tobytes() == untouched.bits.tobytes()
+    assert failed.probs.tobytes() == untouched.probs.tobytes()
+    assert failed.costs.tobytes() == untouched.costs.tobytes()
+
+
 def test_state_unchanged_on_oracle_error():
     calls = {"n": 0}
 
@@ -231,6 +273,27 @@ def test_state_unchanged_on_oracle_error():
     assert state.step == step
 
 
+def test_no_hidden_state_left_when_the_candidate_measurement_fails():
+    # Accepted steps first, so the table holds discovered entries whose
+    # slot weights a failed step could have changed.
+    calls = {"n": 0}
+
+    def flaky(cfg):
+        calls["n"] += 1
+        if calls["n"] > 15:
+            raise RuntimeError("radio down")
+        return (np.array([-50.0 + calls["n"]]), np.array([-70.0]))
+
+    state = optimizer_init(10, 6, flaky, 1)
+    for _ in range(5):
+        optimizer_step(state, flaky)
+    untouched = copy.deepcopy(state)
+    with pytest.raises(RuntimeError):
+        optimizer_step(state, flaky)
+    assert calls["n"] == 16
+    _assert_steps_as_untouched(state, untouched)
+
+
 def test_state_unchanged_when_reeval_fails_after_acceptance():
     calls = {"n": 0}
 
@@ -245,6 +308,7 @@ def test_state_unchanged_when_reeval_fails_after_acceptance():
     state = optimizer_init(10, 6, failing_reeval, 1, reeval_period=1)
     bits, costs = state.bits.copy(), state.costs.copy()
     founder, probs = state.founder.copy(), state.probs.copy()
+    untouched = copy.deepcopy(state)
     with pytest.raises(RuntimeError):
         optimizer_step(state, failing_reeval)
     assert calls["n"] == 13
@@ -253,6 +317,7 @@ def test_state_unchanged_when_reeval_fails_after_acceptance():
     np.testing.assert_array_equal(state.founder, founder)
     assert state.probs.tobytes() == probs.tobytes()
     assert state.step == 0
+    _assert_steps_as_untouched(state, untouched)
 
 
 def test_probabilities_respect_exploration_floor():
@@ -282,6 +347,89 @@ def test_cached_probabilities_match_the_table():
                          else "rejected")
         assert state.probs.tobytes() == element_probabilities(state).tobytes()
     assert seen == {"accepted", "rejected", "reeval"}
+
+
+class _TiedOracle:
+    """A fixed linear score of the bits plus Gaussian noise, rounded to
+    whole dB: costs are integers, so ties are common."""
+
+    def __init__(self, n_elements, seed):
+        self.w = np.random.default_rng(seed).normal(size=(2, n_elements))
+        self.noise = np.random.default_rng([seed, 1])
+
+    def __call__(self, cfg):
+        s = self.w @ (2.0 * cfg.bits - 1.0) + self.noise.normal(0, 3.0, 2)
+        return np.round(s[:1] - 60.0), np.round(s[1:] - 60.0)
+
+
+def _sorted_table_search(table_size, n_elements, oracle, seed, epsilon,
+                         reeval_period):
+    """The search over a table kept sorted by moving rows: a row shift per
+    accepted candidate, a re-sort of re-measured rows, np.where votes.
+    Yields the table after initialization and after each step."""
+    rng = np.random.default_rng(seed)
+    measure = lambda row: aggregate_cost(*oracle(RisConfig(row)))
+
+    def remeasured(bits, founder):
+        costs = np.array([measure(row) for row in bits])
+        order = np.argsort(-costs, kind="stable")
+        return bits[order], costs[order], founder[order]
+
+    bits, costs, founder = remeasured(
+        rng.integers(0, 2, (table_size, n_elements)).astype(np.float32),
+        np.ones(table_size, dtype=bool))
+    rank_weights = np.arange(table_size, 0, -1, dtype=np.float32)
+    for step in itertools.count(1):
+        w = np.where(founder, np.float32(0.0), rank_weights)
+        p = (w @ bits).astype(float) + PROBABILITY_PRIOR * 0.5
+        probs = np.clip(p / (float(w.sum()) + PROBABILITY_PRIOR),
+                        epsilon, 1.0 - epsilon)
+        yield SimpleNamespace(bits=bits, costs=costs, founder=founder,
+                              probs=probs)
+        candidate = (rng.random(n_elements) < probs).view(np.uint8)
+        cand_cost = measure(candidate)
+        if cand_cost >= costs[-1]:
+            i = int(np.searchsorted(-costs[:-1], -cand_cost, side="left"))
+            bits[i + 1:] = bits[i:-1]
+            costs[i + 1:] = costs[i:-1]
+            founder[i + 1:] = founder[i:-1]
+            bits[i], costs[i], founder[i] = candidate, cand_cost, False
+        if reeval_period and step % reeval_period == 0:
+            bits, costs, founder = remeasured(bits, founder)
+
+
+@pytest.mark.parametrize("table_size,n_elements,reeval_period,steps", [
+    *((b, n, r, 60) for b in (2, 5, 100) for n in (7, 768)
+      for r in (0, 1, 7)),
+    (100, 768, 1000, 1200),
+])
+def test_steps_match_the_sorted_table_search(table_size, n_elements,
+                                             reeval_period, steps):
+    # After initialization and every step: the ranked table, costs,
+    # founders and probabilities, byte for byte; then the traces.
+    kwargs = dict(epsilon=0.02, reeval_period=reeval_period)
+    reference = _sorted_table_search(table_size, n_elements,
+                                     _TiedOracle(n_elements, 3), 9, **kwargs)
+    oracle = _TiedOracle(n_elements, 3)
+    state = optimizer_init(table_size, n_elements, oracle, 9, **kwargs)
+    best_cost, worst_cost, rows = [], [], []
+    for step in range(steps + 1):
+        if step:
+            optimizer_step(state, oracle)
+        want = next(reference)
+        assert state.bits.tobytes() == want.bits.tobytes()
+        assert state.costs.tobytes() == want.costs.tobytes()
+        assert state.founder.tobytes() == want.founder.tobytes()
+        assert state.probs.tobytes() == want.probs.tobytes()
+        best_cost.append(want.costs[0])
+        worst_cost.append(want.costs[-1])
+        rows.append(want.bits[0].astype(np.uint8))
+    want = Trace(np.array(best_cost), np.array(worst_cost), np.array(rows))
+    _, trace = run_optimizer(table_size, steps, n_elements,
+                             _TiedOracle(n_elements, 3), 9, **kwargs)
+    assert trace.best_cost.tobytes() == want.best_cost.tobytes()
+    assert trace.worst_cost.tobytes() == want.worst_cost.tobytes()
+    assert trace.packed.tobytes() == want.packed.tobytes()
 
 
 def test_float32_votes_are_exact_at_the_largest_table():
