@@ -49,12 +49,15 @@ MAX_ABS_DBM = 300.0
 # Largest surface ensemble, n_elements * scatter_count plane waves, about
 # 50 times the desk surface (768 * 256).  The environment holds four
 # float64 arrays of that size (kx, ky and the complex cis): 0.3 GB at the
-# cap.
+# cap.  Synthesis draws the angles and phases into kx and ky, so it peaks
+# at those arrays (it held the draws beside them, about 0.45 GB, before).
 MAX_ENSEMBLE_TERMS = 10_000_000
 
 # Surface elements per step of ris_subchannels_batch.  Bounds each
 # thread's intermediates to _BATCH_BLOCK*(M*Ux + Uy*M + Uy*Ux) complex
-# values; of 8, 16, 32, 64 and 128, 8 was fastest on the desk heatmap grid.
+# values, plus the float phases of the first two while their exponentials
+# are taken (each in place, in the array that keeps it); of 8, 16, 32, 64
+# and 128, 8 was fastest on the desk heatmap grid.
 _BATCH_BLOCK = 8
 
 # Rows (surface elements, or realizations) per block of the per-point field
@@ -312,34 +315,40 @@ def _draw(rng: np.random.Generator, shape) -> tuple[np.ndarray, np.ndarray]:
     return angles, phases
 
 
-def _waves(kappa: float, angles: np.ndarray, phases: np.ndarray):
-    """Wave-vector components kx, ky and unit phasors cis of plane waves.
+def _draw_waves(rng: np.random.Generator, kappa: float, shape):
+    """Wave-vector components kx, ky and unit phasors cis of ``shape``
+    plane waves whose angles, then phases, are drawn from ``rng``.
 
-    Each is written into its own preallocated array, in blocks of
-    _FIELD_BLOCK rows over _in_rows, with no full-size temporary; the
-    values are those of kappa * cos(angles), kappa * sin(angles) and
-    exp(1j * phases).
+    The draws are those of _draw, made straight into kx (angles) and ky
+    (phases) on the calling thread: Generator.uniform(0, 2*pi) is 0 +
+    2*pi * random(), so the stream and the bits are the same.  The waves
+    are then written over them in blocks of _FIELD_BLOCK rows over
+    _in_rows: cis = exp(1j * phases) first, then ky = sin(angles) * kappa,
+    then kx = cos(angles) * kappa.  No full-size temporary is made.
     """
-    kx = np.empty_like(angles)
-    ky = np.empty_like(angles)
-    cis = np.empty(angles.shape, dtype=complex)
+    kx = np.empty(shape)
+    ky = np.empty(shape)
+    for draws in (kx, ky):
+        rng.random(out=draws)
+        draws *= 2.0 * math.pi
+    cis = np.empty(shape, dtype=complex)
 
     def block(rows: slice) -> None:
-        for wave, fn in ((kx[rows], np.cos), (ky[rows], np.sin)):
-            fn(angles[rows], out=wave)
-            wave *= kappa
-        phasors = cis[rows]
-        np.multiply(1j, phases[rows], out=phasors)
+        angles, phasors = kx[rows], cis[rows]
+        np.multiply(1j, ky[rows], out=phasors)
         np.exp(phasors, out=phasors)
+        for wave, fn in ((ky[rows], np.sin), (angles, np.cos)):
+            fn(angles, out=wave)
+            wave *= kappa
 
-    _in_rows(block, angles.shape)
+    _in_rows(block, shape)
     return kx, ky, cis
 
 
 def _draw_ensemble(rng: np.random.Generator, kappa: float, shape) -> dict:
     """The waves of ``shape`` angles and phases, then one line-of-sight
     (angle, phase) pair per ensemble (``shape`` without its last axis)."""
-    kx, ky, cis = _waves(kappa, *_draw(rng, shape))
+    kx, ky, cis = _draw_waves(rng, kappa, shape)
     return {"kx": kx, "ky": ky, "cis": cis,
             "los": np.stack(_draw(rng, shape[:-1]), axis=-1)}
 
@@ -351,10 +360,14 @@ def synthesize_environment(spec: EnvironmentSpec, seed: int) -> Environment:
     one block, then one ensemble per direct transmitter in sorted-id order
     with the attacker last.  A line-of-sight (angle, phase) pair is drawn
     per ensemble unconditionally so that toggling the Rician K factor never
-    shifts any other draw.  The draws are made on the calling thread; the
-    waves evaluated from them (_waves) run in blocks of surface elements
-    on every CPU, elementwise, so their bits do not depend on the thread
-    count.
+    shifts any other draw.  The draws are made on the calling thread,
+    straight into the arrays that keep the waves (_draw_waves): the angles
+    into ``kx`` and the phases into ``ky``.  The waves are then written
+    over them in blocks of surface elements on every CPU, elementwise, so
+    their bits do not depend on the thread count, and synthesis holds no
+    more than the world's own arrays.  Each device's pattern weights
+    (pattern_diversity > 0) are combined in place from their two normal
+    draws.
     """
     seed = _seed(seed)
 
@@ -371,9 +384,9 @@ def synthesize_environment(spec: EnvironmentSpec, seed: int) -> Environment:
         delta = spec.pattern_diversity
         norm = math.sqrt(1.0 + delta ** 2)
         for dev_id in sorted(spec.devices):
-            g = prng.normal(0.0, math.sqrt(0.5), (L, M)) \
-                + 1j * prng.normal(0.0, math.sqrt(0.5), (L, M))
-            pattern_weights[dev_id] = (1.0 + delta * g) / norm
+            pattern_weights[dev_id] = _pattern_weights(
+                prng.normal(0.0, math.sqrt(0.5), (L, M)),
+                prng.normal(0.0, math.sqrt(0.5), (L, M)), delta, norm)
 
     return Environment(
         frequency_hz=spec.frequency_hz,
@@ -391,6 +404,21 @@ def synthesize_environment(spec: EnvironmentSpec, seed: int) -> Environment:
         direct=direct,
         pattern_weights=pattern_weights,
     )
+
+
+def _pattern_weights(n1: np.ndarray, n2: np.ndarray, delta: float,
+                     norm: float) -> np.ndarray:
+    """(1.0 + delta * (n1 + 1j * n2)) / norm, built in one complex array.
+
+    The complex form's real part is 1.0 + delta * n1 and its imaginary
+    part delta * n2 (its cross terms are exact zeros), and the division
+    is the same complex division by norm.
+    """
+    weights = np.empty(n1.shape, dtype=complex)
+    np.multiply(delta, n1, out=weights.real)
+    weights.real += 1.0
+    np.multiply(delta, n2, out=weights.imag)
+    return np.divide(weights, norm, out=weights)
 
 
 def draw_counter(env: Environment) -> int:
@@ -425,14 +453,17 @@ def _diffuse_field(kx, ky, cis, x, y, weights=None):
     # scattered sum.  Rows are evaluated in blocks of _FIELD_BLOCK over
     # _in_rows, each block summing its own rows along the contiguous last
     # axis, so a row's sum does not depend on the block size or the thread
-    # count.  The products are written out, as `cis * exp(...)` and
+    # count.  A block's phase and exponential are computed in place
+    # (_expi), and the products are written out, as `cis * exp(...)` and
     # `terms * weights`, so that NumPy's temporary elision cannot choose
     # their operand order (a complex product is not bitwise commutative).
     shape = np.broadcast_shapes(kx.shape, np.shape(x), ky.shape, np.shape(y))
     sums = np.empty(shape[:-1], dtype=complex)
 
     def block(rows: slice) -> None:
-        terms = np.exp(1j * (kx[rows] * x + ky[rows] * y))
+        phase = kx[rows] * x
+        phase += ky[rows] * y
+        terms = _expi(phase)
         np.multiply(cis[rows], terms, out=terms)
         if weights is not None:
             np.multiply(terms, weights[rows], out=terms)
@@ -443,16 +474,34 @@ def _diffuse_field(kx, ky, cis, x, y, weights=None):
     return sums
 
 
-def _combine_rician(env: Environment, diffuse, los, x, y):
+def _expi(phase: np.ndarray) -> np.ndarray:
+    """exp(1j * phase) in one new complex array, the exponential taken in
+    place.  A 0-d ``phase`` gives a 0-d array, not a NumPy scalar."""
+    out = np.empty(np.shape(phase), dtype=complex)
+    np.multiply(1j, phase, out=out)
+    return np.exp(out, out=out)
+
+
+def _combine_rician(env: Environment, diffuse: np.ndarray, los, x, y):
+    """sqrt(k/(k+1)) * wave + sqrt(1/(k+1)) * diffuse, where wave is the
+    line-of-sight plane wave of the (angle, phase) pairs ``los`` at x, y.
+
+    ``diffuse`` (an array, 0-d for one transmitter) is scaled in place and
+    returned; the phase is built in one float array and the wave in one
+    complex array, with the operand order of the written-out sum.
+    """
     if env.rician_k == 0.0:
         return diffuse
     k = env.rician_k
-    kap = env.kappa
     angle, phase = los[..., 0], los[..., 1]
-    wave = np.exp(1j * (kap * (np.cos(angle) * x + np.sin(angle) * y)
-                        + phase))
-    return (math.sqrt(k / (k + 1.0)) * wave
-            + math.sqrt(1.0 / (k + 1.0)) * diffuse)
+    arg = np.cos(angle) * x
+    arg += np.sin(angle) * y
+    arg *= env.kappa
+    arg += phase
+    wave = _expi(arg)
+    np.multiply(math.sqrt(k / (k + 1.0)), wave, out=wave)
+    np.multiply(math.sqrt(1.0 / (k + 1.0)), diffuse, out=diffuse)
+    return np.add(wave, diffuse, out=diffuse)
 
 
 def _field_at(env: Environment, ensemble: dict, distance_m: float,
@@ -524,10 +573,7 @@ def ris_subchannels_batch(env: Environment, positions,
     pts = np.asarray([tuple(as_position(p)) for p in positions],
                      dtype=float).reshape(-1, 3)
     L, M = env.n_elements, env.scatter_count
-    att = np.array(tuple(env.attacker_position))
-    dists = np.linalg.norm(pts - att, axis=1)
-    if np.any(dists <= MIN_ENTITY_DISTANCE):
-        raise ValueError("a scan position coincides with the attacker position")
+    dists = _scan_distances(pts, env.attacker_position)
     ref = (env.wavelength_m / (4.0 * math.pi)) ** 2
     amps = np.sqrt(ref * dists ** (-env.path_loss_exponent))
 
@@ -540,16 +586,30 @@ def ris_subchannels_batch(env: Environment, positions,
 
     def block(start: int) -> None:
         sl = slice(start, start + _BATCH_BLOCK)
-        ex = np.exp(1j * (kx[sl, :, None] * ux))                 # (b, M, Ux)
-        ey = np.exp(1j * (uy[:, None] * ky[sl, None, :]))       # (b, Uy, M)
+        ex = _expi(kx[sl, :, None] * ux)                         # (b, M, Ux)
+        ey = _expi(uy[:, None] * ky[sl, None, :])               # (b, Uy, M)
         np.multiply(cis[sl, None, :], ey, out=ey)
         out[:, sl] = (ey @ ex)[:, iy, ix].T
 
     _in_threads(block, range(0, L, _BATCH_BLOCK))
+    del cis  # a weighted copy is not kept through the Rician term
     out /= math.sqrt(M)
     out = _combine_rician(env, out, env.ris["los"], pts[:, :1], pts[:, 1:2])
     # In place: saves one (P, L) complex temporary.
     return np.multiply(amps[:, None], out, out=out)
+
+
+def _scan_distances(points: np.ndarray, attacker: Position) -> np.ndarray:
+    """Distances (m) of the (P, 3) ``points`` from the attacker position.
+
+    A point within MIN_ENTITY_DISTANCE of it raises ValueError.  Scenario
+    parsing checks its scan points here too, so a grid or rail that
+    ris_subchannels_batch would reject is rejected before any search.
+    """
+    dists = np.linalg.norm(points - np.array(tuple(attacker)), axis=1)
+    if np.any(dists <= MIN_ENTITY_DISTANCE):
+        raise ValueError("a scan position coincides with the attacker position")
+    return dists
 
 
 def _field_threads() -> int:
@@ -696,7 +756,7 @@ def spatial_correlation(env: Environment, base, displacements,
     while remaining > 0:
         r = min(200, remaining)
         remaining -= r
-        kx, ky, cis = _waves(env.kappa, *_draw(rng, (r, env.scatter_count)))
+        kx, ky, cis = _draw_waves(rng, env.kappa, (r, env.scatter_count))
         f0 = _diffuse_field(kx, ky, cis, base_pos.x, base_pos.y)      # (r,)
         fd = _diffuse_field(kx[:, None], ky[:, None], cis[:, None], xs,
                             base_pos.y)                               # (r, D)
@@ -736,12 +796,12 @@ def perturb_environment(env: Environment, fraction: float, seed: int) -> Environ
     # as flat indices into the (L, M) arrays.
     idx = np.argpartition(rng.random((L, M)), k - 1, axis=1)[:, :k]
     ris = _redraw(env.ris, (np.arange(L)[:, None] * M + idx).ravel(),
-                  _waves(kap, *_draw(rng, (L, k))))
+                  _draw_waves(rng, kap, (L, k)))
     direct = {}
     for dev_id in env.direct_ids():
         sel = rng.choice(M, size=k, replace=False)
         direct[dev_id] = _redraw(env.direct[dev_id], sel,
-                                 _waves(kap, *_draw(rng, k)))
+                                 _draw_waves(rng, kap, (k,)))
     return replace(env, ris=ris, direct=direct, perturbations=perturbations)
 
 

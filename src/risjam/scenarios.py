@@ -30,8 +30,10 @@ from .channel import (
     Position,
     ScenarioError,
     _TINY_GAIN,
+    _check_entity_distances,
     _number_param,
     _read_in_place,
+    _scan_distances,
     _seed,
     as_position,
     direct_channel,
@@ -858,6 +860,35 @@ def _heatmap_window(params: Mapping, focus: Position
             y0 + step * np.arange(round(ny) + 1))
 
 
+def _grid_points(xs: np.ndarray, ys: np.ndarray, z: float) -> np.ndarray:
+    """The (P, 3) points of a heatmap grid at height z: a row per y value,
+    x varying fastest."""
+    grid_x, grid_y = np.meshgrid(xs, ys)
+    return np.stack([grid_x.ravel(), grid_y.ravel(),
+                     np.full(grid_x.size, z)], axis=1)
+
+
+def _rail_points(base: Position, offsets_m: np.ndarray) -> np.ndarray:
+    """The (P, 3) points of a displacement rail: ``base`` moved along +x."""
+    points = np.tile(np.array(tuple(base)), (len(offsets_m), 1))
+    points[:, 0] += offsets_m
+    return points
+
+
+def _check_scan(spec: ScenarioSpec, points: np.ndarray) -> None:
+    """Reject scan points the grid field would reject (_scan_distances)."""
+    try:
+        _scan_distances(points, spec.environment.attacker_position)
+    except ValueError as exc:
+        raise ScenarioError(str(exc), "mode_params") from exc
+
+
+def _check_heatmap(spec: ScenarioSpec, params: Mapping) -> None:
+    focus = spec._position(spec.targets[0])
+    xs, ys = _heatmap_window(params, focus)
+    _check_scan(spec, _grid_points(xs, ys, focus.z))
+
+
 def _displacement_offsets_m(params: Mapping) -> np.ndarray:
     """Validated displacements (m) of a displacement scan."""
     step_mm = _number_param(params, "step_mm", low=0, strict=True)
@@ -932,7 +963,9 @@ def _check_displacement(spec: ScenarioSpec, params: Mapping) -> None:
     if minimized not in spec._device_ids() or minimized in spec.targets:
         raise ScenarioError("minimized device must be a distinct roster "
                             "device", "mode_params.minimized")
-    _displacement_offsets_m(params)
+    offsets = _displacement_offsets_m(params)
+    for device in (spec.targets[0], minimized):
+        _check_scan(spec, _rail_points(spec._position(device), offsets))
 
 
 def _check_schedule(spec: ScenarioSpec, params: Mapping) -> None:
@@ -961,7 +994,21 @@ def _check_schedule(spec: ScenarioSpec, params: Mapping) -> None:
                 as_position(event.get("position"))
             except (TypeError, ValueError, OverflowError) as exc:
                 raise ScenarioError(str(exc), f"{path}.position") from exc
-    _perturbation_duration(params)
+    duration = _perturbation_duration(params)
+    # Replay the moves a run applies (time order, steps 0 .. duration - 1)
+    # through the roster check move_device makes.
+    world = spec.environment
+    devices = dict(world.devices)
+    for i, event in sorted(enumerate(schedule), key=lambda e: e[1]["time"]):
+        if "device" in event and 0 < duration and \
+                event["time"] <= duration - 1:
+            devices[event["device"]] = as_position(event["position"])
+            try:
+                _check_entity_distances(devices, world.attacker_position,
+                                        world.attacker_id)
+            except ValueError as exc:
+                raise ScenarioError(
+                    str(exc), f"mode_params.schedule[{i}].position") from exc
 
 
 def _heatmap_grid(env: Environment, spec: ScenarioSpec, config: RisConfig,
@@ -975,8 +1022,8 @@ def _heatmap_grid(env: Environment, spec: ScenarioSpec, config: RisConfig,
         config, ris_subchannels(env, focus, device=target)))
     focus_db = 20.0 * math.log10(max(focus_gain, _TINY_GAIN))
 
-    pts = [Position(float(x), float(y), focus.z) for y in ys for x in xs]
-    gains = ris_subchannels_batch(env, pts, device=target) \
+    gains = ris_subchannels_batch(env, _grid_points(xs, ys, focus.z),
+                                  device=target) \
         @ config.coefficients()
     grid_db = (_gain_db(gains) - focus_db).reshape(len(ys), len(xs))
     return {"heatmap": {
@@ -1000,8 +1047,7 @@ def _displacement_curves(env: Environment, spec: ScenarioSpec,
     coeff = config.coefficients()
 
     def curve(device: str) -> np.ndarray:
-        base = env.devices[device]
-        pts = [Position(base.x + d, base.y, base.z) for d in disp_m]
+        pts = _rail_points(env.devices[device], disp_m)
         return _gain_db(ris_subchannels_batch(env, pts, device=device) @ coeff)
 
     max_curve = curve(spec.targets[0])
@@ -1180,8 +1226,7 @@ _MODES = {
         power_sweep, _ONE,
         {"step_m": 0.01, "x_extent_m": 0.75, "y_extent_m": 0.50,
          **dict.fromkeys(_WINDOW_KEYS)},
-        lambda spec, params: _heatmap_window(
-            params, spec._position(spec.targets[0])), _heatmap_grid),
+        _check_heatmap, _heatmap_grid),
     "element-sweep": _Mode(element_sweep, _ONE,
                            {"counts": None, "repeats": 1}, _check_counts),
     "displacement": _Mode(

@@ -4,6 +4,7 @@ import math
 import sys
 import threading
 import time
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -420,6 +421,67 @@ def test_synthesis_waves_match_replayed_draws(n_elements, scatter_count):
         for name, wave in waves.items():
             assert got[name].dtype == wave.dtype
             assert got[name].tobytes() == wave.tobytes()
+
+
+@pytest.mark.parametrize("delta", [0.5, 3.0])
+@pytest.mark.parametrize("n_elements, scatter_count", [(16, 32), (77, 256)])
+def test_pattern_weights_match_replayed_draws(n_elements, scatter_count,
+                                              delta):
+    # Byte-equal to the complex expression of a replay of the pattern
+    # stream: per device (sorted ids) two normal arrays, real then
+    # imaginary.
+    env = synthesize_environment(
+        make_small_spec(n_elements=n_elements, scatter_count=scatter_count,
+                        pattern_diversity=delta), 21)
+    prng = np.random.default_rng([21, channel._STREAM_PATTERN])
+    norm = math.sqrt(1.0 + delta ** 2)
+    shape = (n_elements, scatter_count)
+    assert list(env.pattern_weights) == sorted(env.devices)
+    for key in sorted(env.devices):
+        n1 = prng.normal(0.0, math.sqrt(0.5), shape)
+        n2 = prng.normal(0.0, math.sqrt(0.5), shape)
+        want = (1.0 + delta * (n1 + 1j * n2)) / norm
+        got = env.pattern_weights[key]
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes(), key
+
+
+def _traced_peak(work):
+    """(result, peak traced bytes) of ``work()``, after one untraced call
+    that keeps NumPy's one-time allocations out of the count."""
+    work()
+    tracemalloc.start()
+    try:
+        result = work()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+def test_desk_synthesis_peaks_at_its_arrays():
+    # The draws go straight into the arrays that keep the waves: no angle
+    # or phase array is held next to them.
+    from risjam.scenarios import desk_environment_spec
+    spec = desk_environment_spec()
+    env, peak = _traced_peak(lambda: synthesize_environment(spec, 28))
+    arrays = sum(arr.nbytes for ensemble in [env.ris, *env.direct.values()]
+                 for arr in ensemble.values())
+    assert peak <= arrays + 0.5e6
+
+
+def test_rician_desk_grid_peaks_at_three_results():
+    # The benchmark heatmap's 31 x 21 grid on the desk world with a
+    # line-of-sight term and pattern weights: the Rician term holds one
+    # float and one complex (P, L) array beside the result.
+    env = synthesize_environment(_field_spec("desk"), 28)
+    focus = env.devices["D1"]
+    grid = [Position(focus.x + 0.01 * (i - 15), focus.y + 0.01 * (j - 10),
+                     focus.z) for j in range(21) for i in range(31)]
+    gains, peak = _traced_peak(
+        lambda: ris_subchannels_batch(env, grid, device="D1"))
+    assert gains.shape == (651, env.n_elements)
+    assert peak <= 3 * gains.nbytes
 
 
 def _shares_arrays(new, old, names=("ris", "direct", "pattern_weights")):

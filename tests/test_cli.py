@@ -323,6 +323,21 @@ def test_grid_excluding_focus_exits_2_before_search(tmp_path, capsys,
     assert "excludes" in json.loads(err[0])["message"]
 
 
+@pytest.mark.parametrize("schedule", [
+    # B takes A's place after A has left it.
+    [{"time": 2, "device": "B", "position": [1.6, 3.0, 0.9]},
+     {"time": 1, "device": "A", "position": [2.0, 2.0, 0.9]}],
+    # A move after the last step (duration 3: steps 0, 1, 2) never applies.
+    [{"time": 1, "fraction": 0.1},
+     {"time": 2.5, "device": "B", "position": [1.6, 3.0, 0.9]}],
+], ids=["after-the-other-left", "after-the-last-step"])
+def test_moves_a_run_can_make_validate(tmp_path, capsys, schedule):
+    doc = dict(MINI_SCENARIO, mode="perturbation",
+               mode_params={"schedule": schedule, "duration": 3})
+    assert main(["validate", str(write_scenario(tmp_path, doc))]) == EXIT_OK
+    capsys.readouterr()
+
+
 def _replaced(doc, path, value):
     """Copy of ``doc`` with the dotted field ``path`` set to ``value``; a
     number indexes a list, and ``""`` replaces the whole document."""
@@ -445,6 +460,21 @@ def _replaced(doc, path, value):
      "mode_params.counts"),
     # A nested (unhashable) device id in each device list.
     *((key, [["B"]], key) for key in ("targets", "non_targets", "hidden")),
+    # Scan and move geometry the run would reject after its search: a
+    # heatmap grid point and a displacement rail point on the attacker
+    # (at 0.4, 0.9, 1.0), and a move of B onto A.
+    ("", _replaced(dict(MINI_SCENARIO, mode="heatmap", mode_params={
+        "x_min_m": 0.4, "x_max_m": 1.6, "y_min_m": 0.9, "y_max_m": 3.0,
+        "step_m": 0.1}), "environment.devices.A", [1.6, 3.0, 1.0]),
+     "mode_params"),
+    ("", _replaced(dict(MINI_SCENARIO, mode="displacement",
+                        mode_params={"minimized": "B"}),
+                   "environment.devices.B", [0.392, 0.9, 1.0]),
+     "mode_params"),
+    ("", dict(MINI_SCENARIO, mode="perturbation", mode_params={"schedule": [
+        {"time": 2, "fraction": 0.1},
+        {"time": 1, "device": "B", "position": [1.6, 3.0, 0.9]}]}),
+     "mode_params.schedule[1].position"),
 ])
 @pytest.mark.parametrize("command", ["validate", "run"])
 def test_bad_document_exits_2_before_search(tmp_path, capsys, no_search,

@@ -32,6 +32,11 @@ SCENARIOS = {
     "displacement": {"mode": "displacement", "targets": ["D1"], "seed": 28,
                      "optimizer": {"steps": 100, "reeval_period": 50},
                      "mode_params": {"minimized": "D2"}},
+    # The line-of-sight term and the pattern weights on the desk roster.
+    "heatmap-rician": {"mode": "heatmap", "targets": ["D4"], "seed": 28,
+                       "environment": {"rician_k": 2.0,
+                                       "pattern_diversity": 0.5},
+                       "optimizer": {"steps": 100, "reeval_period": 50}},
 }
 
 
@@ -70,7 +75,7 @@ def _finish(procs: dict) -> None:
         assert proc.returncode == 0, (key, err)
 
 
-@pytest.mark.parametrize("mode", ["heatmap", "jsr-matrix"])
+@pytest.mark.parametrize("mode", ["heatmap", "jsr-matrix", "heatmap-rician"])
 def test_artifacts_do_not_depend_on_blas_threads(tmp_path, mode):
     scenario = tmp_path / "scenario.json"
     scenario.write_text(json.dumps(SCENARIOS[mode]))
