@@ -53,12 +53,19 @@ MAX_ABS_DBM = 300.0
 # at those arrays (it held the draws beside them, about 0.45 GB, before).
 MAX_ENSEMBLE_TERMS = 10_000_000
 
-# Surface elements per step of ris_subchannels_batch.  Bounds each
-# thread's intermediates to _BATCH_BLOCK*(M*Ux + Uy*M + Uy*Ux) complex
-# values, plus the float phases of the first two while their exponentials
-# are taken (each in place, in the array that keeps it); of 8, 16, 32, 64
-# and 128, 8 was fastest on the desk heatmap grid.
+# Surface elements per step of ris_subchannels_batch; of 8, 16, 32, 64 and
+# 128, 8 was fastest on the desk heatmap grid.
 _BATCH_BLOCK = 8
+
+# Axis values per phasor chain of ris_subchannels_batch: one exponential
+# (the chain's anchor) per _CHAIN values, every other phasor a product.
+_CHAIN = 32
+
+# Distinct axis values per tile of ris_subchannels_batch, a multiple of
+# _CHAIN so that no chain crosses a tile.  Bounds each thread's
+# intermediates to about _BATCH_BLOCK*2*(M + _TILE)*_TILE complex values
+# (5.2 MB at M = 256) on any grid.
+_TILE = 64
 
 # Rows (surface elements, or realizations) per block of the per-point field
 # and of wave synthesis, which run their blocks on every CPU.  A block of
@@ -552,16 +559,30 @@ def ris_subchannels_batch(env: Environment, positions,
     A plane wave's phase separates, exp(i(kx*x + ky*y)) = exp(i*kx*x) *
     exp(i*ky*y), so the scattered sum over the distinct x values ux and
     distinct y values uy of the points is, per element, the product of a
-    (Uy, M) and an (M, Ux) matrix.  Cost: (Ux + Uy)*L*M complex
-    exponentials plus one batched (Uy, M) @ (M, Ux) matmul per block of
-    _BATCH_BLOCK elements, i.e. Ux*Uy*L*M multiply-adds.  A square grid of
-    P points thus needs 2*sqrt(P)*L*M exponentials where a per-point sum
-    needs P*L*M: pass a whole grid in one call, not row by row.  Scattered
-    points (Ux*Uy near P**2) pay P**2*L*M multiply-adds.
+    (Uy, M) and an (M, Ux) matrix.  Each axis's phasors are built on
+    chains (_phasors): per element and axis, one exponential per _CHAIN
+    values and one per distinct gap between neighbouring values (a uniform
+    grid has one or two), plus (Ux + Uy)*L*M complex multiplies.  Then one
+    batched (Uy, M) @ (M, Ux) matmul per block of _BATCH_BLOCK elements
+    takes Ux*Uy*L*M multiply-adds.  A grid of one row or one column sums
+    its products over the M waves instead (a matrix-vector product's bits
+    change with the BLAS thread count).  Pass a whole grid in one call,
+    not row by row.  Scattered points (Ux*Uy near P**2, every gap
+    distinct) pay an exponential for nearly every phasor and P**2*L*M
+    multiply-adds.
+
+    Each axis is cut into tiles of _TILE distinct values (_grid_tiles),
+    and a block takes one y tile and one x tile at a time, so its
+    intermediates stay a few MB on any grid; an x tile's phasors are built
+    again for each y tile.  A tile starts a chain, and OpenBLAS gives a
+    gemm split at tile starts the bits of the whole, so the values depend
+    on neither the tile size nor _BATCH_BLOCK (tests/test_channel.py
+    checks both).
 
     Values agree with ris_subchannels to rounding, not bit for bit, and a
     point's value can differ in the last bits with the grid it is
-    evaluated in (the matmul's summation order depends on its shape).
+    evaluated in (its chain and the matmul's summation order depend on
+    the grid).
 
     The blocks run on one thread per CPU the process may use (its affinity
     mask), the calling thread included; NumPy releases the interpreter
@@ -579,6 +600,8 @@ def ris_subchannels_batch(env: Environment, positions,
 
     ux, ix = np.unique(pts[:, 0], return_inverse=True)
     uy, iy = np.unique(pts[:, 1], return_inverse=True)
+    thin = 1 in (len(ux), len(uy))
+    tiles = _grid_tiles(ix, iy, len(ux), len(uy))
     kx, ky, cis = env.ris["kx"], env.ris["ky"], env.ris["cis"]
     if device is not None and device in env.pattern_weights:
         cis = cis * env.pattern_weights[device]
@@ -586,10 +609,21 @@ def ris_subchannels_batch(env: Environment, positions,
 
     def block(start: int) -> None:
         sl = slice(start, start + _BATCH_BLOCK)
-        ex = _expi(kx[sl, :, None] * ux)                         # (b, M, Ux)
-        ey = _expi(uy[:, None] * ky[sl, None, :])               # (b, Uy, M)
-        np.multiply(cis[sl, None, :], ey, out=ey)
-        out[:, sl] = (ey @ ex)[:, iy, ix].T
+        for ys, held in tiles:
+            ey = _phasors(ky[sl, ...], uy[ys])                  # (Uy, b, M)
+            np.multiply(cis[sl, ...], ey, out=ey)
+            for xs, rows, at_y, at_x in held:
+                ex = _phasors(kx[sl, ...], ux[xs])              # (Ux, b, M)
+                # fields: (Uy, Ux, b)
+                if thin:
+                    terms = np.multiply(ey, ex, out=ey if len(ex) == 1
+                                        else ex)
+                    fields = terms.sum(axis=-1).reshape(len(ey), len(ex),
+                                                        -1)
+                else:
+                    fields = (ey.transpose(1, 0, 2)
+                              @ ex.transpose(1, 2, 0)).transpose(1, 2, 0)
+                out[rows, sl] = fields[at_y, at_x]
 
     _in_threads(block, range(0, L, _BATCH_BLOCK))
     del cis  # a weighted copy is not kept through the Rician term
@@ -597,6 +631,57 @@ def ris_subchannels_batch(env: Environment, positions,
     out = _combine_rician(env, out, env.ris["los"], pts[:, :1], pts[:, 1:2])
     # In place: saves one (P, L) complex temporary.
     return np.multiply(amps[:, None], out, out=out)
+
+
+def _phasors(k: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """exp(1j * u * k) for the (b, M) wave components ``k`` at the sorted
+    distinct axis values ``u``, as a (len(u), b, M) array.
+
+    Exponentials (_expi) are taken only at every _CHAIN-th value, the
+    chain anchors, and once per distinct gap between neighbouring values
+    (neighbouring floats subtract exactly).  Every other phasor is the one
+    before it times its gap's phasor, exp(i*k*u_j) = exp(i*k*u_{j-1}) *
+    exp(i*k*(u_j - u_{j-1})), written in place in axis order.
+    """
+    waves = np.empty((len(u),) + k.shape, dtype=complex)
+    waves[::_CHAIN] = _expi(u[::_CHAIN, None, None] * k)
+    gaps, gap_of = np.unique(np.diff(u), return_inverse=True)
+    steps = _expi(gaps[:, None, None] * k)
+    for j in range(1, len(u)):
+        if j % _CHAIN:
+            np.multiply(waves[j - 1], steps[gap_of[j - 1]], out=waves[j])
+    return waves
+
+
+def _tiles(n: int) -> list[slice]:
+    """Slices of _TILE values that cover range(n).  A last tile of one
+    value joins the one before it: NumPy takes a one-wide matmul through
+    gemv, whose bits differ from those of a gemm column."""
+    starts = list(range(0, n, _TILE))
+    if len(starts) > 1 and n - starts[-1] == 1:
+        del starts[-1]
+    return [slice(a, b) for a, b in zip(starts, starts[1:] + [n])]
+
+
+def _grid_tiles(ix: np.ndarray, iy: np.ndarray, nx: int, ny: int) -> list:
+    """The points, with indices ``ix`` and ``iy`` into ``nx`` distinct x
+    and ``ny`` distinct y values, grouped by tile: for each y tile ``ys``
+    (a slice of the y values), the x tiles that hold points, each as
+    (xs, rows, at_y, at_x) with the points' rows and their indices into
+    the two tiles."""
+    x_tiles, y_tiles = _tiles(nx), _tiles(ny)
+    tx = np.minimum(ix // _TILE, len(x_tiles) - 1)
+    ty = np.minimum(iy // _TILE, len(y_tiles) - 1)
+    grouped = []
+    for t, ys in enumerate(y_tiles):
+        held = []
+        for u, xs in enumerate(x_tiles):
+            rows = np.flatnonzero((ty == t) & (tx == u))
+            if len(rows):
+                held.append((xs, rows, iy[rows] - ys.start,
+                             ix[rows] - xs.start))
+        grouped.append((ys, held))
+    return grouped
 
 
 def _scan_distances(points: np.ndarray, attacker: Position) -> np.ndarray:

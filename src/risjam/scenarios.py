@@ -68,8 +68,10 @@ AUTO_POWER_MARGIN_DB = 3.0  # headroom above the target's disruption knee
 THROUGHPUT_POWER_MARGIN_DB = 2.0
 LINK_SIM_WINDOWS = 40
 # Largest heatmap grid or displacement rail, in points; also the longest
-# power sweep and perturbation series.  The scan holds a (points,
-# n_elements) complex sub-channel array: 1.2 GB at 768 elements.
+# power sweep and perturbation series.  The scan's result is a (points,
+# n_elements) complex sub-channel array, 1.2 GB at 768 elements, and a
+# Rician term holds a float and a complex array of that shape beside it;
+# the grid field's own intermediates are tiled, about 5 MB per thread.
 MAX_SCAN_POINTS = 100_000
 # Largest search, in table or trace bits: table_size * n_elements and
 # (steps + 1) * n_elements.  The table holds float32 bits (400 MB at the

@@ -210,10 +210,24 @@ def test_blocked_field_is_byte_equal_to_unblocked_expressions(
             assert got.tobytes() == _unblocked_row(env, pos, device).tobytes()
 
 
+def _chain(k, u):
+    """exp(1j * u * k) for one element's waves ``k`` at the sorted axis
+    values ``u``, written out value by value: a direct exponential at every
+    channel._CHAIN-th value, else the previous phasor times the phasor of
+    the gap to it."""
+    waves = np.empty((len(u), len(k)), dtype=complex)
+    for j, value in enumerate(u):
+        if j % channel._CHAIN == 0:
+            waves[j] = np.exp(1j * (value * k))
+        else:
+            waves[j] = waves[j - 1] * np.exp(1j * ((value - u[j - 1]) * k))
+    return waves
+
+
 def _per_element_batch(env, points, device):
-    """ris_subchannels_batch one surface element at a time, with the
-    y-axis exponentials a named array so that NumPy's temporary elision
-    cannot reorder `cis * waves`."""
+    """ris_subchannels_batch one surface element at a time on written-out
+    phasor chains, with the products in the order `cis * waves` and `ey *
+    ex`; a one-row or one-column grid sums its products over the waves."""
     pts = np.array([tuple(p) for p in points])
     ux, ix = np.unique(pts[:, 0], return_inverse=True)
     uy, iy = np.unique(pts[:, 1], return_inverse=True)
@@ -222,9 +236,13 @@ def _per_element_batch(env, points, device):
         cis = cis * env.pattern_weights[device]
     out = np.empty((len(pts), env.n_elements), dtype=complex)
     for el in range(env.n_elements):
-        waves = np.exp(1j * (uy[:, None] * ky[el]))
-        ey = cis[el] * waves
-        out[:, el] = (ey @ np.exp(1j * (kx[el][:, None] * ux)))[iy, ix]
+        ey = cis[el] * _chain(ky[el], uy)
+        ex = _chain(kx[el], ux)
+        if 1 in (len(ux), len(uy)):
+            fields = (ey * ex).sum(axis=-1).reshape(len(uy), len(ux))
+        else:
+            fields = ey @ ex.T
+        out[:, el] = fields[iy, ix]
     out /= math.sqrt(env.scatter_count)
     out = channel._combine_rician(env, out, env.ris["los"], pts[:, :1],
                                   pts[:, 1:2])
@@ -234,15 +252,101 @@ def _per_element_batch(env, points, device):
     return np.sqrt(ref * dists ** -env.path_loss_exponent)[:, None] * out
 
 
-# At desk size a block's y-axis exponentials hold 8 x Uy x 256 complex
-# values: 672 KiB for the 21 rows of the heatmap grid, 96 KiB for 3.
+# 70 x values: three chains of channel._CHAIN = 32 and two tiles of
+# channel._TILE = 64.
 @pytest.mark.parametrize("rows", [21, 3])
 def test_batch_is_byte_equal_to_written_out_expression(rows):
     env = synthesize_environment(_field_spec("desk"), 31)
     grid = [Position(x, y, 1.0) for y in np.linspace(3.0, 3.4, rows)
-            for x in np.linspace(0.5, 0.9, 4)]
+            for x in np.linspace(0.5, 0.9, 70)]
     got = ris_subchannels_batch(env, grid, device="D2")
     assert got.tobytes() == _per_element_batch(env, grid, "D2").tobytes()
+
+
+def _axis(gaps, n=70):
+    """n values from 1.0 whose neighbours lie the dyadic ``gaps`` apart in
+    turn, so that np.diff gives exactly len(gaps) distinct gaps."""
+    steps = [gaps[i % len(gaps)] for i in range(n - 1)]
+    return np.concatenate([[1.0], 1.0 + np.cumsum(steps)])
+
+
+@pytest.mark.parametrize("rows", [1, 3], ids=["row", "grid"])
+@pytest.mark.parametrize("gaps", [[2 ** -7], [2 ** -7, 2 ** -6],
+                                  [2 ** -7, 2 ** -6, 3 * 2 ** -7]],
+                         ids=["1gap", "2gaps", "3gaps"])
+def test_batch_chains_are_byte_equal_to_written_out_chains(gaps, rows):
+    env = _split_env()
+    xs = _axis(gaps)
+    assert len(np.unique(np.diff(xs))) == len(gaps)
+    grid = [Position(x, y, 1.0) for y in 2.0 + 2 ** -5 * np.arange(rows)
+            for x in xs]
+    got = ris_subchannels_batch(env, grid, device="A")
+    assert got.tobytes() == _per_element_batch(env, grid, "A").tobytes()
+    # A one-column grid: the x and y roles swapped.
+    column = [Position(1.0, y, 1.0) for y in xs]
+    got = ris_subchannels_batch(env, column, device="A")
+    assert got.tobytes() == _per_element_batch(env, column, "A").tobytes()
+
+
+def _desk_scan_grid(env, device="D1"):
+    """The benchmark heatmap's 31 x 21 grid, 1 cm apart, around a device."""
+    focus = env.devices[device]
+    return [Position(focus.x + 0.01 * (i - 15), focus.y + 0.01 * (j - 10),
+                     focus.z) for j in range(21) for i in range(31)]
+
+
+def test_batch_chains_keep_long_double_accuracy_on_the_desk_grid():
+    # Every 37th element against the field summed in long double.
+    from risjam.scenarios import desk_environment_spec
+    env = synthesize_environment(desk_environment_spec(), 28)
+    grid = _desk_scan_grid(env)
+    got = ris_subchannels_batch(env, grid)
+    pts = np.array(grid, dtype=np.longdouble)
+    dists = np.linalg.norm(
+        pts - np.array(tuple(env.attacker_position), dtype=np.longdouble),
+        axis=1)
+    ref_gain = (np.longdouble(env.wavelength_m) / (4 * np.pi)) ** 2
+    amps = np.sqrt(ref_gain * dists ** -env.path_loss_exponent)
+    elements = range(0, env.n_elements, 37)
+    want = np.empty((len(grid), len(elements)), dtype=np.clongdouble)
+    for col, el in enumerate(elements):
+        kx, ky = (env.ris[name][el].astype(np.longdouble)
+                  for name in ("kx", "ky"))
+        phase = pts[:, :1] * kx + pts[:, 1:2] * ky
+        terms = env.ris["cis"][el].astype(np.clongdouble) * np.exp(1j * phase)
+        want[:, col] = terms.sum(axis=-1) / np.sqrt(
+            np.longdouble(env.scatter_count))
+    want *= amps[:, None]
+    rms = np.sqrt(np.mean(np.abs(want) ** 2))
+    assert np.max(np.abs(got[:, elements] - want)) <= 2e-13 * rms
+
+
+# 97 values per axis: tiles of 32 end in one of 33 values, tiles of 96 in
+# one of 97, so the last tile takes a lone value in; 100 scattered points
+# fill four tiles of 64 in each other.  Blocks of 5 and 16 split 77
+# elements unevenly.
+_TILED_GRIDS = {
+    "grid": [Position(x, y, 1.0) for y in (1.9, 2.0, 2.25)
+             for x in np.linspace(0.5, 1.4, 97)],
+    "row": [Position(x, 2.0, 1.0) for x in np.linspace(0.5, 1.4, 97)],
+    "column": [Position(2.0, y, 1.0) for y in np.linspace(0.5, 1.4, 97)],
+    "scattered": [Position(x, y, z) for x, y, z in
+                  np.random.default_rng(4).uniform((0.5, 0.5, 0.5),
+                                                   (3.0, 3.0, 1.5), (100, 3))],
+}
+
+
+@pytest.mark.parametrize("points", sorted(_TILED_GRIDS))
+def test_batch_bytes_do_not_depend_on_block_or_tile_size(monkeypatch,
+                                                         points):
+    env = _split_env()
+    grid = _TILED_GRIDS[points]
+    want = ris_subchannels_batch(env, grid, device="A")
+    for tile, block in ((32, 8), (96, 8), (128, 5), (64, 16)):
+        monkeypatch.setattr(channel, "_TILE", tile)
+        monkeypatch.setattr(channel, "_BATCH_BLOCK", block)
+        got = ris_subchannels_batch(env, grid, device="A")
+        assert got.tobytes() == want.tobytes(), (tile, block)
 
 
 class _FailingWaves(np.ndarray):
@@ -446,10 +550,11 @@ def test_pattern_weights_match_replayed_draws(n_elements, scatter_count,
         assert got.tobytes() == want.tobytes(), key
 
 
-def _traced_peak(work):
+def _traced_peak(work, warm_up=None):
     """(result, peak traced bytes) of ``work()``, after one untraced call
-    that keeps NumPy's one-time allocations out of the count."""
-    work()
+    of ``warm_up`` (default ``work``) that keeps NumPy's one-time
+    allocations out of the count."""
+    (warm_up or work)()
     tracemalloc.start()
     try:
         result = work()
@@ -475,13 +580,28 @@ def test_rician_desk_grid_peaks_at_three_results():
     # line-of-sight term and pattern weights: the Rician term holds one
     # float and one complex (P, L) array beside the result.
     env = synthesize_environment(_field_spec("desk"), 28)
-    focus = env.devices["D1"]
-    grid = [Position(focus.x + 0.01 * (i - 15), focus.y + 0.01 * (j - 10),
-                     focus.z) for j in range(21) for i in range(31)]
+    grid = _desk_scan_grid(env)
     gains, peak = _traced_peak(
         lambda: ris_subchannels_batch(env, grid, device="D1"))
     assert gains.shape == (651, env.n_elements)
     assert peak <= 3 * gains.nbytes
+
+
+def test_long_desk_rail_peaks_below_two_results(monkeypatch):
+    # 2 000 points 1 mm apart: each thread holds its tiles, a few MB, next
+    # to the 24.6 MB result.  Two threads, as the intermediates scale with
+    # the thread count.
+    from risjam.scenarios import desk_environment_spec
+    monkeypatch.setattr(channel, "_field_threads", lambda: 2)
+    env = synthesize_environment(desk_environment_spec(), 28)
+    focus = env.devices["D1"]
+    rail = [Position(focus.x + 0.001 * i, focus.y, focus.z)
+            for i in range(2000)]
+    gains, peak = _traced_peak(
+        lambda: ris_subchannels_batch(env, rail, device="D1"),
+        warm_up=lambda: ris_subchannels_batch(env, rail[:100], device="D1"))
+    assert gains.shape == (2000, env.n_elements)
+    assert peak <= 2 * gains.nbytes
 
 
 def _shares_arrays(new, old, names=("ris", "direct", "pattern_weights")):

@@ -32,6 +32,14 @@ SCENARIOS = {
     "displacement": {"mode": "displacement", "targets": ["D1"], "seed": 28,
                      "optimizer": {"steps": 100, "reeval_period": 50},
                      "mode_params": {"minimized": "D2"}},
+    # A 41-point rail: a one-row grid large enough that a BLAS
+    # matrix-vector product would change its last bits with the thread
+    # count.
+    "displacement-rail": {"mode": "displacement", "targets": ["D1"],
+                          "seed": 28,
+                          "optimizer": {"steps": 100, "reeval_period": 50},
+                          "mode_params": {"minimized": "D2", "step_mm": 1.0,
+                                          "max_mm": 40.0}},
     # The line-of-sight term and the pattern weights on the desk roster.
     "heatmap-rician": {"mode": "heatmap", "targets": ["D4"], "seed": 28,
                        "environment": {"rician_k": 2.0,
@@ -75,7 +83,8 @@ def _finish(procs: dict) -> None:
         assert proc.returncode == 0, (key, err)
 
 
-@pytest.mark.parametrize("mode", ["heatmap", "jsr-matrix", "heatmap-rician"])
+@pytest.mark.parametrize("mode", ["heatmap", "jsr-matrix", "heatmap-rician",
+                                  "displacement-rail"])
 def test_artifacts_do_not_depend_on_blas_threads(tmp_path, mode):
     scenario = tmp_path / "scenario.json"
     scenario.write_text(json.dumps(SCENARIOS[mode]))

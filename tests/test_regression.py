@@ -6,6 +6,14 @@ These sha256s were recorded before such changes and catch any drift in the
 traces, the result document or any CSV table.  They pin float64 results of
 this NumPy/OpenBLAS build; a BLAS kernel with another summation order may
 move the last bits.
+
+The grid field's values moved once on purpose, when ris_subchannels_batch
+began to build its phasors on chains (a direct exponential only at chain
+anchors and per distinct gap, every other phasor a product) and to sum a
+one-row grid without BLAS: the heatmap and heatmap-rician grid.csv and
+result.json, and the displacement result.json, were re-pinned then.  Their
+values moved by at most 1.5e-13 of the field's rms; every other hash kept
+its value.
 """
 
 import contextlib
@@ -83,10 +91,10 @@ PINNED = {
         {"mode": "heatmap", "targets": ["A"],
          "mode_params": {"x_extent_m": 0.04, "y_extent_m": 0.02,
                          "step_m": 0.01}},
-        {"grid.csv": "597a4b4fd16d6897f997e6f388e1a28e"
-                     "eb9957e6f2cff8550eba8bb8a6b5d501",
-         "result.json": "b418d0fb8e847aeae6f705ac730cb9b4"
-                        "1f910cac0c75e17c6d8c47e06e73cedd",
+        {"grid.csv": "23be6d81633987164ff7233993aa20d2"
+                     "e3705cc12afff793686a7bbee164740c",
+         "result.json": "5512a4ba0211011ef9a241ab4e413fa9"
+                        "bee0abc24e6e4588d9f849857a7067a4",
          "results.csv": "ddde0ed5012d97086180e9721ac9bdea"
                         "e6bac649a94ff4b62e8acb5166f8ae51",
          "sweep.csv": "923b872950c9e6a7945ca52eb879848e"
@@ -99,8 +107,8 @@ PINNED = {
          "mode_params": {"minimized": "B", "step_mm": 8.0, "max_mm": 24.0}},
         {"curves.csv": "2344a40d1e8e379e90540038e0588c7d"
                        "c3c64502dd0a7eaa9ba29bafa206102c",
-         "result.json": "126ffb22a06003105ac8a0ce598c38f3"
-                        "2fbfd66e7683bf83351de1c41f05a2b1",
+         "result.json": "21cc302595f8cb71804aebc9dc60672f"
+                        "88664df6597dad029178c8ce530a3dab",
          "results.csv": "f4ef6ec1c17891cac679cde6511bd258"
                         "c80bbb783c2016995a8963a436837ce8",
          "sweep.csv": "923b872950c9e6a7945ca52eb879848e"
@@ -184,10 +192,10 @@ PINNED = {
                              pattern_diversity=0.5),
          "mode_params": {"x_extent_m": 0.04, "y_extent_m": 0.02,
                          "step_m": 0.01}},
-        {"grid.csv": "01895bcd66b341d0a53db5801b50ce43"
-                     "f50f51c6584daeb138f4bc215b062965",
-         "result.json": "860b001ec6c6d0de46f9ac29498ba717"
-                        "25b486929a703e3e0f46e0dc9afb48be",
+        {"grid.csv": "3650de2a692df3ab87c064afbe5a16cb"
+                     "de554a0398f121de6c27450a77db88ec",
+         "result.json": "b13424846270f151a613a0663d009eeb"
+                        "0cff8d8018126b36c21b69d423c13e11",
          "results.csv": "28eb1f745820dd32a2d3aad986d3a9d8"
                         "cdab7f6a5cf37c4387718c9c629356a1",
          "sweep.csv": "1d9d6deb5a56e4f7eaf5d099397cfb3b"
