@@ -53,9 +53,17 @@ MAX_ABS_DBM = 300.0
 # at those arrays (it held the draws beside them, about 0.45 GB, before).
 MAX_ENSEMBLE_TERMS = 10_000_000
 
-# Surface elements per step of ris_subchannels_batch; of 8, 16, 32, 64 and
-# 128, 8 was fastest on the desk heatmap grid.
+# Surface elements per block of ris_subchannels_batch.  On the desk
+# heatmap grid (31 x 21 points, 2 CPUs, one BLAS thread), blocks of 4, 8,
+# 16 and 32 took 0.11, 0.085, 0.073 and 0.069 s and peaked at 2.1, 4.0,
+# 7.8 and 15.1 MB (tracemalloc); 8 keeps the field's intermediates below
+# the world's own 6.3 MB of surface waves.
 _BATCH_BLOCK = 8
+
+# Work items of ris_subchannels_batch, each a run of whole blocks with its
+# own partial row of P values: at most this many threads share one call,
+# and the rows take 12.8 MB at the 100 000-point scan cap.
+_BATCH_PARTS = 8
 
 # Axis values per phasor chain of ris_subchannels_batch: one exponential
 # (the chain's anchor) per _CHAIN values, every other phasor a product.
@@ -63,8 +71,9 @@ _CHAIN = 32
 
 # Distinct axis values per tile of ris_subchannels_batch, a multiple of
 # _CHAIN so that no chain crosses a tile.  Bounds each thread's
-# intermediates to about _BATCH_BLOCK*2*(M + _TILE)*_TILE complex values
-# (5.2 MB at M = 256) on any grid.
+# intermediates to about 2*_BATCH_BLOCK*M*_TILE complex values (4.2 MB at
+# M = 256) on any grid; a 2 000-point desk rail peaks at 5.3 MB on two
+# threads.
 _TILE = 64
 
 # Rows (surface elements, or realizations) per block of the per-point field
@@ -499,13 +508,17 @@ def _combine_rician(env: Environment, diffuse: np.ndarray, los, x, y):
     """
     if env.rician_k == 0.0:
         return diffuse
-    k = env.rician_k
     angle, phase = los[..., 0], los[..., 1]
     arg = np.cos(angle) * x
     arg += np.sin(angle) * y
     arg *= env.kappa
     arg += phase
-    wave = _expi(arg)
+    return _mix_rician(env.rician_k, _expi(arg), diffuse)
+
+
+def _mix_rician(k: float, wave: np.ndarray, diffuse: np.ndarray):
+    """sqrt(k/(k+1)) * wave + sqrt(1/(k+1)) * diffuse, written over both
+    complex arrays and returned in ``diffuse``."""
     np.multiply(math.sqrt(k / (k + 1.0)), wave, out=wave)
     np.multiply(math.sqrt(1.0 / (k + 1.0)), diffuse, out=diffuse)
     return np.add(wave, diffuse, out=diffuse)
@@ -552,48 +565,65 @@ def ris_subchannels(env: Environment, position, device: str | None = None) -> np
     return gains
 
 
-def ris_subchannels_batch(env: Environment, positions,
+def ris_subchannels_batch(env: Environment, positions, coefficients,
                           device: str | None = None) -> np.ndarray:
-    """ris_subchannels over many positions; returns (P, L).
+    """The composed surface gain sum_l c_l * h_l(p) at many positions;
+    returns (P,).
+
+    ``coefficients`` are the L reflection coefficients (a configuration's
+    ``coefficients()``), and ``h_l`` the gains ris_subchannels gives.  The
+    sum over elements is taken inside each block of _BATCH_BLOCK elements,
+    so no (P, L) array is built: beside its (P,) result, the call holds
+    one partial row of P values per work item (at most _BATCH_PARTS) and
+    each thread's tiles.  The benchmark's tracer (benchmarks/tracing.py)
+    patches this function by name, with a hook of (env, positions, *args,
+    **kwargs), so the name and the first two parameters stay as they are.
 
     A plane wave's phase separates, exp(i(kx*x + ky*y)) = exp(i*kx*x) *
-    exp(i*ky*y), so the scattered sum over the distinct x values ux and
-    distinct y values uy of the points is, per element, the product of a
-    (Uy, M) and an (M, Ux) matrix.  Each axis's phasors are built on
-    chains (_phasors): per element and axis, one exponential per _CHAIN
-    values and one per distinct gap between neighbouring values (a uniform
-    grid has one or two), plus (Ux + Uy)*L*M complex multiplies.  Then one
-    batched (Uy, M) @ (M, Ux) matmul per block of _BATCH_BLOCK elements
-    takes Ux*Uy*L*M multiply-adds.  A grid of one row or one column sums
-    its products over the M waves instead (a matrix-vector product's bits
-    change with the BLAS thread count).  Pass a whole grid in one call,
-    not row by row.  Scattered points (Ux*Uy near P**2, every gap
-    distinct) pay an exponential for nearly every phasor and P**2*L*M
-    multiply-adds.
+    exp(i*ky*y), so a block's scattered sum over the distinct x values ux
+    and distinct y values uy of the points is one product of a (Uy, b*M)
+    and a (b*M, Ux) matrix, the coefficients and the block's unit phasors
+    (times the device's pattern weights) multiplied into the y factor.
+    Each axis's phasors are built on chains (_phasors): per element and
+    axis, one exponential per _CHAIN values and one per distinct gap
+    between neighbouring values (a uniform grid has one or two), plus
+    (Ux + Uy)*L*M complex multiplies.  The products take Ux*Uy*L*M
+    multiply-adds.  A grid of one row or one column sums its products over
+    the block's b*M waves instead (a matrix-vector product's bits change
+    with the BLAS thread count).  Pass a whole grid in one call, not row
+    by row.  Scattered points (Ux*Uy near P**2, every gap distinct) pay an
+    exponential for nearly every phasor and P**2*L*M multiply-adds.  The
+    line-of-sight waves (rician_k > 0), one per element, are composed the
+    same way, in blocks of _BATCH_BLOCK*M elements.
 
     Each axis is cut into tiles of _TILE distinct values (_grid_tiles),
     and a block takes one y tile and one x tile at a time, so its
     intermediates stay a few MB on any grid; an x tile's phasors are built
     again for each y tile.  A tile starts a chain, and OpenBLAS gives a
-    gemm split at tile starts the bits of the whole, so the values depend
-    on neither the tile size nor _BATCH_BLOCK (tests/test_channel.py
-    checks both).
+    gemm split at tile starts the bits of the whole, so the values do not
+    depend on the tile size (tests/test_channel.py checks it).
 
-    Values agree with ris_subchannels to rounding, not bit for bit, and a
-    point's value can differ in the last bits with the grid it is
-    evaluated in (its chain and the matmul's summation order depend on
-    the grid).
-
-    The blocks run on one thread per CPU the process may use (its affinity
-    mask), the calling thread included; NumPy releases the interpreter
-    lock in their exponentials and matmuls.  Each block fills its own
-    columns of the result with the same operations on any thread, so the
-    values do not depend on the thread count, and ``--threads`` does not
-    set it.
+    The blocks are cut into at most _BATCH_PARTS runs of whole blocks, the
+    work items.  Each adds its blocks' sums, in block order, into its own
+    partial row, and the rows are summed in item order once every thread
+    has ended.  The items run on one thread per CPU the process may use
+    (its affinity mask), the calling thread included; NumPy releases the
+    interpreter lock in their exponentials and matmuls.  So the values do
+    not depend on the thread count, and ``--threads`` does not set it.
+    _BATCH_BLOCK and _BATCH_PARTS group the sum over elements, so they
+    are part of what the values are, as a dot product's summation order
+    is.  Values agree with ``ris_subchannels(p) @ coefficients`` to
+    rounding, not bit for bit, and a point's value can differ in the last
+    bits with the grid it is evaluated in (its chain and the matmul's
+    summation order depend on the grid).
     """
     pts = np.asarray([tuple(as_position(p)) for p in positions],
                      dtype=float).reshape(-1, 3)
     L, M = env.n_elements, env.scatter_count
+    coefficients = np.asarray(coefficients)
+    if coefficients.shape != (L,):
+        raise ValueError(f"coefficients of shape {coefficients.shape} do "
+                         f"not match {L} surface elements")
     dists = _scan_distances(pts, env.attacker_position)
     ref = (env.wavelength_m / (4.0 * math.pi)) ** 2
     amps = np.sqrt(ref * dists ** (-env.path_loss_exponent))
@@ -602,35 +632,59 @@ def ris_subchannels_batch(env: Environment, positions,
     uy, iy = np.unique(pts[:, 1], return_inverse=True)
     thin = 1 in (len(ux), len(uy))
     tiles = _grid_tiles(ix, iy, len(ux), len(uy))
-    kx, ky, cis = env.ris["kx"], env.ris["ky"], env.ris["cis"]
-    if device is not None and device in env.pattern_weights:
-        cis = cis * env.pattern_weights[device]
-    out = np.empty((len(pts), L), dtype=complex)
 
-    def block(start: int) -> None:
-        sl = slice(start, start + _BATCH_BLOCK)
-        for ys, held in tiles:
+    def composed(kx, ky, cis, weights, block: int) -> np.ndarray:
+        # sum_l c_l sum_m cis*weights*exp(i(kx*x + ky*y)) over the (L, M)
+        # waves, in blocks of ``block`` elements.
+        starts = range(0, len(kx), block)
+        parts = min(len(starts), _BATCH_PARTS)
+        runs = [starts[len(starts) * i // parts:
+                       len(starts) * (i + 1) // parts] for i in range(parts)]
+        partials = np.zeros((parts, len(pts)), dtype=complex)
+
+        def run(item: int) -> None:
+            for start in runs[item]:
+                sl = slice(start, start + block)
+                scale = cis[sl] if weights is None else cis[sl] * weights[sl]
+                scale = coefficients[sl, None] * scale
+                for ys, held in tiles:
+                    add_tile(partials[item], sl, scale, ys, held)
+
+        # A function per tile, so that a tile's phasors are freed before
+        # the next tile's are built.
+        def add_tile(partial, sl, scale, ys, held) -> None:
             ey = _phasors(ky[sl, ...], uy[ys])                  # (Uy, b, M)
-            np.multiply(cis[sl, ...], ey, out=ey)
+            np.multiply(scale, ey, out=ey)
             for xs, rows, at_y, at_x in held:
-                ex = _phasors(kx[sl, ...], ux[xs])              # (Ux, b, M)
-                # fields: (Uy, Ux, b)
-                if thin:
-                    terms = np.multiply(ey, ex, out=ey if len(ex) == 1
-                                        else ex)
-                    fields = terms.sum(axis=-1).reshape(len(ey), len(ex),
-                                                        -1)
-                else:
-                    fields = (ey.transpose(1, 0, 2)
-                              @ ex.transpose(1, 2, 0)).transpose(1, 2, 0)
-                out[rows, sl] = fields[at_y, at_x]
+                fields = _contract(ey, _phasors(kx[sl, ...], ux[xs]), thin)
+                partial[rows] += fields[at_y, at_x]
 
-    _in_threads(block, range(0, L, _BATCH_BLOCK))
-    del cis  # a weighted copy is not kept through the Rician term
-    out /= math.sqrt(M)
-    out = _combine_rician(env, out, env.ris["los"], pts[:, :1], pts[:, 1:2])
-    # In place: saves one (P, L) complex temporary.
-    return np.multiply(amps[:, None], out, out=out)
+        _in_threads(run, range(parts))
+        return partials.sum(axis=0)
+
+    field = composed(env.ris["kx"], env.ris["ky"], env.ris["cis"],
+                     env.pattern_weights.get(device), _BATCH_BLOCK)
+    field /= math.sqrt(M)
+    if env.rician_k != 0.0:
+        angle, phase = env.ris["los"][:, 0], env.ris["los"][:, 1]
+        wave = composed((env.kappa * np.cos(angle))[:, None],
+                        (env.kappa * np.sin(angle))[:, None],
+                        _expi(phase)[:, None], None, _BATCH_BLOCK * M)
+        field = _mix_rician(env.rician_k, wave, field)
+    return np.multiply(amps, field, out=field)
+
+
+def _contract(ey: np.ndarray, ex: np.ndarray, thin: bool) -> np.ndarray:
+    """The (Uy, Ux) sums over a block's b*M waves of the y phasors ``ey``
+    (Uy, b, M) times the x phasors ``ex`` (Ux, b, M): one matmul, or, on
+    a ``thin`` grid (one row or one column), products summed along the
+    contiguous b*M axis, written over the larger operand."""
+    ey = ey.reshape(len(ey), -1)
+    ex = ex.reshape(len(ex), -1)
+    if thin:
+        terms = np.multiply(ey, ex, out=ey if len(ex) == 1 else ex)
+        return terms.sum(axis=-1).reshape(len(ey), len(ex))
+    return ey @ ex.T
 
 
 def _phasors(k: np.ndarray, u: np.ndarray) -> np.ndarray:

@@ -1025,8 +1025,7 @@ def _heatmap_grid(env: Environment, spec: ScenarioSpec, config: RisConfig,
     focus_db = 20.0 * math.log10(max(focus_gain, _TINY_GAIN))
 
     gains = ris_subchannels_batch(env, _grid_points(xs, ys, focus.z),
-                                  device=target) \
-        @ config.coefficients()
+                                  config.coefficients(), device=target)
     grid_db = (_gain_db(gains) - focus_db).reshape(len(ys), len(xs))
     return {"heatmap": {
         "x_m": xs.tolist(),
@@ -1050,7 +1049,7 @@ def _displacement_curves(env: Environment, spec: ScenarioSpec,
 
     def curve(device: str) -> np.ndarray:
         pts = _rail_points(env.devices[device], disp_m)
-        return _gain_db(ris_subchannels_batch(env, pts, device=device) @ coeff)
+        return _gain_db(ris_subchannels_batch(env, pts, coeff, device=device))
 
     max_curve = curve(spec.targets[0])
     min_curve = curve(params["minimized"])

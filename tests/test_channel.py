@@ -33,6 +33,7 @@ from risjam.channel import (
     spatial_correlation,
     synthesize_environment,
 )
+from risjam.ris import random_config
 
 from conftest import make_small_spec
 
@@ -101,12 +102,21 @@ def test_too_close_entities_rejected():
         })
 
 
+def _coefficients(env):
+    """A configuration's coefficients: L fair signs, the same every call."""
+    return random_config(env.n_elements, 5).coefficients()
+
+
 def test_batch_matches_single(small_env):
     pts = [Position(2.0, 1.0, 1.0), Position(1.5, 2.5, 0.8)]
-    batch = ris_subchannels_batch(small_env, pts)
+    coeff = _coefficients(small_env)
+    batch = ris_subchannels_batch(small_env, pts, coeff)
+    assert batch.shape == (2,)
     for i, p in enumerate(pts):
-        np.testing.assert_allclose(batch[i], ris_subchannels(small_env, p),
-                                   rtol=1e-12)
+        np.testing.assert_allclose(
+            batch[i], ris_subchannels(small_env, p) @ coeff, rtol=1e-12)
+    with pytest.raises(ValueError, match="coefficients"):
+        ris_subchannels_batch(small_env, pts, coeff[:-1])
 
 
 _GRID = [Position(x, y, 1.0) for y in np.linspace(0.8, 1.2, 5)
@@ -125,10 +135,12 @@ _REPEATED = [Position(2.0, 1.0, 1.0), Position(2.0, 1.3, 1.0),
 def test_batch_matches_per_point_evaluator(points):
     env = synthesize_environment(
         make_small_spec(rician_k=2.0, pattern_diversity=0.5), 99)
-    batch = ris_subchannels_batch(env, points, device="A")
-    ref = np.stack([ris_subchannels(env, p, device="A") for p in points])
+    coeff = _coefficients(env)
+    batch = ris_subchannels_batch(env, points, coeff, device="A")
+    ref = np.stack([ris_subchannels(env, p, device="A")
+                    for p in points]) @ coeff
     rms = np.sqrt(np.mean(np.abs(ref) ** 2))
-    assert batch.shape == (len(points), env.n_elements)
+    assert batch.shape == (len(points),)
     assert np.max(np.abs(batch - ref)) <= 1e-12 * rms
 
 
@@ -147,12 +159,13 @@ def _split_env():
 @pytest.mark.parametrize("device", ["A", None])
 def test_batch_is_byte_equal_at_every_thread_count(monkeypatch, device):
     env = _split_env()
+    coeff = _coefficients(env)
     monkeypatch.setattr(channel, "_field_threads", lambda: 1)
-    serial = ris_subchannels_batch(env, _SPLIT_GRID, device=device)
-    # 64 is more threads than blocks.
+    serial = ris_subchannels_batch(env, _SPLIT_GRID, coeff, device=device)
+    # 64 is more threads than work items.
     for width in (2, 3, 64):
         monkeypatch.setattr(channel, "_field_threads", lambda: width)
-        got = ris_subchannels_batch(env, _SPLIT_GRID, device=device)
+        got = ris_subchannels_batch(env, _SPLIT_GRID, coeff, device=device)
         assert got.tobytes() == serial.tobytes(), width
 
 
@@ -224,32 +237,60 @@ def _chain(k, u):
     return waves
 
 
-def _per_element_batch(env, points, device):
-    """ris_subchannels_batch one surface element at a time on written-out
-    phasor chains, with the products in the order `cis * waves` and `ey *
-    ex`; a one-row or one-column grid sums its products over the waves."""
+def _per_block_batch(env, points, coefficients, device):
+    """ris_subchannels_batch written out.  Per block of
+    channel._BATCH_BLOCK elements: the phasors on written-out chains, the
+    coefficients times the unit phasors (times the pattern weights) times
+    the y phasors, and one (Uy, b*M) @ (b*M, Ux) product over the whole
+    grid, or on a one-row or one-column grid the products summed over the
+    b*M waves.  At most channel._BATCH_PARTS runs of blocks each add their
+    blocks in order from zero, and the runs' sums are added in order.  The
+    line-of-sight waves are composed the same way, in blocks of
+    channel._BATCH_BLOCK * M elements."""
     pts = np.array([tuple(p) for p in points])
     ux, ix = np.unique(pts[:, 0], return_inverse=True)
     uy, iy = np.unique(pts[:, 1], return_inverse=True)
-    kx, ky, cis = env.ris["kx"], env.ris["ky"], env.ris["cis"]
-    if device is not None:
-        cis = cis * env.pattern_weights[device]
-    out = np.empty((len(pts), env.n_elements), dtype=complex)
-    for el in range(env.n_elements):
-        ey = cis[el] * _chain(ky[el], uy)
-        ex = _chain(kx[el], ux)
-        if 1 in (len(ux), len(uy)):
-            fields = (ey * ex).sum(axis=-1).reshape(len(uy), len(ux))
-        else:
-            fields = ey @ ex.T
-        out[:, el] = fields[iy, ix]
-    out /= math.sqrt(env.scatter_count)
-    out = channel._combine_rician(env, out, env.ris["los"], pts[:, :1],
-                                  pts[:, 1:2])
+
+    def composed(kx, ky, cis, weights, block):
+        starts = list(range(0, len(kx), block))
+        parts = min(len(starts), channel._BATCH_PARTS)
+        total = None
+        for i in range(parts):
+            partial = np.zeros(len(pts), dtype=complex)
+            for start in starts[len(starts) * i // parts:
+                                len(starts) * (i + 1) // parts]:
+                els = range(start, min(start + block, len(kx)))
+                scale = cis[els] if weights is None \
+                    else cis[els] * weights[els]
+                scale = coefficients[els][:, None] * scale
+                ey = np.stack([_chain(ky[el], uy) for el in els], axis=1)
+                ey = (scale * ey).reshape(len(uy), -1)
+                ex = np.stack([_chain(kx[el], ux) for el in els], axis=1)
+                ex = ex.reshape(len(ux), -1)
+                if 1 in (len(ux), len(uy)):
+                    fields = (ey * ex).sum(axis=-1).reshape(len(uy), len(ux))
+                else:
+                    fields = ey @ ex.T
+                partial += fields[iy, ix]
+            total = partial if total is None else total + partial
+        return total
+
+    M, k = env.scatter_count, env.rician_k
+    field = composed(env.ris["kx"], env.ris["ky"], env.ris["cis"],
+                     env.pattern_weights.get(device), channel._BATCH_BLOCK)
+    field = field / math.sqrt(M)
+    if k:
+        angle, phase = env.ris["los"][:, 0], env.ris["los"][:, 1]
+        wave = composed((env.kappa * np.cos(angle))[:, None],
+                        (env.kappa * np.sin(angle))[:, None],
+                        np.exp(1j * phase)[:, None], None,
+                        channel._BATCH_BLOCK * M)
+        field = math.sqrt(k / (k + 1.0)) * wave \
+            + math.sqrt(1.0 / (k + 1.0)) * field
     dists = np.linalg.norm(pts - np.array(tuple(env.attacker_position)),
                            axis=1)
     ref = (env.wavelength_m / (4.0 * math.pi)) ** 2
-    return np.sqrt(ref * dists ** -env.path_loss_exponent)[:, None] * out
+    return np.sqrt(ref * dists ** -env.path_loss_exponent) * field
 
 
 # 70 x values: three chains of channel._CHAIN = 32 and two tiles of
@@ -259,8 +300,10 @@ def test_batch_is_byte_equal_to_written_out_expression(rows):
     env = synthesize_environment(_field_spec("desk"), 31)
     grid = [Position(x, y, 1.0) for y in np.linspace(3.0, 3.4, rows)
             for x in np.linspace(0.5, 0.9, 70)]
-    got = ris_subchannels_batch(env, grid, device="D2")
-    assert got.tobytes() == _per_element_batch(env, grid, "D2").tobytes()
+    coeff = _coefficients(env)
+    got = ris_subchannels_batch(env, grid, coeff, device="D2")
+    assert got.tobytes() == _per_block_batch(env, grid, coeff,
+                                             "D2").tobytes()
 
 
 def _axis(gaps, n=70):
@@ -280,12 +323,14 @@ def test_batch_chains_are_byte_equal_to_written_out_chains(gaps, rows):
     assert len(np.unique(np.diff(xs))) == len(gaps)
     grid = [Position(x, y, 1.0) for y in 2.0 + 2 ** -5 * np.arange(rows)
             for x in xs]
-    got = ris_subchannels_batch(env, grid, device="A")
-    assert got.tobytes() == _per_element_batch(env, grid, "A").tobytes()
+    coeff = _coefficients(env)
+    got = ris_subchannels_batch(env, grid, coeff, device="A")
+    assert got.tobytes() == _per_block_batch(env, grid, coeff, "A").tobytes()
     # A one-column grid: the x and y roles swapped.
     column = [Position(1.0, y, 1.0) for y in xs]
-    got = ris_subchannels_batch(env, column, device="A")
-    assert got.tobytes() == _per_element_batch(env, column, "A").tobytes()
+    got = ris_subchannels_batch(env, column, coeff, device="A")
+    assert got.tobytes() == _per_block_batch(env, column, coeff,
+                                             "A").tobytes()
 
 
 def _desk_scan_grid(env, device="D1"):
@@ -296,29 +341,42 @@ def _desk_scan_grid(env, device="D1"):
 
 
 def test_batch_chains_keep_long_double_accuracy_on_the_desk_grid():
-    # Every 37th element against the field summed in long double.
-    from risjam.scenarios import desk_environment_spec
-    env = synthesize_environment(desk_environment_spec(), 28)
+    # The composed sum over all 768 elements, with the line-of-sight term
+    # and pattern weights, against the field summed in long double.  A
+    # plane wave is exp(i*kx*x) * exp(i*ky*y) there too, so the reference
+    # takes one exponential per wave and distinct axis value.
+    env = synthesize_environment(_field_spec("desk"), 28)
     grid = _desk_scan_grid(env)
-    got = ris_subchannels_batch(env, grid)
-    pts = np.array(grid, dtype=np.longdouble)
+    coeff = _coefficients(env)
+    got = ris_subchannels_batch(env, grid, coeff, device="D1")
+    ld = np.longdouble
+    pts = np.array(grid, dtype=ld)
+    ux, ix = np.unique(pts[:, 0], return_inverse=True)
+    uy, iy = np.unique(pts[:, 1], return_inverse=True)
+    kx, ky = (env.ris[name].astype(ld) for name in ("kx", "ky"))
+    scale = (env.ris["cis"].astype(np.clongdouble)
+             * env.pattern_weights["D1"].astype(np.clongdouble)
+             * coeff[:, None])
+    diffuse = np.zeros((len(uy), len(ux)), dtype=np.clongdouble)
+    for els in np.array_split(np.arange(env.n_elements), 12):
+        ey = scale[els] * np.exp(1j * (uy[:, None, None] * ky[els]))
+        ex = np.exp(1j * (ux[:, None, None] * kx[els]))
+        diffuse += np.einsum("yk,xk->yx", ey.reshape(len(uy), -1),
+                             ex.reshape(len(ux), -1))
+    diffuse = diffuse[iy, ix] / np.sqrt(ld(env.scatter_count))
+    kappa = 2 * np.pi / (ld(channel.SPEED_OF_LIGHT) / ld(env.frequency_hz))
+    angle, phase = (env.ris["los"][:, i].astype(ld) for i in (0, 1))
+    wave = np.exp(1j * (kappa * (pts[:, :1] * np.cos(angle)
+                                 + pts[:, 1:2] * np.sin(angle)) + phase))
+    k = ld(env.rician_k)
+    field = (np.sqrt(k / (k + 1)) * (wave @ coeff.astype(ld))
+             + np.sqrt(1 / (k + 1)) * diffuse)
     dists = np.linalg.norm(
-        pts - np.array(tuple(env.attacker_position), dtype=np.longdouble),
-        axis=1)
-    ref_gain = (np.longdouble(env.wavelength_m) / (4 * np.pi)) ** 2
-    amps = np.sqrt(ref_gain * dists ** -env.path_loss_exponent)
-    elements = range(0, env.n_elements, 37)
-    want = np.empty((len(grid), len(elements)), dtype=np.clongdouble)
-    for col, el in enumerate(elements):
-        kx, ky = (env.ris[name][el].astype(np.longdouble)
-                  for name in ("kx", "ky"))
-        phase = pts[:, :1] * kx + pts[:, 1:2] * ky
-        terms = env.ris["cis"][el].astype(np.clongdouble) * np.exp(1j * phase)
-        want[:, col] = terms.sum(axis=-1) / np.sqrt(
-            np.longdouble(env.scatter_count))
-    want *= amps[:, None]
+        pts - np.array(tuple(env.attacker_position), dtype=ld), axis=1)
+    ref_gain = (ld(env.wavelength_m) / (4 * np.pi)) ** 2
+    want = np.sqrt(ref_gain * dists ** -env.path_loss_exponent) * field
     rms = np.sqrt(np.mean(np.abs(want) ** 2))
-    assert np.max(np.abs(got[:, elements] - want)) <= 2e-13 * rms
+    assert np.max(np.abs(got - want)) <= 2e-13 * rms
 
 
 # 97 values per axis: tiles of 32 end in one of 33 values, tiles of 96 in
@@ -337,16 +395,22 @@ _TILED_GRIDS = {
 
 
 @pytest.mark.parametrize("points", sorted(_TILED_GRIDS))
-def test_batch_bytes_do_not_depend_on_block_or_tile_size(monkeypatch,
-                                                         points):
+def test_batch_bytes_are_the_written_out_blocks_at_every_tile_size(
+        monkeypatch, points):
+    # The blocks (and the runs of them) group the sum over elements, so
+    # they set the bits; the tiles do not.  Three runs of blocks of 5 are
+    # 5, 5 and 6 blocks long.
     env = _split_env()
     grid = _TILED_GRIDS[points]
-    want = ris_subchannels_batch(env, grid, device="A")
-    for tile, block in ((32, 8), (96, 8), (128, 5), (64, 16)):
-        monkeypatch.setattr(channel, "_TILE", tile)
+    coeff = _coefficients(env)
+    for block, parts in ((5, 8), (5, 3), (8, 8), (16, 8)):
         monkeypatch.setattr(channel, "_BATCH_BLOCK", block)
-        got = ris_subchannels_batch(env, grid, device="A")
-        assert got.tobytes() == want.tobytes(), (tile, block)
+        monkeypatch.setattr(channel, "_BATCH_PARTS", parts)
+        want = _per_block_batch(env, grid, coeff, "A").tobytes()
+        for tile in (32, 64, 96, 128):
+            monkeypatch.setattr(channel, "_TILE", tile)
+            got = ris_subchannels_batch(env, grid, coeff, device="A")
+            assert got.tobytes() == want, (block, parts, tile)
 
 
 class _FailingWaves(np.ndarray):
@@ -366,7 +430,8 @@ def test_batch_block_error_propagates_after_every_thread_ends(monkeypatch,
     monkeypatch.setattr(channel, "_field_threads", lambda: width)
     before = threading.active_count()
     with pytest.raises(RuntimeError, match="block 40 failed"):
-        ris_subchannels_batch(env, _SPLIT_GRID, device="A")
+        ris_subchannels_batch(env, _SPLIT_GRID, _coefficients(env),
+                              device="A")
     assert threading.active_count() == before
 
 
@@ -575,33 +640,61 @@ def test_desk_synthesis_peaks_at_its_arrays():
     assert peak <= arrays + 0.5e6
 
 
-def test_rician_desk_grid_peaks_at_three_results():
+def test_rician_desk_grid_holds_no_per_element_array(monkeypatch):
     # The benchmark heatmap's 31 x 21 grid on the desk world with a
-    # line-of-sight term and pattern weights: the Rician term holds one
-    # float and one complex (P, L) array beside the result.
+    # line-of-sight term and pattern weights, at two threads: each holds
+    # one tile's phasors, under 2 MB here.  A (P, L) complex array alone
+    # is 8 MB; the call peaked at 20.2 MB when it returned one.
+    monkeypatch.setattr(channel, "_field_threads", lambda: 2)
     env = synthesize_environment(_field_spec("desk"), 28)
     grid = _desk_scan_grid(env)
+    coeff = _coefficients(env)
     gains, peak = _traced_peak(
-        lambda: ris_subchannels_batch(env, grid, device="D1"))
-    assert gains.shape == (651, env.n_elements)
-    assert peak <= 3 * gains.nbytes
+        lambda: ris_subchannels_batch(env, grid, coeff, device="D1"))
+    assert gains.shape == (651,)
+    assert peak <= 6e6
 
 
-def test_long_desk_rail_peaks_below_two_results(monkeypatch):
-    # 2 000 points 1 mm apart: each thread holds its tiles, a few MB, next
-    # to the 24.6 MB result.  Two threads, as the intermediates scale with
-    # the thread count.
+def test_long_desk_rail_holds_no_per_element_array(monkeypatch):
+    # 2 000 points 1 mm apart, at two threads, as the intermediates scale
+    # with the thread count: each holds one tile's phasors, 2 MB.  The
+    # (P, L) array alone is 24.6 MB; the call peaked at 33.8 MB when it
+    # returned one.
     from risjam.scenarios import desk_environment_spec
     monkeypatch.setattr(channel, "_field_threads", lambda: 2)
     env = synthesize_environment(desk_environment_spec(), 28)
     focus = env.devices["D1"]
     rail = [Position(focus.x + 0.001 * i, focus.y, focus.z)
             for i in range(2000)]
+    coeff = _coefficients(env)
     gains, peak = _traced_peak(
-        lambda: ris_subchannels_batch(env, rail, device="D1"),
-        warm_up=lambda: ris_subchannels_batch(env, rail[:100], device="D1"))
-    assert gains.shape == (2000, env.n_elements)
-    assert peak <= 2 * gains.nbytes
+        lambda: ris_subchannels_batch(env, rail, coeff, device="D1"),
+        warm_up=lambda: ris_subchannels_batch(env, rail[:100], coeff,
+                                              device="D1"))
+    assert gains.shape == (2000,)
+    assert peak <= 8e6
+
+
+def test_cap_size_grid_peak_does_not_grow_with_the_surface(monkeypatch):
+    # A 400 x 250 grid, the scan parsers' cap of 100 000 points, at two
+    # threads, on surfaces of 64 and 128 elements (8 and 16 blocks): the
+    # call holds channel._BATCH_PARTS = 8 partial rows of P values (1.6 MB
+    # each) and P-sized indices, whatever L is.  One (P, L) complex array
+    # is 102 MB at L = 64.
+    from risjam.scenarios import MAX_SCAN_POINTS
+    monkeypatch.setattr(channel, "_field_threads", lambda: 2)
+    grid = [Position(0.5 + 0.002 * i, 1.0 + 0.002 * j, 1.0)
+            for j in range(250) for i in range(400)]
+    assert len(grid) == MAX_SCAN_POINTS
+    for n_elements in (64, 128):
+        env = synthesize_environment(
+            make_small_spec(n_elements=n_elements, scatter_count=16), 5)
+        coeff = _coefficients(env)
+        gains, peak = _traced_peak(
+            lambda: ris_subchannels_batch(env, grid, coeff),
+            warm_up=lambda: ris_subchannels_batch(env, grid[:800], coeff))
+        assert gains.shape == (len(grid),)
+        assert peak <= 30e6, n_elements
 
 
 def _shares_arrays(new, old, names=("ris", "direct", "pattern_weights")):

@@ -96,7 +96,8 @@ def test_artifacts_do_not_depend_on_blas_threads(tmp_path, mode):
     assert one == two
 
 
-@pytest.mark.parametrize("mode", ["heatmap", "displacement"])
+@pytest.mark.parametrize("mode", ["heatmap", "displacement",
+                                  "heatmap-rician"])
 def test_artifacts_do_not_depend_on_cpu_affinity(tmp_path, mode):
     cpus = sorted(os.sched_getaffinity(0)) \
         if hasattr(os, "sched_setaffinity") else []
@@ -112,6 +113,7 @@ def test_artifacts_do_not_depend_on_cpu_affinity(tmp_path, mode):
              "unpinned": _start(scenario, tmp_path / "unpinned", 1)})
     pinned, unpinned = (_artifact_hashes(tmp_path / name)
                         for name in ("pinned", "unpinned"))
-    grid_table = {"heatmap": "grid.csv", "displacement": "curves.csv"}[mode]
+    grid_table = {"heatmap": "grid.csv",
+                  "displacement": "curves.csv"}[SCENARIOS[mode]["mode"]]
     assert {"result.json", "manifest.json", grid_table} <= pinned.keys()
     assert pinned == unpinned
