@@ -67,14 +67,25 @@ _BATCH_PARTS = 8
 
 # Axis values per phasor chain of ris_subchannels_batch: one exponential
 # (the chain's anchor) per _CHAIN values, every other phasor a product.
+# The desk heatmap's 31 x 21 grid fits one chain per axis.  On a 76 x 51
+# desk grid (one thread, one BLAS thread), chains of 16, 32 and 64 took
+# 283, 264 and 231 ms: longer chains save anchors but carry more rounded
+# products, so 32 stays, the length every accuracy test was run at.
 _CHAIN = 32
 
 # Distinct axis values per tile of ris_subchannels_batch, a multiple of
 # _CHAIN so that no chain crosses a tile.  Bounds each thread's
 # intermediates to about 2*_BATCH_BLOCK*M*_TILE complex values (4.2 MB at
-# M = 256) on any grid; a 2 000-point desk rail peaks at 5.3 MB on two
-# threads.
+# M = 256) on any grid.  At two threads, tiles of 32, 64 and 128 took
+# 0.55, 0.34 and 0.33 s CPU on a 76 x 51 desk grid, peaking at 5.3, 8.7
+# and 9.5 MB (tracemalloc), and 3.2, 2.8 and 3.1 s on a 2 000-point desk
+# rail, peaking at 3.0, 5.2 and 9.7 MB.
 _TILE = 64
+
+# Phase below which complex(1.0, t) is exp(i*t) to the last bit (cos t
+# rounds to 1 and sin t to t): gaps of a ris_subchannels_batch axis within
+# _GAP_PHASE / kappa of each other share one exponential.
+_GAP_PHASE = 2.0 ** -27
 
 # Rows (surface elements, or realizations) per block of the per-point field
 # and of wave synthesis, which run their blocks on every CPU.  A block of
@@ -570,38 +581,52 @@ def ris_subchannels_batch(env: Environment, positions, coefficients,
     """The composed surface gain sum_l c_l * h_l(p) at many positions;
     returns (P,).
 
-    ``coefficients`` are the L reflection coefficients (a configuration's
-    ``coefficients()``), and ``h_l`` the gains ris_subchannels gives.  The
-    sum over elements is taken inside each block of _BATCH_BLOCK elements,
-    so no (P, L) array is built: beside its (P,) result, the call holds
-    one partial row of P values per work item (at most _BATCH_PARTS) and
-    each thread's tiles.  The benchmark's tracer (benchmarks/tracing.py)
-    patches this function by name, with a hook of (env, positions, *args,
-    **kwargs), so the name and the first two parameters stay as they are.
+    ``positions`` is a (P, 3) array or a sequence of P positions, taken as
+    one float array; a non-finite coordinate or a position without 3
+    coordinates raises as_position's ValueError.  ``coefficients`` are the
+    L reflection coefficients (a configuration's ``coefficients()``), and
+    ``h_l`` the gains ris_subchannels gives.  The sum over elements is
+    taken inside each block of _BATCH_BLOCK elements, so no (P, L) array
+    is built: beside its (P,) result, the call holds one partial row of P
+    values per work item (at most _BATCH_PARTS) and each thread's tiles.
+    The benchmark's tracer (benchmarks/tracing.py) patches this function
+    by name, with a hook of (env, positions, *args, **kwargs), so the name
+    and the first two parameters stay as they are.
 
-    A plane wave's phase separates, exp(i(kx*x + ky*y)) = exp(i*kx*x) *
-    exp(i*ky*y), so a block's scattered sum over the distinct x values ux
-    and distinct y values uy of the points is one product of a (Uy, b*M)
-    and a (b*M, Ux) matrix, the coefficients and the block's unit phasors
-    (times the device's pattern weights) multiplied into the y factor.
-    Each axis's phasors are built on chains (_phasors): per element and
-    axis, one exponential per _CHAIN values and one per distinct gap
-    between neighbouring values (a uniform grid has one or two), plus
-    (Ux + Uy)*L*M complex multiplies.  The products take Ux*Uy*L*M
-    multiply-adds.  A grid of one row or one column sums its products over
-    the block's b*M waves instead (a matrix-vector product's bits change
-    with the BLAS thread count).  Pass a whole grid in one call, not row
-    by row.  Scattered points (Ux*Uy near P**2, every gap distinct) pay an
-    exponential for nearly every phasor and P**2*L*M multiply-adds.  The
-    line-of-sight waves (rician_k > 0), one per element, are composed the
-    same way, in blocks of _BATCH_BLOCK*M elements.
+    A plane wave's phase separates, exp(i(kx*x + ky*y)) = exp(i*kx*(x -
+    x0)) * exp(i*(ky*y + kx*x0)) for the first distinct x value x0, so a
+    block's scattered sum over the distinct x values ux and distinct y
+    values uy of the points is one product of a (Uy, b*M) and a (b*M, Ux)
+    matrix, the coefficients and the block's unit phasors (times the
+    device's pattern weights) multiplied into the y factor's chain
+    anchors.  Each axis's phasors are built on chains (_Axis): one
+    exponential per wave at every _CHAIN-th value (none at x0, where the x
+    chain starts at exactly 1), and one per class of gaps between
+    neighbouring values.  A gap within 2**-27 / kappa of its class's first
+    gap takes that gap's phasor times complex(1, k*delta), which is the
+    exponential of the difference k*delta to the last bit (|k| <= kappa
+    for every wave, scattered or line of sight).  So a grid spaced by one
+    step, whose x0 + step*i gaps differ in the last bits, takes one
+    exponential per axis for its gaps: 3 per plane wave on the desk
+    heatmap grid.  The rest is (Ux + Uy)*L*M complex multiplies, and the
+    products take Ux*Uy*L*M multiply-adds.  A grid of one row or one
+    column sums its products over the block's b*M waves instead (a
+    matrix-vector product's bits change with the BLAS thread count).  Pass
+    a whole grid in one call, not row by row.  Scattered points (Ux*Uy
+    near P**2, every gap its own class) pay an exponential for nearly
+    every phasor and P**2*L*M multiply-adds.  The line-of-sight waves
+    (rician_k > 0), one per element, are composed the same way, in blocks
+    of _BATCH_BLOCK*M elements.
 
     Each axis is cut into tiles of _TILE distinct values (_grid_tiles),
     and a block takes one y tile and one x tile at a time, so its
     intermediates stay a few MB on any grid; an x tile's phasors are built
-    again for each y tile.  A tile starts a chain, and OpenBLAS gives a
-    gemm split at tile starts the bits of the whole, so the values do not
-    depend on the tile size (tests/test_channel.py checks it).
+    again for each y tile.  An axis's class phasors are built once per
+    block when it has at most _TILE classes (any grid or rail spaced by a
+    step), else once per tile.  A tile starts a chain, anchors sit at
+    global multiples of _CHAIN, and OpenBLAS gives a gemm split at tile
+    starts the bits of the whole, so the values do not depend on the tile
+    size (tests/test_channel.py checks it).
 
     The blocks are cut into at most _BATCH_PARTS runs of whole blocks, the
     work items.  Each adds its blocks' sums, in block order, into its own
@@ -617,19 +642,21 @@ def ris_subchannels_batch(env: Environment, positions, coefficients,
     bits with the grid it is evaluated in (its chain and the matmul's
     summation order depend on the grid).
     """
-    pts = np.asarray([tuple(as_position(p)) for p in positions],
-                     dtype=float).reshape(-1, 3)
+    pts = _scan_points(positions)
     L, M = env.n_elements, env.scatter_count
     coefficients = np.asarray(coefficients)
     if coefficients.shape != (L,):
         raise ValueError(f"coefficients of shape {coefficients.shape} do "
                          f"not match {L} surface elements")
     dists = _scan_distances(pts, env.attacker_position)
+    if not len(pts):
+        return np.zeros(0, dtype=complex)
     ref = (env.wavelength_m / (4.0 * math.pi)) ** 2
     amps = np.sqrt(ref * dists ** (-env.path_loss_exponent))
 
     ux, ix = np.unique(pts[:, 0], return_inverse=True)
     uy, iy = np.unique(pts[:, 1], return_inverse=True)
+    x_axis, y_axis = _Axis(ux, env.kappa), _Axis(uy, env.kappa)
     thin = 1 in (len(ux), len(uy))
     tiles = _grid_tiles(ix, iy, len(ux), len(uy))
 
@@ -644,20 +671,41 @@ def ris_subchannels_batch(env: Environment, positions, coefficients,
 
         def run(item: int) -> None:
             for start in runs[item]:
-                sl = slice(start, start + block)
-                scale = cis[sl] if weights is None else cis[sl] * weights[sl]
-                scale = coefficients[sl, None] * scale
-                for ys, held in tiles:
-                    add_tile(partials[item], sl, scale, ys, held)
+                add_block(partials[item], slice(start, start + block))
 
-        # A function per tile, so that a tile's phasors are freed before
-        # the next tile's are built.
-        def add_tile(partial, sl, scale, ys, held) -> None:
-            ey = _phasors(ky[sl, ...], uy[ys])                  # (Uy, b, M)
-            np.multiply(scale, ey, out=ey)
+        # A function per block and per tile, so that a block's (a tile's)
+        # phasors are freed before the next block's (tile's) are built.
+        def add_block(partial, sl) -> None:
+            kxs, kys = kx[sl, ...], ky[sl, ...]
+            scale = cis[sl] if weights is None else cis[sl] * weights[sl]
+            scale = coefficients[sl, None] * scale
+            x_chain = (kxs, x_axis.classes(kxs))
+            y_chain = (kys, y_axis.classes(kys), scale, kxs * ux[0])
+            for ys, held in tiles:
+                add_tile(partial, ys, held, x_chain, y_chain)
+
+        def add_tile(partial, ys, held, x_chain, y_chain) -> None:
+            ey = y_phasors(ys, *y_chain)                        # (Uy, b, M)
             for xs, rows, at_y, at_x in held:
-                fields = _contract(ey, _phasors(kx[sl, ...], ux[xs]), thin)
+                fields = _contract(ey, x_phasors(xs, *x_chain), thin)
                 partial[rows] += fields[at_y, at_x]
+
+        def y_phasors(ys, k, classes, scale, shift) -> np.ndarray:
+            # scale * exp(i(k*y + kx*x0)) at the anchors.
+            waves = np.empty((ys.stop - ys.start,) + k.shape, dtype=complex)
+            phase = uy[ys][::_CHAIN, None, None] * k
+            phase += shift
+            np.multiply(scale, _expi(phase), out=waves[::_CHAIN])
+            return y_axis.chain(waves, k, ys, classes)
+
+        def x_phasors(xs, k, classes) -> np.ndarray:
+            # exp(i*k*(x - x0)) at the anchors; x0's phasor is exactly 1.
+            waves = np.empty((xs.stop - xs.start,) + k.shape, dtype=complex)
+            at = ux[xs][::_CHAIN] - ux[0]
+            skip = int(xs.start == 0)
+            waves[0] = 1.0
+            waves[skip * _CHAIN::_CHAIN] = _expi(at[skip:, None, None] * k)
+            return x_axis.chain(waves, k, xs, classes)
 
         _in_threads(run, range(parts))
         return partials.sum(axis=0)
@@ -674,6 +722,30 @@ def ris_subchannels_batch(env: Environment, positions, coefficients,
     return np.multiply(amps, field, out=field)
 
 
+def _scan_points(positions) -> np.ndarray:
+    """``positions`` (a (P, 3) array or a sequence of positions) as one
+    (P, 3) float array, P = 0 allowed.  Raises as_position's ValueError
+    for the first position without 3 coordinates or with a non-finite one.
+    """
+    if not isinstance(positions, np.ndarray):
+        positions = list(positions)
+    try:
+        pts = np.asarray(positions, dtype=float)
+    except (TypeError, ValueError):  # rows of unequal length, or no number
+        pts = None
+    if pts is not None and pts.size == 0:
+        return pts.reshape(0, 3)
+    if pts is None or pts.ndim != 2 or pts.shape[1] != 3:
+        for position in positions:
+            as_position(position)
+        raise ValueError(f"positions must be a (P, 3) array, got shape "
+                         f"{np.shape(pts)}")
+    finite = np.isfinite(pts).all(axis=1)
+    if not finite.all():
+        as_position(pts[np.argmin(finite)].tolist())
+    return pts
+
+
 def _contract(ey: np.ndarray, ex: np.ndarray, thin: bool) -> np.ndarray:
     """The (Uy, Ux) sums over a block's b*M waves of the y phasors ``ey``
     (Uy, b, M) times the x phasors ``ex`` (Ux, b, M): one matmul, or, on
@@ -687,24 +759,66 @@ def _contract(ey: np.ndarray, ex: np.ndarray, thin: bool) -> np.ndarray:
     return ey @ ex.T
 
 
-def _phasors(k: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """exp(1j * u * k) for the (b, M) wave components ``k`` at the sorted
-    distinct axis values ``u``, as a (len(u), b, M) array.
+class _Axis:
+    """The plan of the phasor chains on the sorted distinct values ``u``
+    of one axis of a scan, built once per ris_subchannels_batch call.
 
-    Exponentials (_expi) are taken only at every _CHAIN-th value, the
-    chain anchors, and once per distinct gap between neighbouring values
-    (neighbouring floats subtract exactly).  Every other phasor is the one
-    before it times its gap's phasor, exp(i*k*u_j) = exp(i*k*u_{j-1}) *
-    exp(i*k*(u_j - u_{j-1})), written in place in axis order.
+    A value at a multiple of _CHAIN is a chain anchor, whose phasor the
+    caller writes.  Every other value's phasor is the one before it times
+    the phasor of its step, exp(i*k*(u_j - u_{j-1})) (neighbouring floats
+    subtract exactly).  Sorted, the distinct gaps fall into classes: a gap
+    within _GAP_PHASE / kappa of its class's first gap g joins it, and its
+    phasor is exp(i*k*g) * complex(1, k*delta), delta being its
+    difference from g.
     """
-    waves = np.empty((len(u),) + k.shape, dtype=complex)
-    waves[::_CHAIN] = _expi(u[::_CHAIN, None, None] * k)
-    gaps, gap_of = np.unique(np.diff(u), return_inverse=True)
-    steps = _expi(gaps[:, None, None] * k)
-    for j in range(1, len(u)):
-        if j % _CHAIN:
-            np.multiply(waves[j - 1], steps[gap_of[j - 1]], out=waves[j])
-    return waves
+
+    def __init__(self, u: np.ndarray, kappa: float):
+        gaps, gap_of = np.unique(np.diff(u), return_inverse=True)
+        # Per step j >= 1, the index of its gap among the distinct gaps.
+        self.gap_of = [None] + gap_of.tolist()
+        self.class_of, heads = [], []
+        for gap in gaps.tolist():
+            if not heads or gap - heads[-1] > _GAP_PHASE / kappa:
+                heads.append(gap)
+            self.class_of.append(len(heads) - 1)
+        self.heads = np.array(heads)
+        self.delta = (gaps - self.heads[self.class_of]).tolist()
+        # Per tile, by its first value: the steps that are not anchors,
+        # the gaps they take and those gaps' classes.
+        self.tiles = {}
+        for tile in _tiles(len(u)):
+            steps = [j for j in range(tile.start + 1, tile.stop) if j % _CHAIN]
+            used = sorted({self.gap_of[j] for j in steps})
+            self.tiles[tile.start] = (
+                steps, used, sorted({self.class_of[g] for g in used}))
+
+    def classes(self, k: np.ndarray):
+        """The phasors exp(i*k*g) of every class's first gap g, for the
+        (b, M) wave components ``k``, or None if the axis has more than
+        _TILE classes: each tile then builds the ones it uses."""
+        if len(self.heads) > _TILE:
+            return None
+        return _expi(self.heads[:, None, None] * k)
+
+    def chain(self, waves: np.ndarray, k: np.ndarray, tile: slice,
+              classes) -> np.ndarray:
+        """Writes the phasors of the values u[tile] into ``waves`` (its
+        anchors already written), in axis order, and returns it."""
+        steps, used, need = self.tiles[tile.start]
+        if classes is None:
+            classes = dict(zip(need, _expi(self.heads[need, None, None] * k)))
+        phasors = {}
+        for g in used:
+            phasors[g] = classes[self.class_of[g]]
+            if self.delta[g]:
+                factor = np.empty(k.shape, dtype=complex)
+                factor.real = 1.0
+                np.multiply(k, self.delta[g], out=factor.imag)
+                phasors[g] = np.multiply(phasors[g], factor, out=factor)
+        for j in steps:
+            i = j - tile.start
+            np.multiply(waves[i - 1], phasors[self.gap_of[j]], out=waves[i])
+        return waves
 
 
 def _tiles(n: int) -> list[slice]:

@@ -223,33 +223,55 @@ def test_blocked_field_is_byte_equal_to_unblocked_expressions(
             assert got.tobytes() == _unblocked_row(env, pos, device).tobytes()
 
 
-def _chain(k, u):
-    """exp(1j * u * k) for one element's waves ``k`` at the sorted axis
-    values ``u``, written out value by value: a direct exponential at every
+def _gap_classes(u, kappa):
+    """The first gap of each distinct gap's class on the sorted axis values
+    ``u``: sorted, a gap within 2**-27 / kappa of its class's first gap
+    joins that class, and any other gap starts a class."""
+    first, head = {}, None
+    for gap in sorted(set(np.diff(u).tolist())):
+        if head is None or gap - head > 2 ** -27 / kappa:
+            head = gap
+        first[gap] = head
+    return first
+
+
+def _chain(k, u, first, anchor):
+    """The phasors of one element's waves ``k`` at the sorted axis values
+    ``u``, written out value by value: ``anchor(j)`` at every
     channel._CHAIN-th value, else the previous phasor times the phasor of
-    the gap to it."""
+    the gap to it.  A gap's phasor is the exponential at its class's first
+    gap g (``first``), times complex(1, k*(gap - g)) if it is not g."""
     waves = np.empty((len(u), len(k)), dtype=complex)
-    for j, value in enumerate(u):
+    for j in range(len(u)):
         if j % channel._CHAIN == 0:
-            waves[j] = np.exp(1j * (value * k))
-        else:
-            waves[j] = waves[j - 1] * np.exp(1j * ((value - u[j - 1]) * k))
+            waves[j] = anchor(j)
+            continue
+        gap = u[j] - u[j - 1]
+        step = np.exp(1j * (first[gap] * k))
+        if gap != first[gap]:
+            factor = np.ones(len(k), dtype=complex)
+            factor.imag = k * (gap - first[gap])
+            step = step * factor
+        waves[j] = waves[j - 1] * step
     return waves
 
 
 def _per_block_batch(env, points, coefficients, device):
     """ris_subchannels_batch written out.  Per block of
-    channel._BATCH_BLOCK elements: the phasors on written-out chains, the
-    coefficients times the unit phasors (times the pattern weights) times
-    the y phasors, and one (Uy, b*M) @ (b*M, Ux) product over the whole
-    grid, or on a one-row or one-column grid the products summed over the
-    b*M waves.  At most channel._BATCH_PARTS runs of blocks each add their
-    blocks in order from zero, and the runs' sums are added in order.  The
-    line-of-sight waves are composed the same way, in blocks of
-    channel._BATCH_BLOCK * M elements."""
+    channel._BATCH_BLOCK elements: each element's phasors on written-out
+    chains, the x chain exactly 1 at the first x value x0 and exp(i*kx*(x -
+    x0)) at its other anchors, the y chain's anchors the coefficient times
+    the unit phasor (times the pattern weight) times exp(i(ky*y + kx*x0)),
+    then one (Uy, b*M) @ (b*M, Ux) product over the whole grid, or on a
+    one-row or one-column grid the products summed over the b*M waves.  At
+    most channel._BATCH_PARTS runs of blocks each add their blocks in order
+    from zero, and the runs' sums are added in order.  The line-of-sight
+    waves are composed the same way, in blocks of channel._BATCH_BLOCK * M
+    elements."""
     pts = np.array([tuple(p) for p in points])
     ux, ix = np.unique(pts[:, 0], return_inverse=True)
     uy, iy = np.unique(pts[:, 1], return_inverse=True)
+    x_first, y_first = (_gap_classes(u, env.kappa) for u in (ux, uy))
 
     def composed(kx, ky, cis, weights, block):
         starts = list(range(0, len(kx), block))
@@ -263,9 +285,17 @@ def _per_block_batch(env, points, coefficients, device):
                 scale = cis[els] if weights is None \
                     else cis[els] * weights[els]
                 scale = coefficients[els][:, None] * scale
-                ey = np.stack([_chain(ky[el], uy) for el in els], axis=1)
-                ey = (scale * ey).reshape(len(uy), -1)
-                ex = np.stack([_chain(kx[el], ux) for el in els], axis=1)
+                ey = np.stack([_chain(
+                    ky[el], uy, y_first,
+                    lambda j: scale[n] * np.exp(
+                        1j * (uy[j] * ky[el] + kx[el] * ux[0])))
+                    for n, el in enumerate(els)], axis=1)
+                ey = ey.reshape(len(uy), -1)
+                ex = np.stack([_chain(
+                    kx[el], ux, x_first,
+                    lambda j: 1.0 if j == 0
+                    else np.exp(1j * ((ux[j] - ux[0]) * kx[el])))
+                    for el in els], axis=1)
                 ex = ex.reshape(len(ux), -1)
                 if 1 in (len(ux), len(uy)):
                     fields = (ey * ex).sum(axis=-1).reshape(len(uy), len(ux))
@@ -313,14 +343,28 @@ def _axis(gaps, n=70):
     return np.concatenate([[1.0], 1.0 + np.cumsum(steps)])
 
 
+# Each axis with its number of distinct gaps and of gap classes.  The
+# x0 + step * i axes hold gaps an ulp or two apart, which share a class.
+# At 5.56 GHz, 2**-27 / kappa is 6.4e-11 m: gaps 2**-36 m apart share a
+# class, gaps 2**-33 m apart do not.
+_CHAIN_AXES = {
+    "1gap": (_axis([2 ** -7]), 1, 1),
+    "2gaps": (_axis([2 ** -7, 2 ** -6]), 2, 2),
+    "3gaps": (_axis([2 ** -7, 2 ** -6, 3 * 2 ** -7]), 3, 3),
+    "merged2gaps": (_axis([2 ** -7, 2 ** -7 + 2 ** -36]), 2, 1),
+    "apart2gaps": (_axis([2 ** -7, 2 ** -7 + 2 ** -33]), 2, 2),
+    "jittered2gaps": (1.1 + 0.003 * np.arange(70), 2, 1),
+    "jittered3gaps": (1.0 + 0.01 * np.arange(70), 3, 1),
+}
+
+
 @pytest.mark.parametrize("rows", [1, 3], ids=["row", "grid"])
-@pytest.mark.parametrize("gaps", [[2 ** -7], [2 ** -7, 2 ** -6],
-                                  [2 ** -7, 2 ** -6, 3 * 2 ** -7]],
-                         ids=["1gap", "2gaps", "3gaps"])
+@pytest.mark.parametrize("gaps", sorted(_CHAIN_AXES))
 def test_batch_chains_are_byte_equal_to_written_out_chains(gaps, rows):
     env = _split_env()
-    xs = _axis(gaps)
-    assert len(np.unique(np.diff(xs))) == len(gaps)
+    xs, distinct, classes = _CHAIN_AXES[gaps]
+    assert len(np.unique(np.diff(xs))) == distinct
+    assert len(set(_gap_classes(xs, env.kappa).values())) == classes
     grid = [Position(x, y, 1.0) for y in 2.0 + 2 ** -5 * np.arange(rows)
             for x in xs]
     coeff = _coefficients(env)
@@ -331,6 +375,72 @@ def test_batch_chains_are_byte_equal_to_written_out_chains(gaps, rows):
     got = ris_subchannels_batch(env, column, coeff, device="A")
     assert got.tobytes() == _per_block_batch(env, column, coeff,
                                              "A").tobytes()
+
+
+def _expi_elements(monkeypatch, work):
+    """The number of phases ``work()`` passes to channel._expi."""
+    count = [0]
+    expi = channel._expi
+
+    def counted(phase):
+        count[0] += np.size(phase)
+        return expi(phase)
+
+    monkeypatch.setattr(channel, "_expi", counted)
+    work()
+    monkeypatch.setattr(channel, "_expi", expi)
+    return count[0]
+
+
+def test_desk_grid_takes_three_exponentials_per_wave(monkeypatch):
+    # The x chain starts at 1 and its one gap class takes one; the y
+    # anchor (with kx*x0 folded in) and the y gap class one each.  The
+    # grid's gaps, x0 + 0.01*i, differ in the last bits.
+    from risjam.scenarios import desk_environment_spec
+    env = synthesize_environment(desk_environment_spec(), 28)
+    grid = _desk_scan_grid(env)
+    assert len(np.unique(np.diff(np.unique([p.x for p in grid])))) > 1
+    coeff = _coefficients(env)
+    count = _expi_elements(
+        monkeypatch,
+        lambda: ris_subchannels_batch(env, grid, coeff, device="D1"))
+    assert count == 3 * env.n_elements * env.scatter_count
+
+
+def test_rail_exponentials_do_not_grow_with_its_tiles(monkeypatch):
+    # 2 000 points 1 mm apart: 63 x anchors (the first is exactly 1), one
+    # gap class and one y anchor per wave, in 32 tiles of 64 values or in
+    # one tile alike.
+    env = synthesize_environment(make_small_spec(n_elements=16), 28)
+    focus = env.devices["A"]
+    rail = [Position(focus.x + 0.001 * i, focus.y, focus.z)
+            for i in range(2000)]
+    coeff = _coefficients(env)
+    counts = []
+    for tile in (64, 2048):
+        monkeypatch.setattr(channel, "_TILE", tile)
+        counts.append(_expi_elements(
+            monkeypatch, lambda: ris_subchannels_batch(env, rail, coeff)))
+    assert counts == [64 * env.n_elements * env.scatter_count] * 2
+
+
+def test_batch_takes_positions_as_one_array(small_env):
+    grid = _GRID + _REPEATED
+    coeff = _coefficients(small_env)
+    want = ris_subchannels_batch(small_env, np.array(grid), coeff)
+    for given in (grid, [tuple(p) for p in grid], iter(grid)):
+        got = ris_subchannels_batch(small_env, given, coeff)
+        assert got.tobytes() == want.tobytes()
+    assert ris_subchannels_batch(small_env, [], coeff).shape == (0,)
+    for bad, match in (
+            ([(2.0, 1.0, 1.0), (np.nan, 1.0, 1.0)], "must be finite, got "
+             r"Position\(x=nan, y=1.0, z=1.0\)"),
+            (np.array([(2.0, 1.0, 1.0), (2.0, np.inf, 1.0)]),
+             r"must be finite, got Position\(x=2.0, y=inf, z=1.0\)"),
+            ([(2.0, 1.0, 1.0), (2.0, 1.0)], "needs 3 coordinates, got 2"),
+            (np.ones((4, 4)), "needs 3 coordinates, got 4")):
+        with pytest.raises(ValueError, match=match):
+            ris_subchannels_batch(small_env, bad, coeff)
 
 
 def _desk_scan_grid(env, device="D1"):

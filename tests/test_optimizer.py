@@ -561,9 +561,11 @@ def test_convergence_stats_empty():
         convergence_stats([])
 
 
-@pytest.mark.xfail(reason="late tie-churn that decorrelates the final "
-                          "configuration from the initialization keeps the "
-                          "late-stage distance near ~105 bits", strict=False)
+@pytest.mark.xfail(reason="the best row at step 9 000 lies 93-122 bits from "
+                          "the final one (1 of 6 runs below 100); rejecting "
+                          "ties leaves it so, and a mutation-drift balance "
+                          "at table size x epsilon = 2 is suspected, "
+                          "unconfirmed", strict=False)
 def test_late_stage_distance_below_100():
     from risjam.scenarios import (RssiOracle, _STREAM_MEASURE,
                                   _STREAM_OPTIMIZER, desk_scenario)
