@@ -20,7 +20,6 @@ from .channel import (
     environment_to_dict,
     expected_spatial_correlation,
     first_correlation_null_m,
-    load_environment,
     move_device,
     path_loss_db,
     perturb_environment,

@@ -20,7 +20,7 @@ import math
 import numbers
 import os
 import threading
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Mapping, NamedTuple, Sequence
 
@@ -1229,22 +1229,3 @@ def _csv_cell(cell: str) -> str:
         return '"' + cell.replace('"', '""') + '"'
     return cell
 
-
-def load_environment(path) -> Environment:
-    return environment_from_dict(read_json(path, "environment"))
-
-
-def environments_equal(a: Environment, b: Environment) -> bool:
-    """Exact structural equality; used by tests and the determinism contract."""
-    return all(_same(getattr(a, f.name), getattr(b, f.name))
-               for f in fields(Environment))
-
-
-def _same(a, b) -> bool:
-    """Equality that recurses into dicts and compares arrays elementwise."""
-    if isinstance(a, dict):
-        return (isinstance(b, dict) and a.keys() == b.keys()
-                and all(_same(a[key], b[key]) for key in a))
-    if isinstance(a, np.ndarray):
-        return np.array_equal(a, b)
-    return a == b

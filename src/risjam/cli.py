@@ -284,9 +284,9 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="override the scenario master seed")
     run.add_argument("--threads", type=int, default=1,
                      help="accepted for compatibility and ignored: rows "
-                          "run in order, the heatmap and displacement grid "
-                          "field uses the process's CPUs, and results do "
-                          "not depend on either")
+                          "run in order, and the grid field, the per-point "
+                          "gain rows and wave synthesis use the process's "
+                          "CPUs; results do not depend on the thread count")
     run.add_argument("--format", choices=("csv", "json"), default="csv")
 
     validate = sub.add_parser("validate",

@@ -39,6 +39,7 @@ from .channel import (
     direct_channel,
     environment_from_dict,
     environment_to_dict,
+    first_correlation_null_m,
     move_device,
     path_loss_gain,
     perturb_environment,
@@ -68,10 +69,10 @@ AUTO_POWER_MARGIN_DB = 3.0  # headroom above the target's disruption knee
 THROUGHPUT_POWER_MARGIN_DB = 2.0
 LINK_SIM_WINDOWS = 40
 # Largest heatmap grid or displacement rail, in points; also the longest
-# power sweep and perturbation series.  The scan's result is a (points,
-# n_elements) complex sub-channel array, 1.2 GB at 768 elements, and a
-# Rician term holds a float and a complex array of that shape beside it;
-# the grid field's own intermediates are tiled, about 5 MB per thread.
+# power sweep and perturbation series.  The grid field returns one complex
+# gain per point and holds at most channel._BATCH_PARTS partial rows of the
+# points beside it, 12.8 MB at the cap; each thread's tiles stay near
+# 4.2 MB at M = 256 waves per element on any grid (channel._TILE).
 MAX_SCAN_POINTS = 100_000
 # Largest search, in table or trace bits: table_size * n_elements and
 # (steps + 1) * n_elements.  The table holds float32 bits (400 MB at the
@@ -173,7 +174,9 @@ class ScenarioSpec:
         object.__setattr__(self, "ap_id", str(self.ap_id))
         _seed(self.seed)
         self._check_search_size()
-        devices = self._device_ids()
+        # A tuple, so that an unhashable id is not in it rather than a
+        # TypeError; the same holds for the mode checks' roster tests.
+        devices = tuple(self.environment.devices)
         if self.ap_id not in devices:
             raise ScenarioError(f"access point {self.ap_id!r} is not in the "
                                 f"device roster", "ap_id")
@@ -232,17 +235,11 @@ class ScenarioSpec:
                     f"{rows} rows x {n_elements} elements exceeds "
                     f"{MAX_SEARCH_BITS} search bits", f"optimizer.{key}")
 
-    def _device_ids(self) -> tuple[str, ...]:
-        return tuple(self.environment.devices)
-
-    def _position(self, device: str) -> Position:
-        return self.environment.devices[device]
-
     # -- helpers -----------------------------------------------------------
 
     def eval_devices(self) -> tuple[str, ...]:
         """Non-AP devices, natural order; the rows/columns of result matrices."""
-        return tuple(d for d in _natural_sorted(self._device_ids())
+        return tuple(d for d in _natural_sorted(self.environment.devices)
                      if d != self.ap_id)
 
     def visible_non_targets(self) -> tuple[str, ...]:
@@ -282,8 +279,9 @@ def _reject_unknown(keys, known, prefix: str = "") -> None:
 
 # ---------------------------------------------------------------------------
 # Reference desk deployment: eleven devices in four clusters, attacker at the
-# west wall of a 9.0 m x 7.5 m floor.  Cluster 3 is the lone device next to
-# the access point; positions are configurable via desk_environment_spec.
+# west wall of a 9.0 m x 7.5 m floor.  The clusters are D1-D3, D4-D6, D7 and
+# D8-D10; cluster 3 is the lone device next to the access point D0.
+# Positions are configurable via desk_environment_spec.
 # ---------------------------------------------------------------------------
 
 DESK_ATTACKER = Position(0.8, 3.8, 1.2)
@@ -300,13 +298,6 @@ DESK_DEVICES: dict[str, Position] = {
     "D8": Position(6.0, 1.9, 0.9),
     "D9": Position(6.4, 1.75, 0.9),
     "D10": Position(6.2, 1.5, 0.9),
-}
-
-DESK_CLUSTERS = {
-    "C1": ("D1", "D2", "D3"),
-    "C2": ("D4", "D5", "D6"),
-    "C3": ("D7",),
-    "C4": ("D8", "D9", "D10"),
 }
 
 
@@ -886,7 +877,7 @@ def _check_scan(spec: ScenarioSpec, points: np.ndarray) -> None:
 
 
 def _check_heatmap(spec: ScenarioSpec, params: Mapping) -> None:
-    focus = spec._position(spec.targets[0])
+    focus = spec.environment.devices[spec.targets[0]]
     xs, ys = _heatmap_window(params, focus)
     _check_scan(spec, _grid_points(xs, ys, focus.z))
 
@@ -931,7 +922,7 @@ def _check_exclusion(spec: ScenarioSpec, params: Mapping) -> None:
     if not exclude:
         raise ScenarioError("exclusion mode needs mode_params.exclude",
                             "mode_params.exclude")
-    if exclude not in spec._device_ids() or exclude == spec.ap_id:
+    if exclude not in spec.eval_devices():
         raise ScenarioError(f"excluded device {exclude!r} must be a non-AP "
                             f"roster device", "mode_params.exclude")
     if len(spec.eval_devices()) < 2:
@@ -962,12 +953,13 @@ def _check_displacement(spec: ScenarioSpec, params: Mapping) -> None:
     if not minimized:
         raise ScenarioError("displacement mode needs mode_params.minimized",
                             "mode_params.minimized")
-    if minimized not in spec._device_ids() or minimized in spec.targets:
+    devices = spec.environment.devices
+    if minimized not in tuple(devices) or minimized in spec.targets:
         raise ScenarioError("minimized device must be a distinct roster "
                             "device", "mode_params.minimized")
     offsets = _displacement_offsets_m(params)
     for device in (spec.targets[0], minimized):
-        _check_scan(spec, _rail_points(spec._position(device), offsets))
+        _check_scan(spec, _rail_points(devices[device], offsets))
 
 
 def _check_schedule(spec: ScenarioSpec, params: Mapping) -> None:
@@ -987,7 +979,7 @@ def _check_schedule(spec: ScenarioSpec, params: Mapping) -> None:
                           high=1)
             _number_param(event, "seed", spec.seed, prefix=f"{path}.",
                           integer=True, low=0, high=2 ** 64 - 1)
-        elif event.get("device") not in spec._device_ids():
+        elif event.get("device") not in tuple(spec.environment.devices):
             raise ScenarioError("needs a fraction or a roster device",
                                 f"{path}.device")
         else:
@@ -1059,8 +1051,8 @@ def _displacement_curves(env: Environment, spec: ScenarioSpec,
         "minimized_db": min_curve.tolist(),
         "fixed_maximized_db": float(max_curve[0]),
         "fixed_minimized_db": float(min_curve[0]),
-        "expected_null_mm": 1000.0 * 2.4048 * env.wavelength_m
-                            / (2.0 * math.pi),
+        "expected_null_mm": 1000.0 * first_correlation_null_m(
+            env.wavelength_m),
     }}
 
 

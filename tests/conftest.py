@@ -1,9 +1,11 @@
 import os
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from risjam.channel import EnvironmentSpec, Position, synthesize_environment
+from risjam.channel import (Environment, EnvironmentSpec, Position,
+                            synthesize_environment)
 
 # The CLI runs and demos the tests start as subprocesses fail on a
 # RuntimeWarning, as the tests themselves do (filterwarnings in
@@ -26,6 +28,22 @@ def make_small_spec(**overrides) -> EnvironmentSpec:
     )
     kwargs.update(overrides)
     return EnvironmentSpec(**kwargs)
+
+
+def environments_equal(a: Environment, b: Environment) -> bool:
+    """Exact structural equality of two worlds, field by field."""
+    return all(_same(getattr(a, f.name), getattr(b, f.name))
+               for f in fields(Environment))
+
+
+def _same(a, b) -> bool:
+    """Equality that recurses into dicts and compares arrays elementwise."""
+    if isinstance(a, dict):
+        return (isinstance(b, dict) and a.keys() == b.keys()
+                and all(_same(a[key], b[key]) for key in a))
+    if isinstance(a, np.ndarray):
+        return np.array_equal(a, b)
+    return a == b
 
 
 @pytest.fixture

@@ -18,14 +18,13 @@ from risjam.channel import (
     direct_channel,
     environment_from_dict,
     environment_to_dict,
-    environments_equal,
     expected_spatial_correlation,
     first_correlation_null_m,
-    load_environment,
     move_device,
     path_loss_db,
     path_loss_gain,
     perturb_environment,
+    read_json,
     received_rssi,
     ris_subchannels,
     ris_subchannels_batch,
@@ -35,7 +34,7 @@ from risjam.channel import (
 )
 from risjam.ris import random_config
 
-from conftest import make_small_spec
+from conftest import environments_equal, make_small_spec
 
 
 def test_wavelength_from_default_frequency(small_env):
@@ -927,28 +926,29 @@ def test_partial_perturbation_keeps_partial_correlation(small_env):
 def test_serialization_round_trip(tmp_path, small_env):
     path = tmp_path / "env.json"
     save_environment(small_env, path)
-    loaded = load_environment(path)
+    loaded = environment_from_dict(read_json(path, "environment"))
     assert environments_equal(small_env, loaded)
     again = tmp_path / "env2.json"
     save_environment(loaded, again)
     assert path.read_bytes() == again.read_bytes()
 
 
-def test_load_environment_rejects_duplicate_keys(tmp_path, small_env):
+def test_stored_world_read_rejects_duplicate_keys(tmp_path, small_env):
     path = tmp_path / "env.json"
     save_environment(small_env, path)
     text = path.read_text()
     assert text.startswith("{\n")
     path.write_text("{\n \"seed\": 1,\n" + text[2:])
     with pytest.raises(ScenarioError, match="duplicate key 'seed'"):
-        load_environment(path)
+        read_json(path, "environment")
 
 
 def test_serialization_round_trip_after_perturbation(tmp_path, small_env):
     env = perturb_environment(small_env, 0.4, 11)
     path = tmp_path / "env.json"
     save_environment(env, path)
-    assert environments_equal(env, load_environment(path))
+    loaded = environment_from_dict(read_json(path, "environment"))
+    assert environments_equal(env, loaded)
 
 
 def test_serialized_document_fields(small_env):

@@ -14,8 +14,8 @@ from hypothesis import given, settings, strategies as st
 
 from risjam import channel
 from risjam.channel import (MAX_ABS_DBM, MAX_ENSEMBLE_TERMS, EnvironmentSpec,
-                            environment_to_dict, environments_equal,
-                            load_environment)
+                            environment_from_dict, environment_to_dict,
+                            read_json)
 from risjam.cli import (
     EXIT_OK,
     EXIT_RUNTIME,
@@ -31,6 +31,8 @@ from risjam import scenarios
 from risjam.scenarios import (OptimizerSettings, PowerSettings,
                               ScenarioError, ScenarioSpec, scenario_from_dict,
                               scenario_to_dict)
+
+from conftest import environments_equal
 
 MINI_SCENARIO = {
     "mode": "packet-rate",
@@ -765,7 +767,7 @@ def test_env_synth_round_trip(tmp_path):
     rc = main(["env", "synth", "--spec", str(spec_path), "--seed", "5",
                "--out", str(out)])
     assert rc == EXIT_OK
-    env = load_environment(out)
+    env = environment_from_dict(read_json(out, "environment"))
     assert env.master_seed == 5
     assert env.n_elements == 96
     # scenario referencing the file runs against the stored world
@@ -877,7 +879,7 @@ def test_env_synth_default_desk(tmp_path):
     out = tmp_path / "desk.json"
     rc = main(["env", "synth", "--seed", "28", "--out", str(out)])
     assert rc == EXIT_OK
-    env = load_environment(out)
+    env = environment_from_dict(read_json(out, "environment"))
     assert len(env.devices) == 11
 
 

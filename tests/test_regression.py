@@ -24,6 +24,12 @@ and to fold the first x value's phase and the coefficients into the y
 anchors: the heatmap and heatmap-rician grid.csv and result.json, and the
 displacement result.json, were re-pinned then.  Their values moved by at
 most 3.4e-13 dB.  Every other hash kept its value all three times.
+
+A fourth deliberate move is not the grid field's: the displacement
+result.json was re-pinned when its expected_null_mm began to come from
+channel.first_correlation_null_m rather than a copy of that formula, which
+moved the value by one ulp (20.636925969303956 to 20.636925969303952 mm)
+and nothing else in any artifact.
 """
 
 import contextlib
@@ -117,8 +123,8 @@ PINNED = {
          "mode_params": {"minimized": "B", "step_mm": 8.0, "max_mm": 24.0}},
         {"curves.csv": "2344a40d1e8e379e90540038e0588c7d"
                        "c3c64502dd0a7eaa9ba29bafa206102c",
-         "result.json": "ef3b4aef39f99153d6392ace8bd68572"
-                        "086a3af5d92b118022c33555f9225ab3",
+         "result.json": "92f490bcfb580b1171fe20ec86a87855"
+                        "5c8d18bf6c07ddecc7e483da2cf367e2",
          "results.csv": "f4ef6ec1c17891cac679cde6511bd258"
                         "c80bbb783c2016995a8963a436837ce8",
          "sweep.csv": "923b872950c9e6a7945ca52eb879848e"

@@ -14,7 +14,6 @@ from risjam.cli import execute
 from risjam.ris import RisConfig, compose_channel
 from risjam.scenarios import (
     _TINY_GAIN,
-    DESK_CLUSTERS,
     DESK_DEVICES,
     MAX_SCAN_POINTS,
     OptimizerSettings,
@@ -681,9 +680,23 @@ def test_scenario_from_dict_rejects_unknown_fields():
                             "optimizer": {"steppes": 3}})
 
 
+@pytest.mark.parametrize("mode,targets,params,fieldpath", [
+    ("exclusion", (), {"exclude": ["D1"]}, "mode_params.exclude"),
+    ("displacement", ("D1",), {"minimized": ["D2"]}, "mode_params.minimized"),
+    ("perturbation", ("D1",), {"schedule": [{"time": 1, "device": ["D1"]}]},
+     "mode_params.schedule[0].device"),
+], ids=["exclude", "minimized", "schedule-device"])
+def test_unhashable_device_id_is_not_in_the_roster(mode, targets, params,
+                                                  fieldpath):
+    # A JSON list where a device id belongs fails the roster test with a
+    # ScenarioError, not the TypeError a dict lookup would raise.
+    with pytest.raises(ScenarioError) as info:
+        desk_scenario(mode, targets=targets, mode_params=params)
+    assert info.value.fieldpath == fieldpath
+
+
 def test_desk_roster_shape():
     spec = desk_environment_spec()
     assert len(spec.devices) == 11
-    assert sum(len(v) for v in DESK_CLUSTERS.values()) == 10
     scenario = desk_scenario("packet-rate", targets=("D1",))
     assert scenario.ap_id == "D0"
