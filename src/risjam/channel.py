@@ -46,6 +46,14 @@ ENV_FORMAT_VERSION = 1
 # int64 range.
 MAX_ABS_DBM = 300.0
 
+# Bounds on the carrier frequency and on every coordinate a scenario or
+# stored world gives (roster, attacker, moves and scan points).  At the
+# path-loss exponent's bound of 10, the least path loss, at 1e12 Hz over
+# 2*sqrt(3)*1e6 m, is about 2e-75 (-746 dB): no gain underflows to 0,
+# and no squared coordinate of a distance overflows.
+MAX_FREQUENCY_HZ = 1e12
+MAX_ABS_COORDINATE_M = 1e6
+
 # Largest surface ensemble, n_elements * scatter_count plane waves, about
 # 50 times the desk surface (768 * 256).  The environment holds four
 # float64 arrays of that size (kx, ky and the complex cis): 0.3 GB at the
@@ -73,10 +81,10 @@ _BATCH_PARTS = 8
 # products, so 32 stays, the length every accuracy test was run at.
 _CHAIN = 32
 
-# Distinct axis values per tile of ris_subchannels_batch, a multiple of
-# _CHAIN so that no chain crosses a tile.  Bounds each thread's
-# intermediates to about 2*_BATCH_BLOCK*M*_TILE complex values (4.2 MB at
-# M = 256) on any grid.  At two threads, tiles of 32, 64 and 128 took
+# Axis values per tile of ris_subchannels_batch, a multiple of _CHAIN so
+# that no chain crosses a tile, and the most gap classes an axis may have.
+# Bounds each thread's intermediates to about 2*_BATCH_BLOCK*M*_TILE
+# complex values (4.2 MB at M = 256) on any grid.  At two threads, tiles of 32, 64 and 128 took
 # 0.55, 0.34 and 0.33 s CPU on a 76 x 51 desk grid, peaking at 5.3, 8.7
 # and 9.5 MB (tracemalloc), and 3.2, 2.8 and 3.1 s on a 2 000-point desk
 # rail, peaking at 3.0, 5.2 and 9.7 MB.
@@ -165,6 +173,15 @@ def as_position(value) -> Position:
     return pos
 
 
+def _check_coordinates(coords) -> None:
+    """Raise ValueError unless every coordinate of ``coords`` (a position
+    or an array of them) lies within MAX_ABS_COORDINATE_M of 0."""
+    worst = np.max(np.abs(coords), initial=0.0)
+    if not worst <= MAX_ABS_COORDINATE_M:
+        raise ValueError(f"coordinate {worst} m lies beyond "
+                         f"±{MAX_ABS_COORDINATE_M:g} m")
+
+
 @dataclass(frozen=True)
 class EnvironmentSpec:
     """Declarative description of the radio world to synthesize.
@@ -197,8 +214,9 @@ class EnvironmentSpec:
             raise ScenarioError(f"n_elements * scatter_count = {size} exceeds "
                                 f"{MAX_ENSEMBLE_TERMS}", "environment")
         # The bounds keep (wavelength / 4 pi)**2, distance**-exponent at
-        # 1 um and 1 + pattern_diversity**2 finite.
-        for key, lo, hi in (("frequency_hz", 1, math.inf),
+        # 1 um and 1 + pattern_diversity**2 finite, and the path loss
+        # non-zero (MAX_FREQUENCY_HZ).
+        for key, lo, hi in (("frequency_hz", 1, MAX_FREQUENCY_HZ),
                             ("rician_k", 0, math.inf),
                             ("pattern_diversity", 0, 100),
                             ("path_loss_exponent", 0, 10),
@@ -208,6 +226,7 @@ class EnvironmentSpec:
             raise ScenarioError("must be a string", "environment.attacker_id")
         try:
             attacker = as_position(self.attacker_position)
+            _check_coordinates(attacker)
         except (OverflowError, TypeError, ValueError) as exc:
             raise ScenarioError(str(exc),
                                 "environment.attacker_position") from exc
@@ -314,6 +333,7 @@ def _validated_devices(spec: EnvironmentSpec) -> dict[str, Position]:
         if dev_id in devices:
             raise ValueError(f"duplicate device id {dev_id!r}")
         devices[dev_id] = as_position(pos)
+        _check_coordinates(devices[dev_id])
     if spec.attacker_id in devices:
         raise ValueError(
             f"attacker id {spec.attacker_id!r} collides with a device id"
@@ -459,11 +479,13 @@ def draw_counter(env: Environment) -> int:
 # ---------------------------------------------------------------------------
 
 
-def path_loss_gain(env: Environment, distance_m: float) -> float:
-    """Linear power gain: free-space reference at 1 m, configurable exponent."""
-    if distance_m <= MIN_ENTITY_DISTANCE:
+def path_loss_gain(env: Environment, distance_m):
+    """Linear power gain: free-space reference at 1 m, configurable
+    exponent.  ``distance_m`` is one distance or an array of them."""
+    nearest = np.min(distance_m)
+    if nearest <= MIN_ENTITY_DISTANCE:
         raise ValueError(
-            f"distance {distance_m} m is below the minimum of "
+            f"distance {nearest} m is below the minimum of "
             f"{MIN_ENTITY_DISTANCE} m"
         )
     ref = (env.wavelength_m / (4.0 * math.pi)) ** 2
@@ -578,59 +600,61 @@ def ris_subchannels(env: Environment, position, device: str | None = None) -> np
 
 def ris_subchannels_batch(env: Environment, positions, coefficients,
                           device: str | None = None) -> np.ndarray:
-    """The composed surface gain sum_l c_l * h_l(p) at many positions;
-    returns (P,).
+    """The composed surface gain sum_l c_l * h_l(p) at the points of a
+    grid; returns (P,).
 
     ``positions`` is a (P, 3) array or a sequence of P positions, taken as
     one float array; a non-finite coordinate or a position without 3
-    coordinates raises as_position's ValueError.  ``coefficients`` are the
-    L reflection coefficients (a configuration's ``coefficients()``), and
-    ``h_l`` the gains ris_subchannels gives.  The sum over elements is
-    taken inside each block of _BATCH_BLOCK elements, so no (P, L) array
-    is built: beside its (P,) result, the call holds one partial row of P
-    values per work item (at most _BATCH_PARTS) and each thread's tiles.
-    The benchmark's tracer (benchmarks/tracing.py) patches this function
-    by name, with a hook of (env, positions, *args, **kwargs), so the name
-    and the first two parameters stay as they are.
+    coordinates raises as_position's ValueError.  The points must form a
+    row-major grid, as a heatmap scan builds it: a row of points per y
+    value, x varying fastest, both axes strictly increasing (_grid_axes).
+    A displacement rail is a grid of one row.  Any other point set raises
+    ValueError.  ``coefficients`` are the L reflection coefficients (a
+    configuration's ``coefficients()``), and ``h_l`` the gains
+    ris_subchannels gives.  The sum over elements is taken inside each
+    block of _BATCH_BLOCK elements, so no (P, L) array is built: beside
+    its (P,) result, the call holds one partial grid of P values per work
+    item (at most _BATCH_PARTS) and each thread's tiles.  The benchmark's
+    tracer (benchmarks/tracing.py) patches this function by name, with a
+    hook of (env, positions, *args, **kwargs), so the name and the first
+    two parameters stay as they are.
 
     A plane wave's phase separates, exp(i(kx*x + ky*y)) = exp(i*kx*(x -
-    x0)) * exp(i*(ky*y + kx*x0)) for the first distinct x value x0, so a
-    block's scattered sum over the distinct x values ux and distinct y
-    values uy of the points is one product of a (Uy, b*M) and a (b*M, Ux)
-    matrix, the coefficients and the block's unit phasors (times the
-    device's pattern weights) multiplied into the y factor's chain
-    anchors.  Each axis's phasors are built on chains (_Axis): one
-    exponential per wave at every _CHAIN-th value (none at x0, where the x
-    chain starts at exactly 1), and one per class of gaps between
-    neighbouring values.  A gap within 2**-27 / kappa of its class's first
-    gap takes that gap's phasor times complex(1, k*delta), which is the
-    exponential of the difference k*delta to the last bit (|k| <= kappa
-    for every wave, scattered or line of sight).  So a grid spaced by one
-    step, whose x0 + step*i gaps differ in the last bits, takes one
-    exponential per axis for its gaps: 3 per plane wave on the desk
-    heatmap grid.  The rest is (Ux + Uy)*L*M complex multiplies, and the
-    products take Ux*Uy*L*M multiply-adds.  A grid of one row or one
-    column sums its products over the block's b*M waves instead (a
-    matrix-vector product's bits change with the BLAS thread count).  Pass
-    a whole grid in one call, not row by row.  Scattered points (Ux*Uy
-    near P**2, every gap its own class) pay an exponential for nearly
-    every phasor and P**2*L*M multiply-adds.  The line-of-sight waves
-    (rician_k > 0), one per element, are composed the same way, in blocks
-    of _BATCH_BLOCK*M elements.
+    x0)) * exp(i*(ky*y + kx*x0)) for the first x value x0, so a block's
+    scattered sum over the grid's Ux x values ux and Uy y values uy is one
+    product of a (Uy, b*M) and a (b*M, Ux) matrix, the coefficients and
+    the block's unit phasors (times the device's pattern weights)
+    multiplied into the y factor's chain anchors.  Each axis's phasors are
+    built on chains (_Axis): one exponential per wave at every _CHAIN-th
+    value (none at x0, where the x chain starts at exactly 1), and one per
+    class of gaps between neighbouring values.  A gap within 2**-27 /
+    kappa of its class's first gap takes that gap's phasor times
+    complex(1, k*delta), which is the exponential of the difference
+    k*delta to the last bit (|k| <= kappa for every wave, scattered or
+    line of sight).  So a grid spaced by one step, whose x0 + step*i gaps
+    differ in the last bits, takes one exponential per axis for its gaps:
+    3 per plane wave on the desk heatmap grid.  The rest is (Ux + Uy)*L*M
+    complex multiplies, and the products take Ux*Uy*L*M multiply-adds.  A
+    grid of one row or one column sums its products over the block's b*M
+    waves instead (a matrix-vector product's bits change with the BLAS
+    thread count).  Pass a whole grid in one call, not row by row.  The
+    line-of-sight waves (rician_k > 0), one per element, are composed the
+    same way, in blocks of _BATCH_BLOCK*M elements.
 
-    Each axis is cut into tiles of _TILE distinct values (_grid_tiles),
-    and a block takes one y tile and one x tile at a time, so its
-    intermediates stay a few MB on any grid; an x tile's phasors are built
-    again for each y tile.  An axis's class phasors are built once per
-    block when it has at most _TILE classes (any grid or rail spaced by a
-    step), else once per tile.  A tile starts a chain, anchors sit at
-    global multiples of _CHAIN, and OpenBLAS gives a gemm split at tile
-    starts the bits of the whole, so the values do not depend on the tile
-    size (tests/test_channel.py checks it).
+    Each axis is cut into tiles of _TILE values (_tiles), and a block
+    takes one y tile and one x tile at a time and adds their sums into
+    that slice of its partial grid, so its intermediates stay a few MB on
+    any grid; an x tile's phasors are built again for each y tile.  An
+    axis's class phasors are built once per block, and an axis of more
+    than _TILE classes raises ValueError (an axis spaced by one step has a
+    few).  A tile starts a chain, anchors sit at global multiples of
+    _CHAIN, and OpenBLAS gives a gemm split at tile starts the bits of the
+    whole, so the values do not depend on the tile size
+    (tests/test_channel.py checks it).
 
     The blocks are cut into at most _BATCH_PARTS runs of whole blocks, the
     work items.  Each adds its blocks' sums, in block order, into its own
-    partial row, and the rows are summed in item order once every thread
+    partial grid, and the grids are summed in item order once every thread
     has ended.  The items run on one thread per CPU the process may use
     (its affinity mask), the calling thread included; NumPy releases the
     interpreter lock in their exponentials and matmuls.  So the values do
@@ -651,14 +675,9 @@ def ris_subchannels_batch(env: Environment, positions, coefficients,
     dists = _scan_distances(pts, env.attacker_position)
     if not len(pts):
         return np.zeros(0, dtype=complex)
-    ref = (env.wavelength_m / (4.0 * math.pi)) ** 2
-    amps = np.sqrt(ref * dists ** (-env.path_loss_exponent))
-
-    ux, ix = np.unique(pts[:, 0], return_inverse=True)
-    uy, iy = np.unique(pts[:, 1], return_inverse=True)
+    amps = np.sqrt(path_loss_gain(env, dists))
+    ux, uy = _grid_axes(pts)
     x_axis, y_axis = _Axis(ux, env.kappa), _Axis(uy, env.kappa)
-    thin = 1 in (len(ux), len(uy))
-    tiles = _grid_tiles(ix, iy, len(ux), len(uy))
 
     def composed(kx, ky, cis, weights, block: int) -> np.ndarray:
         # sum_l c_l sum_m cis*weights*exp(i(kx*x + ky*y)) over the (L, M)
@@ -667,7 +686,7 @@ def ris_subchannels_batch(env: Environment, positions, coefficients,
         parts = min(len(starts), _BATCH_PARTS)
         runs = [starts[len(starts) * i // parts:
                        len(starts) * (i + 1) // parts] for i in range(parts)]
-        partials = np.zeros((parts, len(pts)), dtype=complex)
+        partials = np.zeros((parts, len(uy), len(ux)), dtype=complex)
 
         def run(item: int) -> None:
             for start in runs[item]:
@@ -681,14 +700,13 @@ def ris_subchannels_batch(env: Environment, positions, coefficients,
             scale = coefficients[sl, None] * scale
             x_chain = (kxs, x_axis.classes(kxs))
             y_chain = (kys, y_axis.classes(kys), scale, kxs * ux[0])
-            for ys, held in tiles:
-                add_tile(partial, ys, held, x_chain, y_chain)
+            for ys in y_axis.slices:
+                add_tile(partial[ys], ys, x_chain, y_chain)
 
-        def add_tile(partial, ys, held, x_chain, y_chain) -> None:
+        def add_tile(rows, ys, x_chain, y_chain) -> None:
             ey = y_phasors(ys, *y_chain)                        # (Uy, b, M)
-            for xs, rows, at_y, at_x in held:
-                fields = _contract(ey, x_phasors(xs, *x_chain), thin)
-                partial[rows] += fields[at_y, at_x]
+            for xs in x_axis.slices:
+                rows[:, xs] += _contract(ey, x_phasors(xs, *x_chain))
 
         def y_phasors(ys, k, classes, scale, shift) -> np.ndarray:
             # scale * exp(i(k*y + kx*x0)) at the anchors.
@@ -708,7 +726,7 @@ def ris_subchannels_batch(env: Environment, positions, coefficients,
             return x_axis.chain(waves, k, xs, classes)
 
         _in_threads(run, range(parts))
-        return partials.sum(axis=0)
+        return partials.sum(axis=0).reshape(-1)
 
     field = composed(env.ris["kx"], env.ris["ky"], env.ris["cis"],
                      env.pattern_weights.get(device), _BATCH_BLOCK)
@@ -746,22 +764,39 @@ def _scan_points(positions) -> np.ndarray:
     return pts
 
 
-def _contract(ey: np.ndarray, ex: np.ndarray, thin: bool) -> np.ndarray:
+def _grid_axes(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The x and y axes of the (P, 3) ``points``, P > 0, if they form the
+    row-major grid ris_subchannels_batch takes, else ValueError.  Scenario
+    parsing checks its scan points here too."""
+    x, y = points[:, 0], points[:, 1]
+    nx = int(np.argmax(y != y[0])) or len(y)
+    ux, uy = x[:nx], y[::nx]
+    if (len(y) % nx or not np.all(x.reshape(-1, nx) == ux)
+            or not np.all(y.reshape(-1, nx) == uy[:, None])
+            or not (np.all(np.diff(ux) > 0) and np.all(np.diff(uy) > 0))):
+        raise ValueError("scan points must form a row-major grid: a row "
+                         "per y value, x varying fastest, both axes "
+                         "strictly increasing")
+    return ux, uy
+
+
+def _contract(ey: np.ndarray, ex: np.ndarray) -> np.ndarray:
     """The (Uy, Ux) sums over a block's b*M waves of the y phasors ``ey``
-    (Uy, b, M) times the x phasors ``ex`` (Ux, b, M): one matmul, or, on
-    a ``thin`` grid (one row or one column), products summed along the
-    contiguous b*M axis, written over the larger operand."""
+    (Uy, b, M) times the x phasors ``ex`` (Ux, b, M): one matmul, or, when
+    either holds one value (a tile does only on an axis of one value, see
+    _tiles), products summed along the contiguous b*M axis, written over
+    the larger operand."""
     ey = ey.reshape(len(ey), -1)
     ex = ex.reshape(len(ex), -1)
-    if thin:
+    if 1 in (len(ey), len(ex)):
         terms = np.multiply(ey, ex, out=ey if len(ex) == 1 else ex)
         return terms.sum(axis=-1).reshape(len(ey), len(ex))
     return ey @ ex.T
 
 
 class _Axis:
-    """The plan of the phasor chains on the sorted distinct values ``u``
-    of one axis of a scan, built once per ris_subchannels_batch call.
+    """The plan of the phasor chains on the strictly increasing values
+    ``u`` of one grid axis, built once per ris_subchannels_batch call.
 
     A value at a multiple of _CHAIN is a chain anchor, whose phasor the
     caller writes.  Every other value's phasor is the one before it times
@@ -769,55 +804,50 @@ class _Axis:
     subtract exactly).  Sorted, the distinct gaps fall into classes: a gap
     within _GAP_PHASE / kappa of its class's first gap g joins it, and its
     phasor is exp(i*k*g) * complex(1, k*delta), delta being its
-    difference from g.
+    difference from g.  An axis of more than _TILE classes raises
+    ValueError.
     """
 
     def __init__(self, u: np.ndarray, kappa: float):
-        gaps, gap_of = np.unique(np.diff(u), return_inverse=True)
-        # Per step j >= 1, the index of its gap among the distinct gaps.
-        self.gap_of = [None] + gap_of.tolist()
-        self.class_of, heads = [], []
-        for gap in gaps.tolist():
-            if not heads or gap - heads[-1] > _GAP_PHASE / kappa:
-                heads.append(gap)
-            self.class_of.append(len(heads) - 1)
-        self.heads = np.array(heads)
-        self.delta = (gaps - self.heads[self.class_of]).tolist()
-        # Per tile, by its first value: the steps that are not anchors,
-        # the gaps they take and those gaps' classes.
-        self.tiles = {}
-        for tile in _tiles(len(u)):
-            steps = [j for j in range(tile.start + 1, tile.stop) if j % _CHAIN]
-            used = sorted({self.gap_of[j] for j in steps})
-            self.tiles[tile.start] = (
-                steps, used, sorted({self.class_of[g] for g in used}))
-
-    def classes(self, k: np.ndarray):
-        """The phasors exp(i*k*g) of every class's first gap g, for the
-        (b, M) wave components ``k``, or None if the axis has more than
-        _TILE classes: each tile then builds the ones it uses."""
+        gaps = np.diff(u).tolist()
+        self.class_of, self.heads = {}, []
+        for gap in sorted(set(gaps)):
+            if not self.heads or gap - self.heads[-1] > _GAP_PHASE / kappa:
+                self.heads.append(gap)
+            self.class_of[gap] = len(self.heads) - 1
         if len(self.heads) > _TILE:
-            return None
-        return _expi(self.heads[:, None, None] * k)
+            raise ValueError(f"a scan axis with {len(self.heads)} classes "
+                             f"of gaps exceeds {_TILE}")
+        # The axis's tiles (_tiles) and, per tile by its first value, the
+        # steps j that are not anchors, each with its gap.
+        self.slices = _tiles(len(u))
+        self.tiles = {tile.start: [(j, gaps[j - 1])
+                                   for j in range(tile.start + 1, tile.stop)
+                                   if j % _CHAIN]
+                      for tile in self.slices}
+
+    def classes(self, k: np.ndarray) -> np.ndarray:
+        """The phasors exp(i*k*g) of every class's first gap g, for the
+        (b, M) wave components ``k``."""
+        return _expi(np.array(self.heads)[:, None, None] * k)
 
     def chain(self, waves: np.ndarray, k: np.ndarray, tile: slice,
-              classes) -> np.ndarray:
+              classes: np.ndarray) -> np.ndarray:
         """Writes the phasors of the values u[tile] into ``waves`` (its
         anchors already written), in axis order, and returns it."""
-        steps, used, need = self.tiles[tile.start]
-        if classes is None:
-            classes = dict(zip(need, _expi(self.heads[need, None, None] * k)))
+        steps = self.tiles[tile.start]
         phasors = {}
-        for g in used:
-            phasors[g] = classes[self.class_of[g]]
-            if self.delta[g]:
+        for gap in {gap for _, gap in steps}:
+            head = self.class_of[gap]
+            phasors[gap] = classes[head]
+            if gap != self.heads[head]:
                 factor = np.empty(k.shape, dtype=complex)
                 factor.real = 1.0
-                np.multiply(k, self.delta[g], out=factor.imag)
-                phasors[g] = np.multiply(phasors[g], factor, out=factor)
-        for j in steps:
+                np.multiply(k, gap - self.heads[head], out=factor.imag)
+                phasors[gap] = np.multiply(classes[head], factor, out=factor)
+        for j, gap in steps:
             i = j - tile.start
-            np.multiply(waves[i - 1], phasors[self.gap_of[j]], out=waves[i])
+            np.multiply(waves[i - 1], phasors[gap], out=waves[i])
         return waves
 
 
@@ -829,27 +859,6 @@ def _tiles(n: int) -> list[slice]:
     if len(starts) > 1 and n - starts[-1] == 1:
         del starts[-1]
     return [slice(a, b) for a, b in zip(starts, starts[1:] + [n])]
-
-
-def _grid_tiles(ix: np.ndarray, iy: np.ndarray, nx: int, ny: int) -> list:
-    """The points, with indices ``ix`` and ``iy`` into ``nx`` distinct x
-    and ``ny`` distinct y values, grouped by tile: for each y tile ``ys``
-    (a slice of the y values), the x tiles that hold points, each as
-    (xs, rows, at_y, at_x) with the points' rows and their indices into
-    the two tiles."""
-    x_tiles, y_tiles = _tiles(nx), _tiles(ny)
-    tx = np.minimum(ix // _TILE, len(x_tiles) - 1)
-    ty = np.minimum(iy // _TILE, len(y_tiles) - 1)
-    grouped = []
-    for t, ys in enumerate(y_tiles):
-        held = []
-        for u, xs in enumerate(x_tiles):
-            rows = np.flatnonzero((ty == t) & (tx == u))
-            if len(rows):
-                held.append((xs, rows, iy[rows] - ys.start,
-                             ix[rows] - xs.start))
-        grouped.append((ys, held))
-    return grouped
 
 
 def _scan_distances(points: np.ndarray, attacker: Position) -> np.ndarray:

@@ -70,7 +70,10 @@ def packet_success_prob(sjnr: float, mcs: int):
     """Smooth reception model: logistic in SJNR around the MCS threshold."""
     threshold = DEFAULT_MCS_TABLE.threshold(mcs)
     z = (np.asarray(sjnr, dtype=float) - threshold) / LOGISTIC_SLOPE_DB
-    out = 1.0 / (1.0 + np.exp(-z))
+    # Far below the threshold exp(-z) overflows to inf, and 1 / inf is
+    # the exact 0.0 the probability rounds to anyway.
+    with np.errstate(over="ignore"):
+        out = 1.0 / (1.0 + np.exp(-z))
     return float(out) if out.ndim == 0 else out
 
 

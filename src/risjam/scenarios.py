@@ -30,7 +30,9 @@ from .channel import (
     Position,
     ScenarioError,
     _TINY_GAIN,
+    _check_coordinates,
     _check_entity_distances,
+    _grid_axes,
     _number_param,
     _read_in_place,
     _scan_distances,
@@ -70,8 +72,8 @@ THROUGHPUT_POWER_MARGIN_DB = 2.0
 LINK_SIM_WINDOWS = 40
 # Largest heatmap grid or displacement rail, in points; also the longest
 # power sweep and perturbation series.  The grid field returns one complex
-# gain per point and holds at most channel._BATCH_PARTS partial rows of the
-# points beside it, 12.8 MB at the cap; each thread's tiles stay near
+# gain per point and holds at most channel._BATCH_PARTS partial grids of
+# the points beside it, 12.8 MB at the cap; each thread's tiles stay near
 # 4.2 MB at M = 256 waves per element on any grid (channel._TILE).
 MAX_SCAN_POINTS = 100_000
 # Largest search, in table or trace bits: table_size * n_elements and
@@ -853,24 +855,21 @@ def _heatmap_window(params: Mapping, focus: Position
             y0 + step * np.arange(round(ny) + 1))
 
 
-def _grid_points(xs: np.ndarray, ys: np.ndarray, z: float) -> np.ndarray:
-    """The (P, 3) points of a heatmap grid at height z: a row per y value,
-    x varying fastest."""
+def _grid_points(xs, ys, z: float) -> np.ndarray:
+    """The (P, 3) points of a scan grid at height z: a row per y value, x
+    varying fastest.  A displacement rail is a grid of one row."""
     grid_x, grid_y = np.meshgrid(xs, ys)
     return np.stack([grid_x.ravel(), grid_y.ravel(),
                      np.full(grid_x.size, z)], axis=1)
 
 
-def _rail_points(base: Position, offsets_m: np.ndarray) -> np.ndarray:
-    """The (P, 3) points of a displacement rail: ``base`` moved along +x."""
-    points = np.tile(np.array(tuple(base)), (len(offsets_m), 1))
-    points[:, 0] += offsets_m
-    return points
-
-
 def _check_scan(spec: ScenarioSpec, points: np.ndarray) -> None:
-    """Reject scan points the grid field would reject (_scan_distances)."""
+    """Reject scan points the grid field would reject: a coordinate past
+    MAX_ABS_COORDINATE_M, points that do not form a grid (_grid_axes) and
+    a point on the attacker (_scan_distances)."""
     try:
+        _check_coordinates(points)
+        _grid_axes(points)
         _scan_distances(points, spec.environment.attacker_position)
     except ValueError as exc:
         raise ScenarioError(str(exc), "mode_params") from exc
@@ -958,8 +957,8 @@ def _check_displacement(spec: ScenarioSpec, params: Mapping) -> None:
         raise ScenarioError("minimized device must be a distinct roster "
                             "device", "mode_params.minimized")
     offsets = _displacement_offsets_m(params)
-    for device in (spec.targets[0], minimized):
-        _check_scan(spec, _rail_points(devices[device], offsets))
+    for base in (devices[spec.targets[0]], devices[minimized]):
+        _check_scan(spec, _grid_points(base.x + offsets, [base.y], base.z))
 
 
 def _check_schedule(spec: ScenarioSpec, params: Mapping) -> None:
@@ -985,7 +984,7 @@ def _check_schedule(spec: ScenarioSpec, params: Mapping) -> None:
         else:
             _reject_unknown(event, ("time", "device", "position"), f"{path}.")
             try:
-                as_position(event.get("position"))
+                _check_coordinates(as_position(event.get("position")))
             except (TypeError, ValueError, OverflowError) as exc:
                 raise ScenarioError(str(exc), f"{path}.position") from exc
     duration = _perturbation_duration(params)
@@ -1040,7 +1039,8 @@ def _displacement_curves(env: Environment, spec: ScenarioSpec,
     coeff = config.coefficients()
 
     def curve(device: str) -> np.ndarray:
-        pts = _rail_points(env.devices[device], disp_m)
+        base = env.devices[device]
+        pts = _grid_points(base.x + disp_m, [base.y], base.z)
         return _gain_db(ris_subchannels_batch(env, pts, coeff, device=device))
 
     max_curve = curve(spec.targets[0])

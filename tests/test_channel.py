@@ -107,10 +107,10 @@ def _coefficients(env):
 
 
 def test_batch_matches_single(small_env):
-    pts = [Position(2.0, 1.0, 1.0), Position(1.5, 2.5, 0.8)]
+    pts = [Position(x, y, 1.0) for y in (1.0, 2.5) for x in (1.5, 2.0)]
     coeff = _coefficients(small_env)
     batch = ris_subchannels_batch(small_env, pts, coeff)
-    assert batch.shape == (2,)
+    assert batch.shape == (4,)
     for i, p in enumerate(pts):
         np.testing.assert_allclose(
             batch[i], ris_subchannels(small_env, p) @ coeff, rtol=1e-12)
@@ -120,17 +120,10 @@ def test_batch_matches_single(small_env):
 
 _GRID = [Position(x, y, 1.0) for y in np.linspace(0.8, 1.2, 5)
          for x in np.linspace(1.7, 2.3, 7)]
-_SCATTERED = [Position(x, y, z) for x, y, z in
-              np.random.default_rng(3).uniform((0.5, 0.5, 0.5),
-                                               (3.0, 3.0, 1.5), (20, 3))]
-# Shared x values, shared y values and one point given twice.
-_REPEATED = [Position(2.0, 1.0, 1.0), Position(2.0, 1.3, 1.0),
-             Position(1.4, 1.3, 0.7), Position(1.4, 2.2, 1.0),
-             Position(2.0, 1.0, 1.0), Position(0.9, 1.0, 1.2)]
+_RAIL = [Position(x, 1.1, 0.8) for x in 1.7 + 0.004 * np.arange(12)]
 
 
-@pytest.mark.parametrize("points", [_GRID, _SCATTERED, _REPEATED],
-                         ids=["grid", "scattered", "repeated"])
+@pytest.mark.parametrize("points", [_GRID, _RAIL], ids=["grid", "rail"])
 def test_batch_matches_per_point_evaluator(points):
     env = synthesize_environment(
         make_small_spec(rician_k=2.0, pattern_diversity=0.5), 99)
@@ -424,7 +417,7 @@ def test_rail_exponentials_do_not_grow_with_its_tiles(monkeypatch):
 
 
 def test_batch_takes_positions_as_one_array(small_env):
-    grid = _GRID + _REPEATED
+    grid = _GRID
     coeff = _coefficients(small_env)
     want = ris_subchannels_batch(small_env, np.array(grid), coeff)
     for given in (grid, [tuple(p) for p in grid], iter(grid)):
@@ -440,6 +433,37 @@ def test_batch_takes_positions_as_one_array(small_env):
             (np.ones((4, 4)), "needs 3 coordinates, got 4")):
         with pytest.raises(ValueError, match=match):
             ris_subchannels_batch(small_env, bad, coeff)
+
+
+# Point sets that are not a row-major grid: a row of points per y value,
+# x varying fastest, both axes strictly increasing.
+_NOT_GRIDS = {
+    "scattered": [Position(x, y, z) for x, y, z in
+                  np.random.default_rng(3).uniform((0.5, 0.5, 0.5),
+                                                   (3.0, 3.0, 1.5), (20, 3))],
+    "repeated": [Position(2.0, 1.0, 1.0), Position(2.0, 1.0, 1.0)],
+    "unsorted": [Position(x, y, 1.0) for y in (1.0, 1.3)
+                 for x in (2.0, 1.4, 2.6)],
+    "column-major": [Position(x, y, 1.0) for x in (1.4, 2.0, 2.6)
+                     for y in (1.0, 1.3)],
+    "ragged": _GRID[:-1],
+}
+
+
+@pytest.mark.parametrize("points", sorted(_NOT_GRIDS))
+def test_batch_rejects_points_that_are_not_a_grid(small_env, points):
+    with pytest.raises(ValueError, match="row-major grid"):
+        ris_subchannels_batch(small_env, _NOT_GRIDS[points],
+                              _coefficients(small_env))
+
+
+def test_batch_rejects_an_axis_of_more_gap_classes_than_a_tile(small_env):
+    # 70 values whose 69 gaps lie 1e-5 m apart: 69 classes, more than
+    # channel._TILE = 64.
+    row = [Position(x, 1.0, 1.0)
+           for x in 1.0 + np.cumsum(0.001 + 1e-5 * np.arange(70))]
+    with pytest.raises(ValueError, match="69 classes of gaps exceeds 64"):
+        ris_subchannels_batch(small_env, row, _coefficients(small_env))
 
 
 def _desk_scan_grid(env, device="D1"):
@@ -489,17 +513,13 @@ def test_batch_chains_keep_long_double_accuracy_on_the_desk_grid():
 
 
 # 97 values per axis: tiles of 32 end in one of 33 values, tiles of 96 in
-# one of 97, so the last tile takes a lone value in; 100 scattered points
-# fill four tiles of 64 in each other.  Blocks of 5 and 16 split 77
-# elements unevenly.
+# one of 97, so the last tile takes a lone value in.  Blocks of 5 and 16
+# split 77 elements unevenly.
 _TILED_GRIDS = {
     "grid": [Position(x, y, 1.0) for y in (1.9, 2.0, 2.25)
              for x in np.linspace(0.5, 1.4, 97)],
     "row": [Position(x, 2.0, 1.0) for x in np.linspace(0.5, 1.4, 97)],
     "column": [Position(2.0, y, 1.0) for y in np.linspace(0.5, 1.4, 97)],
-    "scattered": [Position(x, y, z) for x, y, z in
-                  np.random.default_rng(4).uniform((0.5, 0.5, 0.5),
-                                                   (3.0, 3.0, 1.5), (100, 3))],
 }
 
 

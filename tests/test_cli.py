@@ -477,6 +477,29 @@ def _replaced(doc, path, value):
         {"time": 2, "fraction": 0.1},
         {"time": 1, "device": "B", "position": [1.6, 3.0, 0.9]}]}),
      "mode_params.schedule[1].position"),
+    # More values whose scalar arithmetic overflows in a run: a path loss
+    # that underflows to zero (a vast frequency, a far device or attacker),
+    # and scan or move coordinates whose squared distances overflow (a
+    # heatmap window and a rail 1e300 m long, a far move).
+    ("environment.frequency_hz", 1e300, "environment.frequency_hz"),
+    ("environment.devices.C", [1e200, 1.2, 0.9], "environment.devices"),
+    ("environment.devices.C", [1e300, 1.2, 0.9], "environment.devices"),
+    ("environment.attacker_position", [0.4, -1e200, 1.0],
+     "environment.attacker_position"),
+    ("", dict(MINI_SCENARIO, mode="heatmap", mode_params={
+        "x_min_m": -1e300, "x_max_m": 1e300, "y_min_m": 3.0, "y_max_m": 3.0,
+        "step_m": 1e297}), "mode_params"),
+    ("", dict(MINI_SCENARIO, mode="displacement", mode_params={
+        "minimized": "B", "step_mm": 1e300, "max_mm": 1e303}),
+     "mode_params"),
+    ("", dict(MINI_SCENARIO, mode="perturbation", mode_params={"schedule": [
+        {"time": 1, "device": "B", "position": [1e200, 2.8, 0.9]}]}),
+     "mode_params.schedule[0].position"),
+    # A rail whose steps lie below the resolution of its x values repeats
+    # points, so it is no grid.
+    ("", dict(MINI_SCENARIO, mode="displacement", mode_params={
+        "minimized": "B", "step_mm": 1e-15, "max_mm": 1e-12}),
+     "mode_params"),
 ])
 @pytest.mark.parametrize("command", ["validate", "run"])
 def test_bad_document_exits_2_before_search(tmp_path, capsys, no_search,
@@ -574,6 +597,30 @@ def test_levels_at_their_bounds_validate(tmp_path, capsys):
     doc["optimizer"]["meas_sigma_db"] = scenarios.MAX_SIGMA_DB
     assert main(["validate", str(write_scenario(tmp_path, doc))]) == EXIT_OK
     capsys.readouterr()
+
+
+# The corner of the parse bounds: the highest frequency, the steepest path
+# loss and devices 1e6 m apart, within MAX_ABS_COORDINATE_M of 0.  Every
+# signal there sits hundreds of dB below the noise floor.
+_CORNER = channel.MAX_ABS_COORDINATE_M / 2
+CORNER_SCENARIO = dict(TINY_SCENARIO, mode="heatmap", environment=dict(
+    TINY_SCENARIO["environment"], frequency_hz=channel.MAX_FREQUENCY_HZ,
+    path_loss_exponent=10, attacker_position=[-_CORNER, -_CORNER, 1.0],
+    devices={"D0": [_CORNER, _CORNER, 1.0], "A": [_CORNER, -_CORNER, 0.9],
+             "B": [_CORNER + 0.3, 0.2 - _CORNER, 0.9]}))
+
+
+def test_corner_world_runs_without_a_warning(tmp_path):
+    # A child process, where a RuntimeWarning is an error too (conftest).
+    src = str(Path(risjam.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run(
+        [sys.executable, "-m", "risjam.cli", "run",
+         str(write_scenario(tmp_path, CORNER_SCENARIO)),
+         "--out", str(tmp_path / "out")],
+        env=env, capture_output=True, text=True)
+    assert (proc.returncode, proc.stderr) == (EXIT_OK, "")
 
 
 @pytest.mark.parametrize("mode,rows", [("packet-rate", 1), ("jsr-matrix", 3)])

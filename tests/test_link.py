@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import pytest
 
@@ -75,6 +76,15 @@ def test_success_saturates():
     thr = DEFAULT_MCS_TABLE.threshold(3)
     assert packet_success_prob(thr + 10, 3) > 0.999
     assert packet_success_prob(thr - 10, 3) < 0.001
+
+
+def test_success_far_below_threshold_is_zero_without_a_warning():
+    # exp(-z) overflows to inf past about 355 dB below a threshold; the
+    # probability is then the exact 0.0 it rounds to.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for mcs in range(8):
+            assert packet_success_prob(-1e4, mcs) == 0.0
 
 
 def test_mcs0_midpoint_18db_below_mcs7():

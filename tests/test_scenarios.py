@@ -1,9 +1,14 @@
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from risjam import channel, scenarios
 from risjam.channel import (
+    MAX_ABS_COORDINATE_M,
+    MAX_FREQUENCY_HZ,
     EnvironmentSpec,
     Position,
     move_device,
@@ -448,6 +453,57 @@ def test_heatmap_matches_per_point_reference():
 def test_bad_scan_grid_rejected_at_construction(mode, params):
     with pytest.raises(ScenarioError, match="mode_params"):
         mini_scenario(mode=mode, mode_params=params)
+
+
+def _scan_axes(spec):
+    """The x and y axes of each grid or rail a parsed heatmap or
+    displacement spec scans, built as its run builds them."""
+    params = scenarios._mode_params(spec)
+    devices = spec.environment.devices
+    if spec.mode == "heatmap":
+        focus = devices[spec.targets[0]]
+        xs, ys = scenarios._heatmap_window(params, focus)
+        grids = [scenarios._grid_points(xs, ys, focus.z)]
+    else:
+        offsets = scenarios._displacement_offsets_m(params)
+        grids = [scenarios._grid_points(base.x + offsets, [base.y], base.z)
+                 for base in (devices["A"], devices["B"])]
+    return [axis for grid in grids for axis in channel._grid_axes(grid)]
+
+
+# Frequencies from 1 Hz to MAX_FREQUENCY_HZ, a target anywhere within the
+# coordinate bound, and scans of up to about 100 values per axis with steps
+# down to well below the resolution of the coordinates.
+@settings(max_examples=300, deadline=None)
+@given(log_hz=st.floats(0, math.log10(MAX_FREQUENCY_HZ)),
+       x=st.floats(-MAX_ABS_COORDINATE_M, MAX_ABS_COORDINATE_M),
+       y=st.floats(-MAX_ABS_COORDINATE_M, MAX_ABS_COORDINATE_M),
+       log_step=st.floats(-14, 2), spans=st.tuples(*[st.floats(0, 100)] * 2),
+       heatmap=st.booleans())
+def test_accepted_scans_are_grids_of_few_gap_classes(log_hz, x, y, log_step,
+                                                     spans, heatmap):
+    frequency = min(10.0 ** log_hz, MAX_FREQUENCY_HZ)
+    world = EnvironmentSpec(
+        devices={"D0": Position(0.0, 0.0, 5.0), "A": Position(x, y, 0.9),
+                 "B": Position(x, y, 0.5)},
+        attacker_position=Position(0.0, 0.0, -5.0), frequency_hz=frequency,
+        n_elements=16, scatter_count=16)
+    step = 10.0 ** log_step
+    if heatmap:
+        params = {"step_m": step, "x_extent_m": step * spans[0],
+                  "y_extent_m": step * spans[1]}
+    else:
+        params = {"minimized": "B", "step_mm": 1000 * step,
+                  "max_mm": 1000 * step * spans[0]}
+    try:
+        spec = ScenarioSpec(environment=world, targets=("A",),
+                            mode="heatmap" if heatmap else "displacement",
+                            mode_params=params)
+    except ScenarioError:
+        return
+    for axis in _scan_axes(spec):
+        plan = channel._Axis(axis, channel._wavenumber(frequency))
+        assert len(plan.heads) <= channel._TILE
 
 
 def test_displacement_scan_shapes_and_notch():
