@@ -6,7 +6,7 @@ rejecting the rest, then jams: the result is a one-row JSR matrix, the
 disruption knees from a power sweep, and per-device packet rates.
 """
 
-from risjam import ScenarioSpec, run_single_target
+from risjam import ScenarioSpec, power_sweep
 from risjam.channel import EnvironmentSpec, Position
 from risjam.scenarios import OptimizerSettings
 
@@ -33,7 +33,7 @@ spec = ScenarioSpec(
     optimizer=OptimizerSettings(steps=1500, reeval_period=500, table_size=60),
 )
 
-result = run_single_target(spec)
+result = power_sweep(spec)
 row = result.rows[0]
 
 print(f"optimized against target A; jamming at "

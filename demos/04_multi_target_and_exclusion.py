@@ -7,7 +7,7 @@ by targeting every device except one.
 
 import numpy as np
 
-from risjam import run_exclusion, run_multi_target, run_single_target
+from risjam import power_sweep, run_exclusion
 from risjam.channel import EnvironmentSpec, Position
 from risjam.scenarios import OptimizerSettings, ScenarioSpec
 
@@ -33,7 +33,7 @@ def scenario(mode, targets=(), **kw):
 
 
 # Two targets in one go.
-pair = run_multi_target(scenario("packet-rate", ("A", "C")))
+pair = power_sweep(scenario("packet-rate", ("A", "C")))
 print("targets A + C:",
       {d: round(r) for d, r in pair.rows[0].packet_rate.items()})
 
@@ -42,7 +42,7 @@ print("targets A + C:",
 multi_gain = pair.extras["delivered_gain_db"]
 drops = []
 for target in ("A", "C"):
-    single = run_single_target(scenario("packet-rate", (target,)))
+    single = power_sweep(scenario("packet-rate", (target,)))
     drops.append(multi_gain[target]
                  - single.extras["delivered_gain_db"][target])
 print(f"per-target delivered gain vs dedicated focus: "

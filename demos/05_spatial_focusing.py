@@ -8,7 +8,7 @@ the number of active surface elements.
 
 import numpy as np
 
-from risjam import element_sweep, heatmap_scan, run_single_target
+from risjam import element_sweep, power_sweep
 from risjam.channel import EnvironmentSpec, Position
 from risjam.scenarios import OptimizerSettings, ScenarioSpec
 
@@ -32,9 +32,9 @@ def scenario(mode, **kw):
 
 
 # Power heatmap around the focus, normalized to the optimization position.
-hm = heatmap_scan(scenario("heatmap",
-                           mode_params={"x_extent_m": 0.3, "y_extent_m": 0.2,
-                                        "step_m": 0.01}))
+hm = power_sweep(scenario("heatmap",
+                          mode_params={"x_extent_m": 0.3, "y_extent_m": 0.2,
+                                       "step_m": 0.01}))
 grid = np.array(hm.extras["heatmap"]["normalized_db"])
 xs = np.array(hm.extras["heatmap"]["x_m"])
 ys = np.array(hm.extras["heatmap"]["y_m"])
@@ -49,7 +49,7 @@ for radius in (0.03, 0.06, 0.09):
 # Displacement rail: the maximized channel decays into the multipath
 # background near the first correlation null; the minimized channel climbs
 # out of its notch.
-disp = run_single_target(scenario(
+disp = power_sweep(scenario(
     "displacement", mode_params={"minimized": "B", "step_mm": 4.0,
                                  "max_mm": 40.0}))
 data = disp.extras["displacement"]

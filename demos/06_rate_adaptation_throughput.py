@@ -6,7 +6,7 @@ The attacker must spend the extra power to beat MCS 0 at the target, which
 eats into the margin protecting the non-targets.
 """
 
-from risjam import DEFAULT_MCS_TABLE, run_single_target
+from risjam import DEFAULT_MCS_TABLE, power_sweep
 from risjam.channel import EnvironmentSpec, Position
 from risjam.link import packet_success_prob
 from risjam.scenarios import OptimizerSettings, ScenarioSpec
@@ -37,7 +37,7 @@ spec = ScenarioSpec(
     optimizer=OptimizerSettings(steps=1500, reeval_period=500, table_size=60),
     mode_params={"offered_load_mbps": 30.0},
 )
-result = run_single_target(spec)
+result = power_sweep(spec)
 row = result.rows[0]
 baseline = result.extras["unjammed_throughput_mbps"]
 

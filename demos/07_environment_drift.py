@@ -6,7 +6,7 @@ barely moves the needle, but relocating the target by half a wavelength
 releases it; re-running the optimization restores selectivity.
 """
 
-from risjam import run_single_target
+from risjam import power_sweep
 from risjam.channel import EnvironmentSpec, Position, move_device
 from risjam.scenarios import OptimizerSettings, ScenarioSpec
 
@@ -34,7 +34,7 @@ schedule = [
 spec = ScenarioSpec(environment=env, mode="perturbation", targets=("A",),
                     seed=5, optimizer=opt,
                     mode_params={"schedule": schedule, "duration": 4})
-result = run_single_target(spec)
+result = power_sweep(spec)
 series = result.extras["timeseries"]
 
 labels = ["original", "2% churn", "5% churn", "target moved λ/2"]
@@ -49,7 +49,7 @@ for t, label in enumerate(labels):
 moved_env = move_device(spec.build_environment(), "A",
                         Position(DEVICES["A"].x + lam / 2, DEVICES["A"].y,
                                  DEVICES["A"].z))
-renewed = run_single_target(ScenarioSpec(
+renewed = power_sweep(ScenarioSpec(
     environment=moved_env, mode="packet-rate", targets=("A",), seed=5,
     optimizer=opt))
 rates = renewed.rows[0].packet_rate

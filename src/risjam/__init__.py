@@ -70,12 +70,9 @@ from .scenarios import (
     directional_baseline,
     directional_gain_db,
     element_sweep,
-    heatmap_scan,
     power_sweep,
     random_config_eval,
     run_exclusion,
     run_jsr_matrix,
-    run_multi_target,
     run_scenario,
-    run_single_target,
 )

@@ -68,6 +68,11 @@ MAX_ENSEMBLE_TERMS = 10_000_000
 # the world's own 6.3 MB of surface waves.
 _BATCH_BLOCK = 8
 
+# Most plane waves per block of ris_subchannels_batch (_check_block_waves),
+# 8 times the desk's 8 x 256: each thread's tiles grow with them.  At the
+# bound (L = 768, M = 2 048) a 76 x 51 grid peaked at 32 MB per thread.
+MAX_BLOCK_WAVES = 16_384
+
 # Work items of ris_subchannels_batch, each a run of whole blocks with its
 # own partial row of P values: at most this many threads share one call,
 # and the rows take 12.8 MB at the 100 000-point scan cap.
@@ -83,8 +88,9 @@ _CHAIN = 32
 
 # Axis values per tile of ris_subchannels_batch, a multiple of _CHAIN so
 # that no chain crosses a tile, and the most gap classes an axis may have.
-# Bounds each thread's intermediates to about 2*_BATCH_BLOCK*M*_TILE
-# complex values (4.2 MB at M = 256) on any grid.  At two threads, tiles of 32, 64 and 128 took
+# Bounds each thread's intermediates to about 2*_TILE complex values per
+# wave of a block on any grid: 4.2 MB at the desk's 8 x 256 waves, 34 MB
+# at MAX_BLOCK_WAVES.  At two threads, tiles of 32, 64 and 128 took
 # 0.55, 0.34 and 0.33 s CPU on a 76 x 51 desk grid, peaking at 5.3, 8.7
 # and 9.5 MB (tracemalloc), and 3.2, 2.8 and 3.1 s on a 2 000-point desk
 # rail, peaking at 3.0, 5.2 and 9.7 MB.
@@ -643,14 +649,15 @@ def ris_subchannels_batch(env: Environment, positions, coefficients,
 
     Each axis is cut into tiles of _TILE values (_tiles), and a block
     takes one y tile and one x tile at a time and adds their sums into
-    that slice of its partial grid, so its intermediates stay a few MB on
-    any grid; an x tile's phasors are built again for each y tile.  An
-    axis's class phasors are built once per block, and an axis of more
-    than _TILE classes raises ValueError (an axis spaced by one step has a
-    few).  A tile starts a chain, anchors sit at global multiples of
-    _CHAIN, and OpenBLAS gives a gemm split at tile starts the bits of the
-    whole, so the values do not depend on the tile size
-    (tests/test_channel.py checks it).
+    that slice of its partial grid, so its intermediates do not grow with
+    the grid (more than MAX_BLOCK_WAVES waves per block raise ValueError);
+    an x tile's phasors are built again for each y tile.  An axis's class
+    phasors are built once per block, and an axis of more than _TILE
+    classes raises ValueError (an axis spaced by one step has a few).  A
+    tile starts a chain, anchors sit at global multiples of _CHAIN, and
+    OpenBLAS gives a gemm split at tile starts the bits of the whole, so
+    the values do not depend on the tile size (tests/test_channel.py
+    checks it).
 
     The blocks are cut into at most _BATCH_PARTS runs of whole blocks, the
     work items.  Each adds its blocks' sums, in block order, into its own
@@ -672,6 +679,7 @@ def ris_subchannels_batch(env: Environment, positions, coefficients,
     if coefficients.shape != (L,):
         raise ValueError(f"coefficients of shape {coefficients.shape} do "
                          f"not match {L} surface elements")
+    _check_block_waves(env)
     dists = _scan_distances(pts, env.attacker_position)
     if not len(pts):
         return np.zeros(0, dtype=complex)
@@ -778,6 +786,15 @@ def _grid_axes(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
                          "per y value, x varying fastest, both axes "
                          "strictly increasing")
     return ux, uy
+
+
+def _check_block_waves(world) -> None:
+    """ValueError if a grid-field block on ``world`` (an Environment or
+    EnvironmentSpec) holds more than MAX_BLOCK_WAVES waves."""
+    waves = min(world.n_elements, _BATCH_BLOCK) * world.scatter_count
+    if waves > MAX_BLOCK_WAVES:
+        raise ValueError(f"{waves} plane waves per scan block exceed "
+                         f"{MAX_BLOCK_WAVES}")
 
 
 def _contract(ey: np.ndarray, ex: np.ndarray) -> np.ndarray:

@@ -30,6 +30,7 @@ from .channel import (
     Position,
     ScenarioError,
     _TINY_GAIN,
+    _check_block_waves,
     _check_coordinates,
     _check_entity_distances,
     _grid_axes,
@@ -73,8 +74,8 @@ LINK_SIM_WINDOWS = 40
 # Largest heatmap grid or displacement rail, in points; also the longest
 # power sweep and perturbation series.  The grid field returns one complex
 # gain per point and holds at most channel._BATCH_PARTS partial grids of
-# the points beside it, 12.8 MB at the cap; each thread's tiles stay near
-# 4.2 MB at M = 256 waves per element on any grid (channel._TILE).
+# the points beside it, 12.8 MB at the cap.  Each thread's tiles grow
+# with the waves per block, not with the grid (channel.MAX_BLOCK_WAVES).
 MAX_SCAN_POINTS = 100_000
 # Largest search, in table or trace bits: table_size * n_elements and
 # (steps + 1) * n_elements.  The table holds float32 bits (400 MB at the
@@ -182,13 +183,8 @@ class ScenarioSpec:
         if self.ap_id not in devices:
             raise ScenarioError(f"access point {self.ap_id!r} is not in the "
                                 f"device roster", "ap_id")
-        targets = tuple(self.targets)
-        object.__setattr__(self, "targets", targets)
-        for t in targets:
-            if t not in devices:
-                raise ScenarioError(f"target {t!r} has no position in the "
-                                    f"roster", "targets")
-        _reject_repeats(targets, "targets")
+        targets = self._id_list("targets", devices,
+                                "target {!r} has no position in the roster")
         if self.ap_id in targets:
             raise ScenarioError(f"the access point {self.ap_id!r} cannot be a "
                                 f"target", "targets")
@@ -198,35 +194,41 @@ class ScenarioSpec:
                 else "a non-empty target set"
             raise ScenarioError(f"mode {self.mode!r} needs {need}", "targets")
         if self.non_targets is None:
-            non_targets = tuple(d for d in _natural_sorted(devices)
-                                if d not in targets)
+            object.__setattr__(self, "non_targets", tuple(
+                d for d in _natural_sorted(devices) if d not in targets))
         else:
-            non_targets = tuple(self.non_targets)
-            # Roster ids first: they are strings, so the sets below hash.
-            for d in non_targets:
-                if d not in devices:
-                    raise ScenarioError(f"non-target {d!r} has no position in "
-                                        f"the roster", "non_targets")
+            # Roster ids: they are strings, so the sets below hash.
+            non_targets = self._id_list(
+                "non_targets", devices,
+                "non-target {!r} has no position in the roster")
             overlap = sorted(set(non_targets) & set(targets))
             if overlap:
                 raise ScenarioError(
                     f"devices {overlap} appear in both the target and "
                     f"non-target sets", "non_targets")
-            _reject_repeats(non_targets, "non_targets")
-        object.__setattr__(self, "non_targets", non_targets)
-        hidden = tuple(self.hidden)
-        for h in hidden:
-            if h not in non_targets:
-                raise ScenarioError(f"hidden device {h!r} must be a "
-                                    f"non-target", "hidden")
-        _reject_repeats(hidden, "hidden")
-        object.__setattr__(self, "hidden", hidden)
+        self._id_list("hidden", self.non_targets,
+                      "hidden device {!r} must be a non-target")
         if not isinstance(self.mode_params, Mapping):
             raise ScenarioError("must be an object", "mode_params")
         object.__setattr__(self, "mode_params", dict(self.mode_params))
         _reject_unknown(self.mode_params, mode.params, "mode_params.")
         if mode.check is not None:
             mode.check(self, _mode_params(self))
+
+    def _id_list(self, name: str, roster: tuple, error: str) -> tuple:
+        """Sets the field ``name`` to its ids as a tuple and returns them:
+        a list or tuple of distinct members of ``roster``, else a
+        ScenarioError at ``name`` (``error`` formats a stray id)."""
+        ids = getattr(self, name)
+        if not isinstance(ids, (list, tuple)):
+            raise ScenarioError("must be a list of device ids", name)
+        ids = tuple(ids)
+        for item in ids:
+            if item not in roster:
+                raise ScenarioError(error.format(item), name)
+        _reject_repeats(ids, name)
+        object.__setattr__(self, name, ids)
+        return ids
 
     def _check_search_size(self) -> None:
         n_elements = self.environment.n_elements
@@ -726,22 +728,6 @@ def power_sweep(spec: ScenarioSpec) -> RunResult:
                      [trace])
 
 
-def run_single_target(spec: ScenarioSpec) -> RunResult:
-    """``power_sweep`` for exactly one target."""
-    if len(spec.targets) != 1:
-        raise ScenarioError("run_single_target needs exactly one target",
-                            "targets")
-    return power_sweep(spec)
-
-
-def run_multi_target(spec: ScenarioSpec) -> RunResult:
-    """``power_sweep`` for two or more targets optimized simultaneously."""
-    if len(spec.targets) < 2:
-        raise ScenarioError("run_multi_target needs at least two targets",
-                            "targets")
-    return power_sweep(spec)
-
-
 def run_exclusion(spec: ScenarioSpec) -> RunResult:
     """Jam every non-AP device except the one named in mode_params.exclude."""
     exclude = spec.mode_params["exclude"]
@@ -864,13 +850,15 @@ def _grid_points(xs, ys, z: float) -> np.ndarray:
 
 
 def _check_scan(spec: ScenarioSpec, points: np.ndarray) -> None:
-    """Reject scan points the grid field would reject: a coordinate past
-    MAX_ABS_COORDINATE_M, points that do not form a grid (_grid_axes) and
-    a point on the attacker (_scan_distances)."""
+    """Reject a scan the grid field would reject: a coordinate past
+    MAX_ABS_COORDINATE_M, points that do not form a grid (_grid_axes), a
+    point on the attacker (_scan_distances) and a world of more waves per
+    block than MAX_BLOCK_WAVES (_check_block_waves)."""
     try:
         _check_coordinates(points)
         _grid_axes(points)
         _scan_distances(points, spec.environment.attacker_position)
+        _check_block_waves(spec.environment)
     except ValueError as exc:
         raise ScenarioError(str(exc), "mode_params") from exc
 
@@ -1061,8 +1049,8 @@ def element_sweep(spec: ScenarioSpec) -> RunResult:
 
     Inactive elements are frozen at a random configuration.  The full-surface
     run of repeat r draws from the optimizer and measurement streams of run
-    index r, so repeat 0 reproduces run_single_target's optimization exactly
-    when the target has run index 0 (it is first in eval_devices()).
+    index r, so repeat 0 reproduces power_sweep's search for the target
+    exactly when it has run index 0 (it is first in eval_devices()).
     """
     env = spec.build_environment()
     L = env.n_elements
@@ -1077,7 +1065,7 @@ def element_sweep(spec: ScenarioSpec) -> RunResult:
     for rep in range(repeats):
         for count in counts:
             if count == L:
-                # The full surface keeps run_single_target's stream tags.
+                # The full surface keeps power_sweep's stream tags.
                 full, _ = _optimize(env, spec, rep)
             else:
                 mask_rng = np.random.default_rng(
@@ -1184,11 +1172,6 @@ def _perturbation_series(env: Environment, spec: ScenarioSpec,
         "events": _jsonify(list(events)),
         "operating_jam_dbm": operating,
     }}
-
-
-def heatmap_scan(spec: ScenarioSpec) -> RunResult:
-    """power_sweep under its older name: runs the mode the spec declares."""
-    return power_sweep(spec)
 
 
 @dataclass(frozen=True)

@@ -33,11 +33,10 @@ from risjam.scenarios import (
     RssiOracle,
     desk_scenario,
     element_sweep,
-    heatmap_scan,
+    power_sweep,
     random_config_eval,
     run_exclusion,
     run_jsr_matrix,
-    run_single_target,
     scenario_from_dict,
     _STREAM_MEASURE,
     _STREAM_OPTIMIZER,
@@ -161,7 +160,7 @@ def test_criterion_05_power_splitting(matrix_result):
 
 def test_criterion_06_heatmap_focusing():
     spec = desk_scenario("heatmap", targets=("D5",), seed=DESK_SEED)
-    result = heatmap_scan(spec)
+    result = power_sweep(spec)
     hm = result.extras["heatmap"]
     grid = np.array(hm["normalized_db"])
     xs, ys = np.array(hm["x_m"]), np.array(hm["y_m"])
@@ -220,7 +219,7 @@ def test_criterion_09_rate_adaptation_realism():
     nontargets_ok = []
     for target in desk_scenario("jsr-matrix", seed=DESK_SEED).eval_devices():
         spec = desk_scenario("throughput", targets=(target,), seed=DESK_SEED)
-        result = run_single_target(spec)
+        result = power_sweep(spec)
         row = result.rows[0]
         baseline = result.extras["unjammed_throughput_mbps"]
         targets_ok.append(row.throughput_mbps[target] <= 2.0)

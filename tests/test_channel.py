@@ -826,6 +826,24 @@ def test_cap_size_grid_peak_does_not_grow_with_the_surface(monkeypatch):
         assert peak <= 30e6, n_elements
 
 
+@pytest.mark.parametrize("n_elements", [16, 4])
+def test_grid_field_bounds_the_waves_per_block(n_elements):
+    # A block holds min(n_elements, 8) elements of M waves each: a world
+    # at channel.MAX_BLOCK_WAVES runs, and one wave per element more
+    # raises.
+    rail = [Position(1.0 + 0.01 * i, 1.5, 1.0) for i in range(3)]
+    at = channel.MAX_BLOCK_WAVES // min(n_elements, 8)
+    for scatter_count, fits in ((at, True), (at + 1, False)):
+        env = synthesize_environment(make_small_spec(
+            n_elements=n_elements, scatter_count=scatter_count), 5)
+        coeff = _coefficients(env)
+        if fits:
+            assert ris_subchannels_batch(env, rail, coeff).shape == (3,)
+        else:
+            with pytest.raises(ValueError, match="per scan block"):
+                ris_subchannels_batch(env, rail, coeff)
+
+
 def _shares_arrays(new, old, names=("ris", "direct", "pattern_weights")):
     """Every array in ``old``'s fields ``names`` (dicts of arrays, and
     ``direct`` a dict of such dicts) is the same object in ``new``."""

@@ -500,6 +500,11 @@ def _replaced(doc, path, value):
     ("", dict(MINI_SCENARIO, mode="displacement", mode_params={
         "minimized": "B", "step_mm": 1e-15, "max_mm": 1e-12}),
      "mode_params"),
+    # A device-id list must be a JSON list: a string or an object is not
+    # split into ids, and a number or null is no list.
+    *(("targets", value, "targets") for value in ("AB", {"A": 1}, 5, None)),
+    ("non_targets", "BC", "non_targets"),
+    *(("hidden", value, "hidden") for value in ("C", None)),
 ])
 @pytest.mark.parametrize("command", ["validate", "run"])
 def test_bad_document_exits_2_before_search(tmp_path, capsys, no_search,
@@ -595,6 +600,38 @@ def test_levels_at_their_bounds_validate(tmp_path, capsys):
                      "sweep_from_dbm": -MAX_ABS_DBM,
                      "sweep_to_dbm": MAX_ABS_DBM}
     doc["optimizer"]["meas_sigma_db"] = scenarios.MAX_SIGMA_DB
+    assert main(["validate", str(write_scenario(tmp_path, doc))]) == EXIT_OK
+    capsys.readouterr()
+
+
+# Scan modes on MINI_SCENARIO's roster, and worlds whose grid-field blocks
+# (min(n_elements, 8) elements) hold channel.MAX_BLOCK_WAVES plane waves
+# plus ``extra``: 96 elements, or one.
+SCANS = {"heatmap": {}, "displacement": {"minimized": "B"}}
+
+
+def _block_world(mode, n_elements, extra):
+    waves = channel.MAX_BLOCK_WAVES // min(n_elements, 8) + extra
+    doc = dict(MINI_SCENARIO, mode=mode, mode_params=SCANS.get(mode, {}))
+    return _replaced(_replaced(doc, "environment.n_elements", n_elements),
+                     "environment.scatter_count", waves)
+
+
+@pytest.mark.parametrize("n_elements", [96, 1])
+@pytest.mark.parametrize("mode", SCANS)
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_scan_past_the_block_wave_bound_exits_2_before_search(
+        tmp_path, capsys, no_search, command, mode, n_elements):
+    scenario = write_scenario(tmp_path, _block_world(mode, n_elements, 1))
+    _assert_exits_2(tmp_path, capsys, command, scenario, "mode_params")
+
+
+@pytest.mark.parametrize("n_elements", [96, 1])
+@pytest.mark.parametrize("mode,extra", [("heatmap", 0), ("displacement", 0),
+                                        ("packet-rate", 1)])
+def test_block_wave_bound_binds_scans_only(tmp_path, capsys, mode, extra,
+                                           n_elements):
+    doc = _block_world(mode, n_elements, extra)
     assert main(["validate", str(write_scenario(tmp_path, doc))]) == EXIT_OK
     capsys.readouterr()
 

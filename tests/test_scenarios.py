@@ -31,12 +31,10 @@ from risjam.scenarios import (
     directional_baseline,
     directional_gain_db,
     element_sweep,
-    heatmap_scan,
+    power_sweep,
     random_config_eval,
     run_exclusion,
     run_jsr_matrix,
-    run_multi_target,
-    run_single_target,
     run_scenario,
     scenario_from_dict,
     scenario_to_dict,
@@ -91,6 +89,30 @@ def test_unknown_target_rejected():
 def test_jamming_mode_needs_targets():
     with pytest.raises(ScenarioError, match="non-empty target"):
         mini_scenario(targets=())
+
+
+# The mode_params each mode needs beyond its defaults.
+REQUIRED_PARAMS = {"exclusion": {"exclude": "E"},
+                   "element-sweep": {"counts": [16]},
+                   "displacement": {"minimized": "E"}}
+
+
+@pytest.mark.parametrize("targets", [(), ("A",), ("A", "B")],
+                         ids=["zero", "one", "two"])
+@pytest.mark.parametrize("mode", scenarios._MODES)
+def test_mode_table_sets_the_target_count(mode, targets):
+    low, high = scenarios._MODES[mode].targets
+
+    def build():
+        return mini_scenario(mode, targets,
+                             mode_params=REQUIRED_PARAMS.get(mode, {}))
+
+    if low <= len(targets) <= high:
+        assert build().targets == targets
+    else:
+        with pytest.raises(ScenarioError) as info:
+            build()
+        assert info.value.fieldpath == "targets"
 
 
 def test_hidden_must_be_nontarget():
@@ -231,12 +253,7 @@ def test_oracle_reciprocity_with_delivery():
 
 @pytest.fixture(scope="module")
 def single_result():
-    return run_single_target(mini_scenario())
-
-
-def test_single_target_requires_one_target():
-    with pytest.raises(ScenarioError):
-        run_single_target(mini_scenario(targets=("A", "B")))
+    return power_sweep(mini_scenario())
 
 
 def test_single_target_disrupts_only_target(single_result):
@@ -260,8 +277,8 @@ def test_single_target_margin_positive(single_result):
 
 
 def test_run_result_deterministic():
-    a = run_single_target(mini_scenario()).to_json_dict()
-    b = run_single_target(mini_scenario()).to_json_dict()
+    a = power_sweep(mini_scenario()).to_json_dict()
+    b = power_sweep(mini_scenario()).to_json_dict()
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
 
@@ -278,7 +295,7 @@ def test_power_sweep_monotone(single_result):
 def test_sweep_saturates_at_high_power():
     spec = mini_scenario(powers=PowerSettings(sweep_from_dbm=-80,
                                               sweep_to_dbm=20))
-    res = run_single_target(spec)
+    res = power_sweep(spec)
     sweep = res.extras["sweep"]
     top = [sweep["rates"][d][-1] for d in res.devices]
     assert max(top) <= 5.0
@@ -304,7 +321,7 @@ def test_long_records_and_csv(tmp_path, single_result):
 
 def test_multi_target_disrupts_cluster():
     # two neighbours from the same cluster
-    res = run_multi_target(mini_scenario(targets=("A", "B")))
+    res = power_sweep(mini_scenario(targets=("A", "B")))
     row = res.rows[0]
     assert row.packet_rate["A"] <= 5.0 and row.packet_rate["B"] <= 5.0
     healthy = [d for d in ("C", "D", "E") if row.packet_rate[d] >= 90.0]
@@ -314,16 +331,11 @@ def test_multi_target_disrupts_cluster():
 
 def test_multi_target_across_clusters():
     # one device per cluster, far apart
-    res = run_multi_target(mini_scenario(targets=("A", "C")))
+    res = power_sweep(mini_scenario(targets=("A", "C")))
     row = res.rows[0]
     assert row.packet_rate["A"] <= 5.0 and row.packet_rate["C"] <= 5.0
     healthy = [d for d in ("B", "D", "E") if row.packet_rate[d] >= 90.0]
     assert len(healthy) >= 2
-
-
-def test_multi_target_requires_two():
-    with pytest.raises(ScenarioError):
-        run_multi_target(mini_scenario())
 
 
 def test_exclusion_keeps_excluded_operational():
@@ -390,7 +402,7 @@ def test_heatmap_shape_and_focus():
     spec = mini_scenario(mode="heatmap",
                          mode_params={"x_extent_m": 0.2, "y_extent_m": 0.1,
                                       "step_m": 0.01})
-    res = heatmap_scan(spec)
+    res = power_sweep(spec)
     hm = res.extras["heatmap"]
     grid = np.array(hm["normalized_db"])
     assert grid.shape == (11, 21)
@@ -412,8 +424,8 @@ def test_heatmap_matches_per_point_reference():
     spec = mini_scenario(mode="heatmap",
                          mode_params={"x_extent_m": 0.2, "y_extent_m": 0.1,
                                       "step_m": 0.01})
-    first = heatmap_scan(spec)
-    second = heatmap_scan(spec)
+    first = power_sweep(spec)
+    second = power_sweep(spec)
     hm = first.extras["heatmap"]
     assert second.extras["heatmap"]["normalized_db"] == hm["normalized_db"]
 
@@ -510,7 +522,7 @@ def test_displacement_scan_shapes_and_notch():
     spec = mini_scenario(mode="displacement",
                          mode_params={"minimized": "B", "step_mm": 2.0,
                                       "max_mm": 40.0})
-    res = run_single_target(spec)
+    res = power_sweep(spec)
     disp = res.extras["displacement"]
     d_mm = np.array(disp["displacements_mm"])
     mx = np.array(disp["maximized_db"])
@@ -536,8 +548,8 @@ def test_element_sweep_counts_and_consistency():
     sw = res.extras["element_sweep"]
     assert sw["counts"] == [16, 192]
     assert sw["separation_db"]["192"][0] > sw["separation_db"]["16"][0]
-    # full-surface sweep run is bit-identical to run_single_target
-    single = run_single_target(mini_scenario(seed=5))
+    # full-surface sweep run is bit-identical to a single-target power_sweep
+    single = power_sweep(mini_scenario(seed=5))
     full_cfg = res.extras["configs"]["192:0"]
     assert full_cfg == single.extras["config"]
 
@@ -589,7 +601,7 @@ def test_directional_baseline_fixed_power_needs_no_knee():
 def test_perturbation_identity_schedule():
     spec = mini_scenario(mode="perturbation",
                          mode_params={"schedule": [], "duration": 3})
-    res = run_single_target(spec)
+    res = power_sweep(spec)
     series = res.extras["timeseries"]
     rates = np.array([series["rates"][d] for d in res.devices])
     np.testing.assert_allclose(rates[:, 0], rates[:, 1])
@@ -603,7 +615,7 @@ def test_perturbation_small_fraction_keeps_target_jammed():
                          mode_params={"schedule": [
                              {"time": 1, "fraction": 0.05, "seed": 6}],
                              "duration": 3})
-    res = run_single_target(spec)
+    res = power_sweep(spec)
     target_rates = res.extras["timeseries"]["rates"]["A"]
     assert max(target_rates) <= 10.0
 
@@ -616,7 +628,7 @@ def test_moving_target_half_wavelength_releases_it():
                          mode_params={"schedule": [
                              {"time": 1, "device": "A", "position": new_pos}],
                              "duration": 3})
-    res = run_single_target(spec)
+    res = power_sweep(spec)
     rates = res.extras["timeseries"]["rates"]["A"]
     assert rates[0] <= 5.0
     assert rates[2] >= 80.0
@@ -624,14 +636,14 @@ def test_moving_target_half_wavelength_releases_it():
 
 def test_reoptimization_restores_separation():
     base = mini_scenario()
-    original = run_single_target(base)
+    original = power_sweep(base)
     orig_sep = original.rows[0].separation_db()
     env = base.build_environment()
     moved = env
     for dev, pos in (("A", (2.2, 2.2, 0.9)), ("B", (1.0, 3.4, 0.9)),
                      ("C", (3.0, 2.0, 0.9))):
         moved = move_device(moved, dev, Position(*pos))
-    renewed = run_single_target(mini_scenario(environment=moved))
+    renewed = power_sweep(mini_scenario(environment=moved))
     assert renewed.rows[0].separation_db() >= 0.8 * orig_sep
 
 
