@@ -58,7 +58,7 @@ MAX_ABS_COORDINATE_M = 1e6
 # 50 times the desk surface (768 * 256).  The environment holds four
 # float64 arrays of that size (kx, ky and the complex cis): 0.3 GB at the
 # cap.  Synthesis draws the angles and phases into kx and ky, so it peaks
-# at those arrays (it held the draws beside them, about 0.45 GB, before).
+# at those arrays.
 MAX_ENSEMBLE_TERMS = 10_000_000
 
 # Surface elements per block of ris_subchannels_batch.  On the desk
@@ -68,9 +68,10 @@ MAX_ENSEMBLE_TERMS = 10_000_000
 # the world's own 6.3 MB of surface waves.
 _BATCH_BLOCK = 8
 
-# Most plane waves per block of ris_subchannels_batch (_check_block_waves),
-# 8 times the desk's 8 x 256: each thread's tiles grow with them.  At the
-# bound (L = 768, M = 2 048) a 76 x 51 grid peaked at 32 MB per thread.
+# Most plane waves per block of ris_subchannels_batch, a bound of the scan
+# rule (_scan_grid), 8 times the desk's 8 x 256: each thread's tiles grow
+# with them.  At the bound (L = 768, M = 2 048) a 76 x 51 grid peaked at
+# 32 MB per thread.
 MAX_BLOCK_WAVES = 16_384
 
 # Work items of ris_subchannels_batch, each a run of whole blocks with its
@@ -611,19 +612,21 @@ def ris_subchannels_batch(env: Environment, positions, coefficients,
 
     ``positions`` is a (P, 3) array or a sequence of P positions, taken as
     one float array; a non-finite coordinate or a position without 3
-    coordinates raises as_position's ValueError.  The points must form a
-    row-major grid, as a heatmap scan builds it: a row of points per y
-    value, x varying fastest, both axes strictly increasing (_grid_axes).
-    A displacement rail is a grid of one row.  Any other point set raises
-    ValueError.  ``coefficients`` are the L reflection coefficients (a
-    configuration's ``coefficients()``), and ``h_l`` the gains
-    ris_subchannels gives.  The sum over elements is taken inside each
-    block of _BATCH_BLOCK elements, so no (P, L) array is built: beside
-    its (P,) result, the call holds one partial grid of P values per work
-    item (at most _BATCH_PARTS) and each thread's tiles.  The benchmark's
-    tracer (benchmarks/tracing.py) patches this function by name, with a
-    hook of (env, positions, *args, **kwargs), so the name and the first
-    two parameters stay as they are.
+    coordinates raises as_position's ValueError.  The points must pass
+    the scan rule (_scan_grid), which scenario parsing applies too: every
+    coordinate within MAX_ABS_COORDINATE_M, a row-major grid as a heatmap
+    scan builds it (a row of points per y value, x varying fastest, both
+    axes strictly increasing; a displacement rail is a grid of one row),
+    no point on the attacker, and at most MAX_BLOCK_WAVES waves per block.
+    Anything else raises ValueError.  ``coefficients`` are the L
+    reflection coefficients (a configuration's ``coefficients()``), and
+    ``h_l`` the gains ris_subchannels gives.  The sum over elements is
+    taken inside each block of _BATCH_BLOCK elements, so no (P, L) array
+    is built: beside its (P,) result, the call holds one partial grid of P
+    values per work item (at most _BATCH_PARTS) and each thread's tiles.
+    The benchmark's tracer (benchmarks/tracing.py) patches this function
+    by name, with a hook of (env, positions, *args, **kwargs), so the name
+    and the first two parameters stay as they are.
 
     A plane wave's phase separates, exp(i(kx*x + ky*y)) = exp(i*kx*(x -
     x0)) * exp(i*(ky*y + kx*x0)) for the first x value x0, so a block's
@@ -650,7 +653,7 @@ def ris_subchannels_batch(env: Environment, positions, coefficients,
     Each axis is cut into tiles of _TILE values (_tiles), and a block
     takes one y tile and one x tile at a time and adds their sums into
     that slice of its partial grid, so its intermediates do not grow with
-    the grid (more than MAX_BLOCK_WAVES waves per block raise ValueError);
+    the grid, only with the waves per block (the scan rule bounds them);
     an x tile's phasors are built again for each y tile.  An axis's class
     phasors are built once per block, and an axis of more than _TILE
     classes raises ValueError (an axis spaced by one step has a few).  A
@@ -679,12 +682,10 @@ def ris_subchannels_batch(env: Environment, positions, coefficients,
     if coefficients.shape != (L,):
         raise ValueError(f"coefficients of shape {coefficients.shape} do "
                          f"not match {L} surface elements")
-    _check_block_waves(env)
-    dists = _scan_distances(pts, env.attacker_position)
     if not len(pts):
         return np.zeros(0, dtype=complex)
+    dists, ux, uy = _scan_grid(env, pts)
     amps = np.sqrt(path_loss_gain(env, dists))
-    ux, uy = _grid_axes(pts)
     x_axis, y_axis = _Axis(ux, env.kappa), _Axis(uy, env.kappa)
 
     def composed(kx, ky, cis, weights, block: int) -> np.ndarray:
@@ -772,10 +773,32 @@ def _scan_points(positions) -> np.ndarray:
     return pts
 
 
+def _scan_grid(world, points: np.ndarray) -> tuple[np.ndarray, np.ndarray,
+                                                    np.ndarray]:
+    """The scan rule, which ris_subchannels_batch and scenario parsing
+    both apply: the distances (m) of the (P, 3) ``points``, P > 0, from the
+    attacker of ``world`` (an Environment or EnvironmentSpec), and the x
+    and y axes of their grid.  Raises ValueError, checked in this order,
+    for a coordinate beyond MAX_ABS_COORDINATE_M, points that are not a
+    row-major grid (_grid_axes), a point within MIN_ENTITY_DISTANCE of the
+    attacker, and more than MAX_BLOCK_WAVES plane waves per block."""
+    _check_coordinates(points)
+    ux, uy = _grid_axes(points)
+    dists = np.linalg.norm(
+        points - np.array(tuple(world.attacker_position)), axis=1)
+    if np.any(dists <= MIN_ENTITY_DISTANCE):
+        raise ValueError("a scan position coincides with the attacker position")
+    waves = min(world.n_elements, _BATCH_BLOCK) * world.scatter_count
+    if waves > MAX_BLOCK_WAVES:
+        raise ValueError(f"{waves} plane waves per scan block exceed "
+                         f"{MAX_BLOCK_WAVES}")
+    return dists, ux, uy
+
+
 def _grid_axes(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The x and y axes of the (P, 3) ``points``, P > 0, if they form the
-    row-major grid ris_subchannels_batch takes, else ValueError.  Scenario
-    parsing checks its scan points here too."""
+    """The x and y axes of the (P, 3) ``points``, P > 0, if they form a
+    row-major grid (a row per y value, x varying fastest, both axes
+    strictly increasing), else ValueError."""
     x, y = points[:, 0], points[:, 1]
     nx = int(np.argmax(y != y[0])) or len(y)
     ux, uy = x[:nx], y[::nx]
@@ -786,15 +809,6 @@ def _grid_axes(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
                          "per y value, x varying fastest, both axes "
                          "strictly increasing")
     return ux, uy
-
-
-def _check_block_waves(world) -> None:
-    """ValueError if a grid-field block on ``world`` (an Environment or
-    EnvironmentSpec) holds more than MAX_BLOCK_WAVES waves."""
-    waves = min(world.n_elements, _BATCH_BLOCK) * world.scatter_count
-    if waves > MAX_BLOCK_WAVES:
-        raise ValueError(f"{waves} plane waves per scan block exceed "
-                         f"{MAX_BLOCK_WAVES}")
 
 
 def _contract(ey: np.ndarray, ex: np.ndarray) -> np.ndarray:
@@ -876,19 +890,6 @@ def _tiles(n: int) -> list[slice]:
     if len(starts) > 1 and n - starts[-1] == 1:
         del starts[-1]
     return [slice(a, b) for a, b in zip(starts, starts[1:] + [n])]
-
-
-def _scan_distances(points: np.ndarray, attacker: Position) -> np.ndarray:
-    """Distances (m) of the (P, 3) ``points`` from the attacker position.
-
-    A point within MIN_ENTITY_DISTANCE of it raises ValueError.  Scenario
-    parsing checks its scan points here too, so a grid or rail that
-    ris_subchannels_batch would reject is rejected before any search.
-    """
-    dists = np.linalg.norm(points - np.array(tuple(attacker)), axis=1)
-    if np.any(dists <= MIN_ENTITY_DISTANCE):
-        raise ValueError("a scan position coincides with the attacker position")
-    return dists
 
 
 def _field_threads() -> int:

@@ -119,9 +119,9 @@ class OptimizerState:
     gathered copy for callers and tests; the search itself never gathers.
     The constructor takes the table in rank order, as ``bits``.
 
-    ``slot_weights`` is each slot's vote (B - rank, or 0 for a founder) and
-    ``votes`` their sum; ``probs`` caches element_probabilities.
-    optimizer_step keeps all three up to date whenever it changes the table.
+    ``probs`` is element_probabilities of the state, recomputed whenever
+    the table or its ranking changes: at construction, on every re-ranking
+    and after an accepted optimizer_step.
     """
 
     def __init__(self, bits: np.ndarray, costs: np.ndarray,
@@ -146,14 +146,7 @@ class OptimizerState:
         self.reeval_period = reeval_period
         # Linear rank weights B..1 over the ranked table.
         self.rank_weights = np.arange(b, 0, -1, dtype=np.float32)
-        self._reweigh()
-
-    def _reweigh(self) -> None:
-        """Slot weights, vote total and probabilities from scratch."""
-        self.slot_weights = _slot_weights(self)
-        self.votes = int(self.slot_weights.sum())
-        self.probs = _probabilities(self.slot_weights, self.votes, self.table,
-                                    self.epsilon)
+        self.probs = element_probabilities(self)
 
     def _rank(self, costs: np.ndarray) -> None:
         """Re-rank by ``costs``, measured per current rank; stable on ties."""
@@ -161,7 +154,7 @@ class OptimizerState:
         self.order = self.order[perm]
         self.costs = costs[perm]
         self.founder = self.founder[perm]
-        self._reweigh()
+        self.probs = element_probabilities(self)
 
     @property
     def bits(self) -> np.ndarray:
@@ -182,33 +175,24 @@ class OptimizerState:
         return float(self.costs[-1])
 
 
-def _slot_weights(state: OptimizerState) -> np.ndarray:
-    w = np.zeros(len(state.order), dtype=np.float32)
-    w[state.order] = np.where(state.founder, np.float32(0.0),
-                              state.rank_weights)
-    return w
-
-
-def _probabilities(slot_weights: np.ndarray, votes: int, table: np.ndarray,
-                   epsilon: float) -> np.ndarray:
-    p = (slot_weights @ table).astype(float)
-    p += PROBABILITY_PRIOR * 0.5
-    p /= votes + PROBABILITY_PRIOR
-    # np.clip, for finite values, at half its cost.
-    np.maximum(p, epsilon, out=p)
-    return np.minimum(p, 1.0 - epsilon, out=p)
-
-
 def element_probabilities(state: OptimizerState) -> np.ndarray:
     """Rank-weighted one-probability per element, clipped to the exploration floor.
 
-    Only entries discovered by the search vote; while the table is all
-    founders the probabilities sit at 0.5.  Every vote is an integer of at
-    most B(B+1)/2 < 2**24, so the float32 product is exact, in any order of
-    the table's rows.
+    Each slot's vote is B - rank, or 0 for a founder: only entries
+    discovered by the search vote, so while the table is all founders the
+    probabilities sit at 0.5.  Every vote and their sum are integers of at
+    most B(B+1)/2 < 2**24, so the float32 product and sum are exact, in any
+    order of the table's rows.
     """
-    w = _slot_weights(state)
-    return _probabilities(w, int(w.sum()), state.table, state.epsilon)
+    w = np.zeros(len(state.order), dtype=np.float32)
+    w[state.order] = np.where(state.founder, np.float32(0.0),
+                              state.rank_weights)
+    p = (w @ state.table).astype(float)
+    p += PROBABILITY_PRIOR * 0.5
+    p /= int(w.sum()) + PROBABILITY_PRIOR
+    # np.clip, for finite values, at half its cost.
+    np.maximum(p, state.epsilon, out=p)
+    return np.minimum(p, 1.0 - state.epsilon, out=p)
 
 
 def _measure(oracle: MeasurementOracle, bits_row: np.ndarray,
@@ -260,12 +244,12 @@ def optimizer_step(state: OptimizerState, oracle: MeasurementOracle) -> Optimize
 
     All oracle calls happen before any mutation, so a raised measurement
     error leaves the state untouched.  An accepted candidate is written
-    into the evicted worst row's slot, the one row the step writes; the
-    ranks below its own shift down in ``order``, ``costs`` and ``founder``,
-    and the slot weights follow.  When the completed-step counter hits a
-    multiple of reeval_period, the whole table is re-measured in its new
-    rank order and re-ranked as part of this step.  The cached
-    probabilities are recomputed only when the table changes.
+    into the evicted worst row's slot, the one row the step writes, and
+    the ranks below its own shift down in ``order``, ``costs`` and
+    ``founder``.  When the completed-step counter hits a multiple of
+    reeval_period, the whole table is re-measured in its new rank order and
+    re-ranked as part of this step.  ``probs`` is recomputed after an
+    acceptance or a re-ranking, and kept otherwise.
     """
     # The comparison's bytes are the 0/1 bits: a view, not a cast.
     candidate = (state.rng.random(state.n_elements) < state.probs).view(
@@ -290,12 +274,6 @@ def optimizer_step(state: OptimizerState, oracle: MeasurementOracle) -> Optimize
             # Oracle calls follow: update copies, not the state.
             order, costs, founder = order.copy(), costs.copy(), founder.copy()
         else:
-            # Each discovered entry from rank i down loses one vote; the
-            # worst leaves, and the newcomer's slot gets B - i.
-            demoted = ~founder[i:]
-            state.slot_weights[order[i:-1]] -= demoted[:-1]
-            state.slot_weights[slot] = len(order) - i
-            state.votes += len(order) - i - int(np.count_nonzero(demoted))
             table[slot] = candidate
         order[i + 1:] = order[i:-1]
         costs[i + 1:] = costs[i:-1]
@@ -316,8 +294,7 @@ def optimizer_step(state: OptimizerState, oracle: MeasurementOracle) -> Optimize
         state.order, state.founder = order, founder
         state._rank(costs)
     elif accepted:
-        state.probs = _probabilities(state.slot_weights, state.votes, table,
-                                     state.epsilon)
+        state.probs = element_probabilities(state)
     state.step = next_step
     return state
 

@@ -30,13 +30,11 @@ from .channel import (
     Position,
     ScenarioError,
     _TINY_GAIN,
-    _check_block_waves,
     _check_coordinates,
     _check_entity_distances,
-    _grid_axes,
     _number_param,
     _read_in_place,
-    _scan_distances,
+    _scan_grid,
     _seed,
     as_position,
     direct_channel,
@@ -173,8 +171,9 @@ class ScenarioSpec:
                 f"unknown mode {self.mode!r}; valid modes: {', '.join(MODES)}",
                 "mode")
         mode = _MODES[self.mode]
-        object.__setattr__(self, "name", str(self.name))
-        object.__setattr__(self, "ap_id", str(self.ap_id))
+        for key in ("name", "ap_id"):
+            if not isinstance(getattr(self, key), str):
+                raise ScenarioError("must be a string", key)
         _seed(self.seed)
         self._check_search_size()
         # A tuple, so that an unhashable id is not in it rather than a
@@ -850,15 +849,10 @@ def _grid_points(xs, ys, z: float) -> np.ndarray:
 
 
 def _check_scan(spec: ScenarioSpec, points: np.ndarray) -> None:
-    """Reject a scan the grid field would reject: a coordinate past
-    MAX_ABS_COORDINATE_M, points that do not form a grid (_grid_axes), a
-    point on the attacker (_scan_distances) and a world of more waves per
-    block than MAX_BLOCK_WAVES (_check_block_waves)."""
+    """Reject a scan the grid field would reject, by its scan rule
+    (channel._scan_grid), naming mode_params."""
     try:
-        _check_coordinates(points)
-        _grid_axes(points)
-        _scan_distances(points, spec.environment.attacker_position)
-        _check_block_waves(spec.environment)
+        _scan_grid(spec.environment, points)
     except ValueError as exc:
         raise ScenarioError(str(exc), "mode_params") from exc
 
@@ -1154,6 +1148,7 @@ def _perturbation_series(env: Environment, spec: ScenarioSpec,
     series = np.empty((duration, len(devices)))
     current = env
     pending = list(events)
+    rates = None    # the rates in ``current``, once computed
     for t in range(duration):
         while pending and pending[0]["time"] <= t:
             event = pending.pop(0)
@@ -1163,9 +1158,13 @@ def _perturbation_series(env: Environment, spec: ScenarioSpec,
             else:
                 current = move_device(current, event["device"],
                                       event["position"])
-        series[t] = link._packet_rates(
-            current, operating + _composed_gain_db(current, config, devices),
-            _ap_signal_dbm(current, spec, devices))
+            rates = None
+        if rates is None:
+            rates = link._packet_rates(
+                current,
+                operating + _composed_gain_db(current, config, devices),
+                _ap_signal_dbm(current, spec, devices))
+        series[t] = rates
     return {"timeseries": {
         "times": list(range(duration)),
         "rates": {d: series[:, i].tolist() for i, d in enumerate(devices)},

@@ -9,6 +9,7 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -505,6 +506,10 @@ def _replaced(doc, path, value):
     *(("targets", value, "targets") for value in ("AB", {"A": 1}, 5, None)),
     ("non_targets", "BC", "non_targets"),
     *(("hidden", value, "hidden") for value in ("C", None)),
+    # The run's name and the access point's id must be strings: neither is
+    # converted with str().
+    *((key, value, key) for key in ("name", "ap_id")
+      for value in (None, ["x"], 5)),
 ])
 @pytest.mark.parametrize("command", ["validate", "run"])
 def test_bad_document_exits_2_before_search(tmp_path, capsys, no_search,
@@ -634,6 +639,49 @@ def test_block_wave_bound_binds_scans_only(tmp_path, capsys, mode, extra,
     doc = _block_world(mode, n_elements, extra)
     assert main(["validate", str(write_scenario(tmp_path, doc))]) == EXIT_OK
     capsys.readouterr()
+
+
+# Heatmap windows around MINI_SCENARIO's target A, each breaking one part
+# of the scan rule, with the changes to the document they need: a point
+# past MAX_ABS_COORDINATE_M, a step below the resolution of the x values
+# (which repeats points), a grid through the attacker (at 0.4, 0.9, 1.0)
+# and a world one plane wave per element past MAX_BLOCK_WAVES.
+BAD_SCANS = {
+    "coordinate": ({}, {"x_min_m": 0.0, "x_max_m": 2e6, "y_min_m": 3.0,
+                        "y_max_m": 3.0, "step_m": 1e6}),
+    "repeated": ({}, {"x_min_m": 1.6, "x_max_m": 1.6 + 1e-15,
+                      "y_min_m": 3.0, "y_max_m": 3.0, "step_m": 1e-16}),
+    "attacker": ({"environment.devices.A": [1.6, 3.0, 1.0]},
+                 {"x_min_m": 0.4, "x_max_m": 1.6, "y_min_m": 0.9,
+                  "y_max_m": 3.0, "step_m": 0.1}),
+    "block-waves": ({"environment.n_elements": 8,
+                     "environment.scatter_count":
+                         channel.MAX_BLOCK_WAVES // 8 + 1},
+                    {"x_min_m": 1.5, "x_max_m": 1.7, "y_min_m": 2.9,
+                     "y_max_m": 3.1, "step_m": 0.1}),
+}
+
+
+@pytest.mark.parametrize("case", BAD_SCANS)
+def test_field_and_parsing_share_the_scan_rule(tmp_path, capsys, no_search,
+                                               case):
+    changes, window = BAD_SCANS[case]
+    doc = dict(MINI_SCENARIO, mode="heatmap", mode_params=window)
+    for path, value in changes.items():
+        doc = _replaced(doc, path, value)
+    world = scenarios._environment_spec_from_dict(doc["environment"])
+    focus = world.devices["A"]
+    points = scenarios._grid_points(
+        *scenarios._heatmap_window(window, focus), focus.z)
+    env = channel.synthesize_environment(world, 5)
+    with pytest.raises(ValueError) as raised:
+        channel.ris_subchannels_batch(env, points,
+                                      np.ones(env.n_elements, dtype=complex))
+    scenario = write_scenario(tmp_path, doc)
+    assert main(["validate", str(scenario)]) == EXIT_VALIDATION
+    error = json.loads(capsys.readouterr().err)
+    assert error["field"] == "mode_params"
+    assert error["message"] == f"mode_params: {raised.value}"
 
 
 # The corner of the parse bounds: the highest frequency, the steepest path
