@@ -6,17 +6,17 @@ The attacker must spend the extra power to beat MCS 0 at the target, which
 eats into the margin protecting the non-targets.
 """
 
-from risjam import DEFAULT_MCS_TABLE, power_sweep
+from risjam import MCS_RATES_MBPS, MCS_THRESHOLDS_DB, power_sweep
 from risjam.channel import EnvironmentSpec, Position
 from risjam.link import packet_success_prob
 from risjam.scenarios import OptimizerSettings, ScenarioSpec
 
 print("MCS ladder (SJNR threshold -> PHY rate):")
 for mcs in range(8):
-    print(f"  MCS {mcs}: {DEFAULT_MCS_TABLE.threshold(mcs):4.0f} dB -> "
-          f"{DEFAULT_MCS_TABLE.rate(mcs):5.1f} Mbit/s")
+    print(f"  MCS {mcs}: {MCS_THRESHOLDS_DB[mcs]:4.0f} dB -> "
+          f"{MCS_RATES_MBPS[mcs]:5.1f} Mbit/s")
 print(f"success at threshold is 0.5 by construction: "
-      f"{packet_success_prob(DEFAULT_MCS_TABLE.threshold(4), 4):.2f}")
+      f"{packet_success_prob(MCS_THRESHOLDS_DB[4], 4):.2f}")
 
 env = EnvironmentSpec(
     devices={

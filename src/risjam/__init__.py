@@ -30,9 +30,9 @@ from .channel import (
     synthesize_environment,
 )
 from .link import (
-    DEFAULT_MCS_TABLE,
     LinkState,
-    McsTable,
+    MCS_RATES_MBPS,
+    MCS_THRESHOLDS_DB,
     jsr_db,
     packet_rate,
     packet_success_prob,

@@ -1152,9 +1152,9 @@ def environment_to_dict(env: Environment) -> dict:
 
 
 def save_environment(env: Environment, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(environment_to_dict(env), fh, sort_keys=True, indent=1)
-        fh.write("\n")
+    """Write environment_to_dict(env) to ``path`` through _write_json, the
+    writer of every JSON artifact."""
+    _write_json(path, environment_to_dict(env))
 
 
 def environment_from_dict(doc: dict) -> Environment:
@@ -1224,6 +1224,13 @@ def read_json(path, what: str, fieldpath: str = ""):
         return json.loads(text, object_pairs_hook=reject_duplicates)
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"invalid JSON: {exc}", fieldpath) from exc
+
+
+def _write_json(path, doc) -> None:
+    """``doc`` as JSON with sorted keys and a one-space indent, plus a
+    final newline."""
+    with open(path, "w") as fh:
+        fh.write(json.dumps(doc, sort_keys=True, indent=1) + "\n")
 
 
 def _write_table(path, header, rows) -> None:

@@ -10,12 +10,14 @@ import argparse
 import datetime
 import hashlib
 import json
+import math
 import sys
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 from . import __version__
-from .channel import _write_table, save_environment, synthesize_environment
+from .channel import (_write_json, _write_table, save_environment,
+                      synthesize_environment)
 from .scenarios import (
     RunResult,
     ScenarioError,
@@ -24,6 +26,7 @@ from .scenarios import (
     run_scenario,
     scenario_from_dict,
     scenario_to_dict,
+    separation_db,
     _CSV_METRICS,
     _environment_spec_from_dict,
 )
@@ -84,15 +87,10 @@ def execute(spec: ScenarioSpec, out_dir, threads: int = 1,
 
     written: list[Path] = []
 
-    echo = out / "scenario.normalized.json"
-    echo.write_text(json.dumps(scenario_to_dict(spec), sort_keys=True,
-                               indent=1) + "\n")
-    written.append(echo)
-
-    result_json = out / "result.json"
-    result_json.write_text(json.dumps(result.to_json_dict(), sort_keys=True,
-                                      indent=1) + "\n")
-    written.append(result_json)
+    for name, doc in (("scenario.normalized.json", scenario_to_dict(spec)),
+                      ("result.json", result.to_json_dict())):
+        _write_json(out / name, doc)
+        written.append(out / name)
 
     for name, header, rows in _tables(result, fmt):
         _write_table(out / name, header, rows)
@@ -110,9 +108,7 @@ def execute(spec: ScenarioSpec, out_dir, threads: int = 1,
         created_utc=datetime.datetime.now(datetime.timezone.utc).isoformat(),
         outputs=[_file_entry(p, out) for p in written],
     )
-    manifest_path = out / "manifest.json"
-    manifest_path.write_text(json.dumps(manifest.to_dict(), sort_keys=True,
-                                        indent=1) + "\n")
+    _write_json(out / "manifest.json", manifest.to_dict())
     return manifest
 
 
@@ -200,11 +196,13 @@ def compare_runs(manifest_a, manifest_b) -> dict:
 
 
 def _row_separation(row: dict) -> float | None:
+    """separation_db of a result.json row; None for a row without
+    normalized JSR or without a non-target."""
     norm = row.get("norm_jsr_db")
     if norm is None:
         return None
-    others = [v for d, v in norm.items() if d not in row["targets"]]
-    return -max(others) if others else None
+    separation = separation_db(norm, row["targets"])
+    return None if separation == math.inf else separation
 
 
 def _load_run(manifest_path) -> dict:

@@ -14,9 +14,9 @@ import numpy as np
 
 from . import channel, ris
 
-# MCS index:                    0     1     2     3     4     5     6     7
-_THRESHOLDS_DB = (4.0, 7.0, 9.0, 12.0, 15.0, 18.0, 20.0, 22.0)
-_RATES_MBPS = (6.5, 13.0, 19.5, 26.0, 39.0, 52.0, 58.5, 65.0)
+# SJNR threshold (dB) and PHY rate (Mbit/s) of MCS index 0..7.
+MCS_THRESHOLDS_DB = (4.0, 7.0, 9.0, 12.0, 15.0, 18.0, 20.0, 22.0)
+MCS_RATES_MBPS = (6.5, 13.0, 19.5, 26.0, 39.0, 52.0, 58.5, 65.0)
 
 LOGISTIC_SLOPE_DB = 0.5        # ~2 dB success transition width
 PROTOCOL_EFFICIENCY = 0.55     # MAC/PHY overhead factor on the PHY rate
@@ -25,21 +25,6 @@ DOWNGRADE_BELOW = 0.5
 UPGRADE_ABOVE = 0.9
 MONITOR_MCS = 6
 PACKETS_PER_SECOND = 100
-
-
-@dataclass(frozen=True)
-class McsTable:
-    sjnr_thresholds_db: tuple[float, ...] = _THRESHOLDS_DB
-    data_rates_mbps: tuple[float, ...] = _RATES_MBPS
-
-    def threshold(self, mcs: int) -> float:
-        return self.sjnr_thresholds_db[_check_mcs(mcs)]
-
-    def rate(self, mcs: int) -> float:
-        return self.data_rates_mbps[_check_mcs(mcs)]
-
-
-DEFAULT_MCS_TABLE = McsTable()
 
 
 def _check_mcs(mcs: int) -> int:
@@ -68,7 +53,7 @@ def sjnr_db(sig_dbm, jam_dbm, noise_dbm):
 
 def packet_success_prob(sjnr: float, mcs: int):
     """Smooth reception model: logistic in SJNR around the MCS threshold."""
-    threshold = DEFAULT_MCS_TABLE.threshold(mcs)
+    threshold = MCS_THRESHOLDS_DB[_check_mcs(mcs)]
     z = (np.asarray(sjnr, dtype=float) - threshold) / LOGISTIC_SLOPE_DB
     # Far below the threshold exp(-z) overflows to inf, and 1 / inf is
     # the exact 0.0 the probability rounds to anyway.
@@ -121,7 +106,7 @@ def throughput_mbps(state: LinkState, success_prob: float) -> float:
     if state.offered_load_mbps <= 0:
         raise ValueError("offered load must be positive")
     return min(state.offered_load_mbps,
-               DEFAULT_MCS_TABLE.rate(state.mcs) * success_prob
+               MCS_RATES_MBPS[_check_mcs(state.mcs)] * success_prob
                * PROTOCOL_EFFICIENCY)
 
 

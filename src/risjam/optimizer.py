@@ -28,7 +28,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .channel import _write_table
-from .ris import RisConfig, enumerate_configs
+from .ris import RisConfig, _pack, enumerate_configs
 
 MeasurementOracle = Callable[[RisConfig], tuple[np.ndarray, np.ndarray]]
 
@@ -306,37 +306,27 @@ _POPCOUNT = np.array([bin(v).count("1") for v in range(256)], dtype=np.uint8)
 _TRACE_CHUNK = 256
 
 
-def _pack(rows: np.ndarray) -> np.ndarray:
-    """(n, L) 0/1 rows, 8 bits per byte; bits[0] is the most significant."""
-    return np.packbits(rows, axis=1, bitorder="big")
-
-
 class Trace:
     """Per-step best-cost / best-configuration records (index 0 = post-init).
 
     Each step's best configuration is held packed, as ``packed``: a
     (steps + 1, ceil(L / 8)) uint8 array, 8 bits per byte with bits[0] the
-    most significant (as in RisConfig.to_hex).  The constructor packs the
-    (steps + 1, L) 0/1 rows it is given.
+    most significant (as in RisConfig.to_hex).  The constructor takes the
+    packed rows and L; Trace.from_bits packs (steps + 1, L) 0/1 rows.
     """
 
     def __init__(self, best_cost: np.ndarray, worst_cost: np.ndarray,
-                 best_bits: np.ndarray):
-        bits = np.asarray(best_bits)
-        self._set(best_cost, worst_cost, _pack(bits), bits.shape[1])
-
-    @classmethod
-    def _from_packed(cls, best_cost, worst_cost, packed,
-                     n_elements) -> "Trace":
-        trace = cls.__new__(cls)
-        trace._set(best_cost, worst_cost, packed, n_elements)
-        return trace
-
-    def _set(self, best_cost, worst_cost, packed, n_elements):
+                 packed: np.ndarray, n_elements: int):
         self.best_cost = best_cost        # (steps + 1,)
         self.worst_cost = worst_cost      # (steps + 1,)
         self.packed = packed              # (steps + 1, ceil(L / 8)) uint8
         self.n_elements = n_elements
+
+    @classmethod
+    def from_bits(cls, best_cost: np.ndarray, worst_cost: np.ndarray,
+                  best_bits: np.ndarray) -> "Trace":
+        bits = np.asarray(best_bits)
+        return cls(best_cost, worst_cost, _pack(bits), bits.shape[1])
 
     @property
     def n_steps(self) -> int:
@@ -407,8 +397,8 @@ def run_optimizer(table_size: int, steps: int, n_elements: int,
         rows[j] = state.table[state.order[0]]
         if j == _TRACE_CHUNK - 1 or i == steps:
             packed[i - j:i + 1] = _pack(rows[:j + 1])
-    trace = Trace._from_packed(best_cost, worst_cost, packed, n_elements)
-    return state.best_config(), trace
+    return state.best_config(), Trace(best_cost, worst_cost, packed,
+                                      n_elements)
 
 
 def convergence_stats(traces: Trace | Sequence[Trace]) -> dict:

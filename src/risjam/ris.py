@@ -14,6 +14,16 @@ import numpy as np
 # Enumeration cap: 2^20 ~ 1e6 configurations.
 MAX_ENUMERATION_BITS = 20
 
+# Reflection coefficient per bit value.  Complex, so an oracle's gain
+# products cast nothing; RisConfig.coefficients takes its real part.
+_COEFFICIENTS = np.array([1.0 + 0.0j, -1.0 + 0.0j])
+
+
+def _pack(rows: np.ndarray) -> np.ndarray:
+    """0/1 rows packed along the last axis, 8 bits per byte; bits[0] is the
+    most significant."""
+    return np.packbits(rows, axis=-1, bitorder="big")
+
 
 class RisConfig:
     """Immutable length-L bit vector of element states."""
@@ -50,14 +60,13 @@ class RisConfig:
         return f"RisConfig(L={len(self)}, hex={self.to_hex()!r})"
 
     def coefficients(self) -> np.ndarray:
-        """Reflection coefficients in {+1.0, -1.0}."""
-        return 1.0 - 2.0 * self.bits.astype(float)
+        """Reflection coefficients in {+1.0, -1.0}, float64: the real part
+        of _COEFFICIENTS per bit, the same values as 1 - 2 * bits."""
+        return _COEFFICIENTS.real.take(self.bits)
 
     def to_hex(self) -> str:
         """ceil(L/4) hex characters; bits[0] is the most significant bit."""
-        packed = np.packbits(self.bits, bitorder="big")
-        n_chars = math.ceil(len(self) / 4)
-        return packed.tobytes().hex()[:n_chars]
+        return _pack(self.bits).tobytes().hex()[:math.ceil(len(self) / 4)]
 
     @classmethod
     def from_hex(cls, hex_string: str, length: int) -> "RisConfig":

@@ -55,7 +55,7 @@ from .optimizer import (
     Trace,
     run_optimizer,
 )
-from .ris import RisConfig, compose_channel, random_config
+from .ris import _COEFFICIENTS, RisConfig, compose_channel, random_config
 
 # Sub-stream tags off the master seed (channel module uses 11..14).
 _STREAM_OPTIMIZER = 21
@@ -322,11 +322,6 @@ def desk_scenario(mode: str, targets=(), seed: int = 1, **overrides) -> Scenario
 # ---------------------------------------------------------------------------
 
 
-# Reflection coefficient per bit value, as RisConfig.coefficients gives it
-# once cast to complex: the complex gain products then cast nothing.
-_COEFFICIENTS = np.array([1.0 + 0.0j, -1.0 + 0.0j])
-
-
 class RssiOracle:
     """Eavesdropped per-device RSSI for a candidate configuration.
 
@@ -479,9 +474,15 @@ class TargetRow:
 
     def separation_db(self) -> float:
         """Rejection of the loudest non-target in normalized-JSR terms."""
-        others = [v for d, v in self.norm_jsr_db.items()
-                  if d not in self.targets]
-        return -max(others) if others else math.inf
+        return separation_db(self.norm_jsr_db, self.targets)
+
+
+def separation_db(norm_jsr_db: Mapping[str, float],
+                  targets: Sequence[str]) -> float:
+    """Minus the loudest non-target's normalized JSR; inf if every device
+    is a target."""
+    others = [v for d, v in norm_jsr_db.items() if d not in targets]
+    return -max(others) if others else math.inf
 
 
 _CSV_METRICS = ("attacker_rssi_dbm", "ap_rssi_dbm", "jsr_db", "norm_jsr_db",
@@ -926,7 +927,8 @@ def _check_counts(spec: ScenarioSpec, params: Mapping) -> None:
     if counts[-1] > size:
         raise ScenarioError(f"count {counts[-1]} exceeds the surface size "
                             f"{size}", "mode_params.counts")
-    _number_param(params, "repeats", integer=True, low=1)
+    _number_param(params, "repeats", integer=True, low=1,
+                  high=MAX_SCAN_POINTS)
 
 
 def _check_displacement(spec: ScenarioSpec, params: Mapping) -> None:
@@ -1315,8 +1317,6 @@ def _stored_environment(doc: Mapping, base_dir) -> Environment:
 def _environment_spec_from_dict(env_doc: Mapping) -> EnvironmentSpec:
     if not isinstance(env_doc, Mapping):
         raise ScenarioError("must be an object", "environment")
-    if not env_doc:
-        return desk_environment_spec()
     _reject_unknown(env_doc, {f.name for f in fields(EnvironmentSpec)},
                     "environment.")
     kwargs = dict(env_doc)

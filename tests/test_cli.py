@@ -2,18 +2,19 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import os
 import shutil
 import subprocess
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from risjam import channel
+from risjam import channel, cli
 from risjam.channel import (MAX_ABS_DBM, MAX_ENSEMBLE_TERMS, EnvironmentSpec,
                             environment_from_dict, environment_to_dict,
                             read_json)
@@ -285,6 +286,7 @@ TWO_TARGETS = ["A", "C"]
     ("directional-baseline", {}, TWO_TARGETS),
     ("heatmap", {"stepm": 0.05}, ["A"]),
     ("packet-rate", {"step_m": 0.01}, ["A"]),
+    ("element-sweep", {"counts": [16], "repeats": 10 ** 12}, ["A"]),
 ], ids=["step-0", "step-nan", "step-negative", "grid-oversized",
         "displacement-step-0", "displacement-minimized-list",
         "counts-exceed-surface", "repeats-0", "counts-float", "counts-string",
@@ -295,7 +297,7 @@ TWO_TARGETS = ["A", "C"]
         "beamwidth-0", "gain-nan", "offered-load-0", "offered-load-inf",
         "displacement-two-targets", "element-sweep-two-targets",
         "directional-two-targets", "heatmap-unknown-param",
-        "packet-rate-unknown-param"])
+        "packet-rate-unknown-param", "repeats-huge"])
 @pytest.mark.parametrize("command", ["validate", "run"])
 def test_bad_scan_grid_exits_2_before_search(tmp_path, capsys, no_search,
                                              command, mode, params, targets):
@@ -819,6 +821,42 @@ def test_compare_detects_changes(run_dir, tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["identical"] is False
     assert len(report["deltas"]) > 0
+
+
+@pytest.fixture
+def kept_results(monkeypatch):
+    """The RunResult of each execute, in order."""
+    results = []
+
+    def keep(spec):
+        results.append(scenarios.run_scenario(spec))
+        return results[-1]
+    monkeypatch.setattr(cli, "run_scenario", keep)
+    return results
+
+
+def test_compare_reports_each_runs_separations(tmp_path, kept_results):
+    doc = dict(MINI_SCENARIO, mode="jsr-matrix", targets=[])
+    outs = [tmp_path / "a", tmp_path / "b"]
+    for seed, out in zip((5, 6), outs):
+        execute(replace(parse_scenario(write_scenario(tmp_path, doc)),
+                        seed=seed), out)
+    report = compare_runs(*outs)
+    for key, result in zip(("separation_db_a", "separation_db_b"),
+                           kept_results):
+        assert len(result.rows) == 3
+        assert report[key] == [row.separation_db() for row in result.rows]
+    assert report["separation_db_a"] != report["separation_db_b"]
+
+
+def test_compare_reports_none_without_a_non_target(tmp_path, kept_results):
+    doc = dict(MINI_SCENARIO, targets=["A", "B", "C"])
+    out = tmp_path / "all"
+    execute(parse_scenario(write_scenario(tmp_path, doc)), out)
+    assert kept_results[0].rows[0].separation_db() == math.inf
+    report = compare_runs(out, out)
+    assert report["separation_db_a"] == report["separation_db_b"] == [None]
+    assert report["separation_regression"] is False
 
 
 # Each edits a copy of a run: "manifest" edits manifest.json, "result" edits

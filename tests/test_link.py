@@ -5,7 +5,8 @@ import pytest
 
 from risjam.channel import synthesize_environment
 from risjam.link import (
-    DEFAULT_MCS_TABLE,
+    MCS_RATES_MBPS,
+    MCS_THRESHOLDS_DB,
     LinkState,
     jsr_db,
     packet_rate,
@@ -68,12 +69,12 @@ def test_sjnr_hand_value():
 
 def test_success_at_threshold_is_half():
     for mcs in range(8):
-        thr = DEFAULT_MCS_TABLE.threshold(mcs)
+        thr = MCS_THRESHOLDS_DB[mcs]
         assert packet_success_prob(thr, mcs) == pytest.approx(0.5)
 
 
 def test_success_saturates():
-    thr = DEFAULT_MCS_TABLE.threshold(3)
+    thr = MCS_THRESHOLDS_DB[3]
     assert packet_success_prob(thr + 10, 3) > 0.999
     assert packet_success_prob(thr - 10, 3) < 0.001
 
@@ -88,19 +89,19 @@ def test_success_far_below_threshold_is_zero_without_a_warning():
 
 
 def test_mcs0_midpoint_18db_below_mcs7():
-    assert DEFAULT_MCS_TABLE.threshold(7) - DEFAULT_MCS_TABLE.threshold(0) \
-        == pytest.approx(18.0)
+    assert MCS_THRESHOLDS_DB[7] - MCS_THRESHOLDS_DB[0] == pytest.approx(18.0)
 
 
 def test_mcs_table_validation():
-    t = DEFAULT_MCS_TABLE.sjnr_thresholds_db
-    r = DEFAULT_MCS_TABLE.data_rates_mbps
+    t, r = MCS_THRESHOLDS_DB, MCS_RATES_MBPS
     assert len(t) == len(r) == 8
     assert all(b > a for a, b in zip(t, t[1:]))
     assert t[7] - t[0] == pytest.approx(18.0, abs=1e-9)
     assert r[7] / r[0] == pytest.approx(10.0, abs=1e-9)
     with pytest.raises(ValueError, match="0..7"):
-        DEFAULT_MCS_TABLE.threshold(8)
+        packet_success_prob(0.0, 8)
+    with pytest.raises(ValueError, match="0..7"):
+        throughput_mbps(LinkState(mcs=8), 1.0)
 
 
 # -- rate adaptation ----------------------------------------------------------

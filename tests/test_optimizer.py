@@ -424,7 +424,8 @@ def test_steps_match_the_sorted_table_search(table_size, n_elements,
         best_cost.append(want.costs[0])
         worst_cost.append(want.costs[-1])
         rows.append(want.bits[0].astype(np.uint8))
-    want = Trace(np.array(best_cost), np.array(worst_cost), np.array(rows))
+    want = Trace.from_bits(np.array(best_cost), np.array(worst_cost),
+                           np.array(rows))
     _, trace = run_optimizer(table_size, steps, n_elements,
                              _TiedOracle(n_elements, 3), 9, **kwargs)
     assert trace.best_cost.tobytes() == want.best_cost.tobytes()
@@ -538,8 +539,8 @@ def test_brute_force_cap():
 
 def test_convergence_stats_constant_trace():
     bits = np.tile(np.array([0, 1, 1, 0], dtype=np.uint8), (5, 1))
-    trace = Trace(best_cost=np.zeros(5), worst_cost=np.zeros(5),
-                  best_bits=bits)
+    trace = Trace.from_bits(best_cost=np.zeros(5), worst_cost=np.zeros(5),
+                            best_bits=bits)
     stats = convergence_stats(trace)
     assert stats["mean_distance"] == [0.0] * 5
 
@@ -549,8 +550,9 @@ def test_convergence_stats_random_walk_initial_distance(rng):
     traces = []
     for _ in range(20):
         bits = rng.integers(0, 2, (11, 768)).astype(np.uint8)
-        traces.append(Trace(best_cost=np.zeros(11), worst_cost=np.zeros(11),
-                            best_bits=bits))
+        traces.append(Trace.from_bits(best_cost=np.zeros(11),
+                                      worst_cost=np.zeros(11),
+                                      best_bits=bits))
     stats = convergence_stats(traces)
     assert stats["initial_mean_distance"] == pytest.approx(384, abs=20)
     assert "p5_distance" in stats

@@ -95,8 +95,9 @@ def test_trace_csv_hex_matches_config_hex(tmp_path_factory, length, rows,
     bits = np.array(data.draw(st.lists(
         st.lists(st.integers(0, 1), min_size=length, max_size=length),
         min_size=rows, max_size=rows)), dtype=np.uint8)
-    trace = optimizer.Trace(best_cost=np.zeros(rows),
-                            worst_cost=np.zeros(rows), best_bits=bits)
+    trace = optimizer.Trace.from_bits(best_cost=np.zeros(rows),
+                                      worst_cost=np.zeros(rows),
+                                      best_bits=bits)
     path = tmp_path_factory.mktemp("trace") / "trace.csv"
     trace.write_csv(path)
     hexes = [line.split(",")[2] for line in path.read_text().splitlines()[1:]]
@@ -173,7 +174,7 @@ def test_packet_success_monotone(sjnr, mcs, bump, mcs2):
 def test_throughput_bounded(mcs, success, offered):
     state = link.LinkState(mcs=mcs, offered_load_mbps=offered)
     got = link.throughput_mbps(state, success)
-    assert 0.0 <= got <= min(offered, link.DEFAULT_MCS_TABLE.rate(mcs))
+    assert 0.0 <= got <= min(offered, link.MCS_RATES_MBPS[mcs])
 
 
 def test_rate_adaptation_reaches_fixed_point():

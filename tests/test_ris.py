@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from risjam.ris import (
+    _COEFFICIENTS,
     RisConfig,
     compose_channel,
     enumerate_configs,
@@ -141,3 +142,16 @@ def test_hex_rejects_wrong_length():
 def test_coefficients_mapping():
     cfg = RisConfig([0, 1])
     np.testing.assert_array_equal(cfg.coefficients(), [1.0, -1.0])
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, np.float32])
+def test_coefficients_read_the_one_bit_table(rng, dtype):
+    # The float64 coefficients are 1 - 2 * bits bit for bit and, cast to
+    # complex, the oracle's lookup of the same table.
+    for length in (1, 7, 768):
+        bits = rng.integers(0, 2, length).astype(dtype)
+        got = RisConfig(bits).coefficients()
+        assert got.dtype == np.float64
+        assert got.tobytes() == (1.0 - 2.0 * bits.astype(float)).tobytes()
+        lookup = _COEFFICIENTS.take(bits.astype(np.uint8))
+        assert got.astype(complex).tobytes() == lookup.tobytes()
