@@ -302,14 +302,6 @@ class Environment:
         """Wavenumber 2*pi/lambda."""
         return _wavenumber(self.frequency_hz)
 
-    def entity_position(self, entity_id: str) -> Position:
-        if entity_id == self.attacker_id:
-            return self.attacker_position
-        try:
-            return self.devices[entity_id]
-        except KeyError:
-            raise KeyError(f"unknown device id {entity_id!r}") from None
-
     def direct_ids(self) -> list[str]:
         """Direct-transmitter ids in the documented draw order."""
         return sorted(self.devices) + [self.attacker_id]
@@ -331,12 +323,12 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
 
 
 def _validated_devices(spec: EnvironmentSpec) -> dict[str, Position]:
-    if isinstance(spec.devices, Mapping):
-        items = list(spec.devices.items())
-    else:
-        items = [(str(k), v) for k, v in spec.devices]
+    items = (spec.devices.items() if isinstance(spec.devices, Mapping)
+             else spec.devices)
     devices = {}
     for dev_id, pos in items:
+        if not isinstance(dev_id, str):
+            raise ValueError(f"device id {dev_id!r} is not a string")
         if dev_id in devices:
             raise ValueError(f"duplicate device id {dev_id!r}")
         devices[dev_id] = as_position(pos)
@@ -958,7 +950,8 @@ def direct_channel(env: Environment, source: str, position) -> complex:
     if source != env.attacker_id and source not in env.devices:
         raise KeyError(f"unknown source id {source!r}")
     pos = as_position(position)
-    d = env.entity_position(source).distance_to(pos)
+    d = (env.attacker_position if source == env.attacker_id
+         else env.devices[source]).distance_to(pos)
     if d <= MIN_ENTITY_DISTANCE:
         raise ValueError(
             f"evaluation position coincides with source {source!r} "

@@ -117,7 +117,8 @@ class OptimizerState:
     ``order`` is the slot at each rank (rank 0 the best).  ``costs`` and
     ``founder`` are in rank order.  ``bits``, the table in rank order, is a
     gathered copy for callers and tests; the search itself never gathers.
-    The constructor takes the table in rank order, as ``bits``.
+    The constructor takes rows, costs and founder flags in any one order
+    and ranks them by cost, stable on ties.
 
     ``probs`` is element_probabilities of the state, recomputed whenever
     the table or its ranking changes: at construction, on every re-ranking
@@ -135,7 +136,6 @@ class OptimizerState:
             raise ValueError(f"table_size must be <= {MAX_TABLE_SIZE}")
         self.table = bits           # (B, L) float32 in {0, 1}, by slot
         self.order = np.arange(b)   # (B,) slot at each rank
-        self.costs = costs          # (B,) by rank, descending
         # (B,) bool by rank, True for initial random entries
         self.founder = founder
         self.step = step
@@ -146,10 +146,11 @@ class OptimizerState:
         self.reeval_period = reeval_period
         # Linear rank weights B..1 over the ranked table.
         self.rank_weights = np.arange(b, 0, -1, dtype=np.float32)
-        self.probs = element_probabilities(self)
+        self._rank(costs)
 
     def _rank(self, costs: np.ndarray) -> None:
-        """Re-rank by ``costs``, measured per current rank; stable on ties."""
+        """Rank by ``costs``, measured per current rank; stable on ties.
+        Sets ``order``, ``costs``, ``founder`` and ``probs``."""
         perm = np.argsort(-costs, kind="stable")
         self.order = self.order[perm]
         self.costs = costs[perm]
@@ -228,15 +229,12 @@ def optimizer_init(table_size: int, n_elements: int, oracle: MeasurementOracle,
         _measure(oracle, table[i], weights, noise_floor_dbm)
         for i in range(table_size)
     ])
-    # Ranked as drawn, then by cost: the rows stay where they were drawn.
-    state = OptimizerState(
+    return OptimizerState(
         bits=table, costs=costs,
         founder=np.ones(table_size, dtype=bool), step=0, rng=rng,
         weights=weights, noise_floor_dbm=noise_floor_dbm,
         epsilon=epsilon, reeval_period=reeval_period,
     )
-    state._rank(costs)
-    return state
 
 
 def optimizer_step(state: OptimizerState, oracle: MeasurementOracle) -> OptimizerState:
@@ -281,16 +279,16 @@ def optimizer_step(state: OptimizerState, oracle: MeasurementOracle) -> Optimize
         order[i], costs[i], founder[i] = slot, cand_cost, False
 
     if reeval:
-        # The newcomer is measured from a float32 row, as a table row is.
-        new_row = candidate.astype(table.dtype) if accepted else None
+        # The newcomer is measured from its uint8 candidate, whose bits
+        # every oracle reads as it reads the table row's.
         costs = np.array([
             _measure(oracle,
-                     new_row if accepted and r == i else table[order[r]],
+                     candidate if accepted and r == i else table[order[r]],
                      state.weights, state.noise_floor_dbm)
             for r in range(len(order))
         ])
         if accepted:
-            table[slot] = new_row
+            table[slot] = candidate
         state.order, state.founder = order, founder
         state._rank(costs)
     elif accepted:

@@ -76,8 +76,9 @@ LINK_SIM_WINDOWS = 40
 # with the waves per block, not with the grid (channel.MAX_BLOCK_WAVES).
 MAX_SCAN_POINTS = 100_000
 # Largest search, in table or trace bits: table_size * n_elements and
-# (steps + 1) * n_elements.  The table holds float32 bits (400 MB at the
-# cap) and the trace one packed configuration per step (12.5 MB).
+# (steps + 1) * max(n_elements, 128).  The table holds float32 bits (400 MB
+# at the cap).  A trace row holds a packed configuration and two float64
+# costs, so it counts as at least 128 bits: each part takes at most 12.5 MB.
 MAX_SEARCH_BITS = 100_000_000
 # Largest measurement noise standard deviation, in dB.
 MAX_SIGMA_DB = 100.0
@@ -144,9 +145,6 @@ class OptimizerSettings:
                                 "optimizer.w_extreme")
         if not isinstance(self.quantize, bool):
             raise ScenarioError("must be true or false", "optimizer.quantize")
-
-    def cost_weights(self) -> CostWeights:
-        return CostWeights(self.w_mean, self.w_extreme)
 
 
 @dataclass(frozen=True)
@@ -230,12 +228,12 @@ class ScenarioSpec:
         return ids
 
     def _check_search_size(self) -> None:
-        n_elements = self.environment.n_elements
-        for key, rows in (("table_size", self.optimizer.table_size),
-                          ("steps", self.optimizer.steps + 1)):
-            if rows * n_elements > MAX_SEARCH_BITS:
+        n, opt = self.environment.n_elements, self.optimizer
+        for key, rows, bits in (("table_size", opt.table_size, n),
+                                ("steps", opt.steps + 1, max(n, 128))):
+            if rows * bits > MAX_SEARCH_BITS:
                 raise ScenarioError(
-                    f"{rows} rows x {n_elements} elements exceeds "
+                    f"{rows} rows x {bits} bits exceeds "
                     f"{MAX_SEARCH_BITS} search bits", f"optimizer.{key}")
 
     # -- helpers -----------------------------------------------------------
@@ -560,7 +558,7 @@ def _optimize(env: Environment, spec: ScenarioSpec, *tag: int,
         opt.table_size, opt.steps,
         env.n_elements if mask is None else len(oracle.active), oracle,
         [spec.seed, _STREAM_OPTIMIZER, *tag],
-        weights=opt.cost_weights(), epsilon=opt.epsilon,
+        weights=CostWeights(opt.w_mean, opt.w_extreme), epsilon=opt.epsilon,
         reeval_period=opt.reeval_period,
         noise_floor_dbm=env.noise_floor_dbm,
     )
@@ -790,14 +788,13 @@ def random_config_eval(spec: ScenarioSpec, n_configs: int = 20) -> dict:
     devices = spec.eval_devices()
     rng = np.random.default_rng([spec.seed, _STREAM_RANDCONF])
     eval_rng = np.random.default_rng([spec.seed, _STREAM_EVAL, 0])
-    matrix = _gain_matrix(env, devices)
     power = spec.powers.jam_dbm if spec.powers.jam_dbm is not None else 0.0
     rssi = np.empty((n_configs, len(devices)))
     configs = []
     for i in range(n_configs):
         config = RisConfig(rng.integers(0, 2, env.n_elements, dtype=np.uint8))
         configs.append(config)
-        level = power + _gain_db(matrix @ config.coefficients())
+        level = power + _composed_gain_db(env, config, devices)
         rssi[i] = received_rssi(env, level, eval_rng,
                                 spec.optimizer.meas_sigma_db).astype(float)
     return {"devices": devices, "rssi_dbm": rssi, "configs": configs}

@@ -87,6 +87,17 @@ def test_duplicate_device_ids_rejected():
                                  ("A", Position(2, 2, 1))])
 
 
+@pytest.mark.parametrize("form", [dict, lambda d: list(d.items())],
+                         ids=["mapping", "pairs"])
+@pytest.mark.parametrize("dev_id", [5, None, ("A",)])
+def test_non_string_device_ids_rejected(form, dev_id):
+    # Neither roster form converts an id with str().
+    devices = {dev_id: Position(1, 1, 1), "D0": Position(2, 2, 1)}
+    with pytest.raises(ScenarioError, match="is not a string") as info:
+        make_small_spec(devices=form(devices))
+    assert info.value.fieldpath == "environment.devices"
+
+
 def test_small_scatter_count_rejected():
     with pytest.raises(ValueError, match="scatter_count"):
         make_small_spec(scatter_count=8)

@@ -429,7 +429,7 @@ def _replaced(doc, path, value):
     ("optimizer.table_size", 10 ** 13, "optimizer.table_size"),
     ("optimizer.table_size", 4097, "optimizer.table_size"),
     ("optimizer.steps", 10 ** 13, "optimizer.steps"),
-    # (steps + 1) * 96 elements is one bit past the cap.
+    # (steps + 1) rows of 128 bits (96 elements) are past the cap.
     ("optimizer.steps", 10 ** 8 // 96, "optimizer.steps"),
     # A table of 4096 on 10**5 elements: each size is in range alone.
     ("", _replaced(_replaced(_replaced(
@@ -512,12 +512,33 @@ def _replaced(doc, path, value):
     # converted with str().
     *((key, value, key) for key in ("name", "ap_id")
       for value in (None, ["x"], 5)),
+    # A trace row counts as at least 128 bits, for its two float64 costs:
+    # 10**8 one-element rows would hold 1.6 GB of costs.
+    ("", _replaced(_replaced(_replaced(
+        MINI_SCENARIO, "environment.n_elements", 1),
+        "optimizer.table_size", 2), "optimizer.steps", 99_999_998),
+     "optimizer.steps"),
+    # A stored world's device ids are strings, as a spec's are.
+    *(("", _replaced(STORED_SCENARIO, "environment_document.devices.1.id",
+                     value), "environment_document")
+      for value in (5, [1], None)),
+    # One row past test_search_cap_admits_trace_rows_at_the_bound.
+    ("", _replaced(_replaced(MINI_SCENARIO, "environment.n_elements", 1),
+                   "optimizer.steps", 781_250), "optimizer.steps"),
 ])
 @pytest.mark.parametrize("command", ["validate", "run"])
 def test_bad_document_exits_2_before_search(tmp_path, capsys, no_search,
                                             command, path, value, field):
     scenario = write_scenario(tmp_path, _replaced(MINI_SCENARIO, path, value))
     _assert_exits_2(tmp_path, capsys, command, scenario, field)
+
+
+def test_search_cap_admits_trace_rows_at_the_bound(tmp_path, capsys):
+    # (781 249 + 1) one-element rows, counted as 128 bits each, are the cap.
+    doc = _replaced(_replaced(MINI_SCENARIO, "environment.n_elements", 1),
+                    "optimizer.steps", 781_249)
+    assert main(["validate", str(write_scenario(tmp_path, doc))]) == EXIT_OK
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize("command", ["validate", "run"])

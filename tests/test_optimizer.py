@@ -453,6 +453,24 @@ def test_float32_votes_are_exact_at_the_largest_table():
         np.clip((want + PROBABILITY_PRIOR * 0.5) / total, 0.02, 0.98))
 
 
+def test_constructor_ranks_unsorted_costs_stably():
+    # Ties, -0.0 beside 0.0, and discovered rows that vote.
+    costs = np.array([0.0, 2.0, -1.0, -0.0, 2.0, 0.0, -1.0, 3.0])
+    founder = np.array([1, 0, 0, 1, 0, 0, 1, 0], dtype=bool)
+    bits = np.random.default_rng(3).integers(0, 2, (8, 5)).astype(np.float32)
+    state = OptimizerState(
+        bits=bits.copy(), costs=costs.copy(), founder=founder.copy(), step=0,
+        rng=np.random.default_rng(0), weights=CostWeights(),
+        noise_floor_dbm=-95.0, epsilon=0.02, reeval_period=0)
+    perm = np.argsort(-costs, kind="stable")
+    np.testing.assert_array_equal(state.order, perm)
+    assert state.costs.tobytes() == costs[perm].tobytes()
+    np.testing.assert_array_equal(state.founder, founder[perm])
+    np.testing.assert_array_equal(state.table, bits)
+    np.testing.assert_array_equal(state.bits, bits[perm])
+    assert state.probs.tobytes() == element_probabilities(state).tobytes()
+
+
 def test_probabilities_neutral_while_all_founders():
     oracle = lambda cfg: (np.array([-80.0]), np.array([-60.0]))
     state = optimizer_init(10, 6, oracle, 1)

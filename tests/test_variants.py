@@ -1,12 +1,17 @@
 """Smoke test of tools/variants.py, the byte-identity variant set: a
-two-variant subset on a 16-element surface, and its --compare mode."""
+two-variant subset on a 16-element surface, its --compare mode, and the
+set's cover of every mode and of its checked-in record."""
 
+import importlib.util
 import json
 import subprocess
 import sys
 from pathlib import Path
 
-TOOL = Path(__file__).resolve().parent.parent / "tools" / "variants.py"
+from risjam import scenarios
+
+ROOT = Path(__file__).resolve().parent.parent
+TOOL = ROOT / "tools" / "variants.py"
 
 
 def _tool(*args) -> subprocess.CompletedProcess:
@@ -45,3 +50,15 @@ def test_variant_subset_and_compare(tmp_path):
         "differ": ["heatmap-31x21/out/grid.csv"],
         "only_a": ["stored-world/world.json"], "only_b": [],
         "identical": False}
+
+
+def test_variant_set_covers_every_mode_and_matches_its_record():
+    spec = importlib.util.spec_from_file_location("variants", TOOL)
+    variants = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(variants)
+    modes = {step[1]["mode"] for steps in variants.VARIANTS.values()
+             for step in steps if step[0] == "run"}
+    assert set(scenarios.MODES) <= modes
+    record = json.loads((ROOT / "VARIANTS.json").read_text())
+    assert {key.split("/")[0] for key in record["sha256"]} \
+        == set(variants.VARIANTS)
