@@ -42,13 +42,15 @@ print(f"\n12-element channel: random config gain {rand_gain:.2f}, "
 print(f"hamming distance between them: "
       f"{hamming_distance(rand_cfg, best_cfg)} of 12")
 
-# brute_force_best works against any measurement oracle; here the oracle
-# rewards delivering power to a target channel and not to a bystander.
+# brute_force_best works against any measurement oracle, which is given a
+# configuration's 0/1 bits; here the oracle rewards delivering power to a
+# target channel and not to a bystander.
 h_target = (rng.normal(size=10) + 1j * rng.normal(size=10)) / np.sqrt(2)
 h_other = (rng.normal(size=10) + 1j * rng.normal(size=10)) / np.sqrt(2)
 
 
-def oracle(config):
+def oracle(bits):
+    config = RisConfig(bits)
     t = -60 + 20 * np.log10(abs(compose_channel(config, h_target)) + 1e-12)
     n = -60 + 20 * np.log10(abs(compose_channel(config, h_other)) + 1e-12)
     return np.array([t]), np.array([n])

@@ -182,12 +182,18 @@ def compare_runs(manifest_a, manifest_b) -> dict:
         separations_a.append(_row_separation(row_a))
         separations_b.append(_row_separation(row_b))
 
+    # A drop by more than a fifth of |sa|, whatever the sign of sa.
     regression = any(
-        sb < 0.8 * sa for sa, sb in zip(separations_a, separations_b)
+        sb < sa - 0.2 * abs(sa)
+        for sa, sb in zip(separations_a, separations_b)
         if sa is not None and sb is not None
     )
+    # Equal apart from the label, which scenario_hash leaves out too;
+    # compared as JSON text, in which a NaN equals itself.
+    text_a, text_b = (json.dumps(dict(r, scenario=None), sort_keys=True)
+                      for r in (a, b))
     return {
-        "identical": not deltas,
+        "identical": text_a == text_b,
         "deltas": deltas,
         "separation_db_a": separations_a,
         "separation_db_b": separations_b,

@@ -12,11 +12,11 @@ overwrites the evicted worst row's slot, and an index of slots by rank
 (``OptimizerState.order``) keeps the ranking, so no step moves or copies
 the (B, L) table.
 
-A measurement oracle is any callable mapping RisConfig to a pair of RSSI
-arrays (targets, non-targets), both in dBm.  An oracle whose
-``accepts_bits`` attribute is true (scenarios.RssiOracle and MaskedOracle)
-is given the search's raw 0/1 row instead (a uint8 candidate or a float32
-table row), so no RisConfig is built per measurement.
+A measurement oracle is any callable that takes the search's raw 0/1 row
+(a uint8 candidate or a float32 table row) and returns the RSSI readings
+(targets, non-targets): two 1-D float64 arrays in dBm, the targets never
+empty.  No RisConfig is built per measurement, and the readings are not
+checked.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ import numpy as np
 from .channel import _write_table
 from .ris import RisConfig, _pack, enumerate_configs
 
-MeasurementOracle = Callable[[RisConfig], tuple[np.ndarray, np.ndarray]]
+MeasurementOracle = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
 
 DEFAULT_TABLE_SIZE = 100
 DEFAULT_STEPS = 10000
@@ -198,12 +198,8 @@ def element_probabilities(state: OptimizerState) -> np.ndarray:
 
 def _measure(oracle: MeasurementOracle, bits_row: np.ndarray,
              weights: CostWeights, noise_floor_dbm: float) -> float:
-    if getattr(oracle, "accepts_bits", False):
-        # Its readings are 1-D float64, with at least one target.
-        t, n = oracle(bits_row)
-        return _aggregate(t, n, weights, noise_floor_dbm)
-    t, n = oracle(RisConfig(bits_row))
-    return aggregate_cost(t, n, weights, noise_floor_dbm)
+    t, n = oracle(bits_row)
+    return _aggregate(t, n, weights, noise_floor_dbm)
 
 
 def optimizer_init(table_size: int, n_elements: int, oracle: MeasurementOracle,
@@ -430,14 +426,13 @@ def brute_force_best(n_elements: int, oracle: MeasurementOracle, *,
     """Exhaustive argmax over all 2^L configurations (deterministic oracle).
 
     Ties go to the lexicographically smallest bit string, which is the
-    first one enumerated.
+    first one enumerated.  The oracle is given each one's uint8 bits.
     """
     weights = weights or CostWeights()
     best_config = None
     best_cost = -math.inf
     for config in enumerate_configs(n_elements):
-        t, n = oracle(config)
-        cost = aggregate_cost(t, n, weights, noise_floor_dbm)
+        cost = _measure(oracle, config.bits, weights, noise_floor_dbm)
         if cost > best_cost:
             best_config, best_cost = config, cost
     return best_config, best_cost

@@ -333,8 +333,6 @@ class RssiOracle:
     checked finite once, here; floored gains then keep every reading finite.
     """
 
-    accepts_bits = True
-
     def __init__(self, env: Environment, targets: Sequence[str],
                  non_targets: Sequence[str], device_tx_dbm: float,
                  rng: np.random.Generator, sigma_db: float = 0.5,
@@ -389,8 +387,6 @@ class RssiOracle:
 class MaskedOracle:
     """Oracle over a subset of active elements; the rest stay frozen."""
 
-    accepts_bits = True
-
     def __init__(self, inner: RssiOracle, active: np.ndarray,
                  frozen_bits: np.ndarray):
         self.inner = inner
@@ -399,8 +395,7 @@ class MaskedOracle:
         # the active ones.
         self._row = np.asarray(frozen_bits, dtype=np.uint8).copy()
 
-    def __call__(self, config) -> tuple[np.ndarray, np.ndarray]:
-        bits = config.bits if isinstance(config, RisConfig) else config
+    def __call__(self, bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         self._row[self.active] = bits
         return self.inner(self._row)
 

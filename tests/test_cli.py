@@ -893,25 +893,31 @@ COMPARE_MUTATIONS = {
 }
 
 
-@pytest.mark.parametrize("edited,mutate", COMPARE_MUTATIONS.values(),
-                         ids=list(COMPARE_MUTATIONS))
-def test_compare_bad_run_exits_2(run_dir, tmp_path, capsys, edited, mutate):
-    _, out, _ = run_dir
-    bad = tmp_path / "bad"
-    shutil.copytree(out, bad)
-    manifest = json.loads((bad / "manifest.json").read_text())
+def _edited_run(out, dest, edited, mutate):
+    """A copy of run ``out`` at ``dest``, edited as COMPARE_MUTATIONS
+    describes."""
+    shutil.copytree(out, dest)
+    manifest = json.loads((dest / "manifest.json").read_text())
     if edited == "manifest":
         mutate(manifest)
     else:
-        result = json.loads((bad / "result.json").read_text())
+        result = json.loads((dest / "result.json").read_text())
         mutate(result)
         data = json.dumps(result).encode()
-        (bad / "result.json").write_bytes(data)
+        (dest / "result.json").write_bytes(data)
         if edited == "result":
             entry, = (e for e in manifest["outputs"]
                       if e["path"] == "result.json")
             entry["sha256"] = hashlib.sha256(data).hexdigest()
-    (bad / "manifest.json").write_text(json.dumps(manifest))
+    (dest / "manifest.json").write_text(json.dumps(manifest))
+    return dest
+
+
+@pytest.mark.parametrize("edited,mutate", COMPARE_MUTATIONS.values(),
+                         ids=list(COMPARE_MUTATIONS))
+def test_compare_bad_run_exits_2(run_dir, tmp_path, capsys, edited, mutate):
+    _, out, _ = run_dir
+    bad = _edited_run(out, tmp_path / "bad", edited, mutate)
     assert main(["compare", str(out), str(bad)]) == EXIT_VALIDATION
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1
@@ -1260,6 +1266,68 @@ def test_run_fuzz_exits_2_exactly_when_validate_does(tmp_path_factory, base,
     if rc != EXIT_OK:
         assert len(err) == 1
         assert isinstance(json.loads(err[0]), dict)
+
+
+def _with_separation(separation):
+    """A result edit that puts every non-target of row 0 at normalized JSR
+    ``-separation``, so the row's separation is ``separation``."""
+    def mutate(result):
+        row = result["rows"][0]
+        for device in row["norm_jsr_db"]:
+            if device not in row["targets"]:
+                row["norm_jsr_db"][device] = -separation
+    return mutate
+
+
+@pytest.mark.parametrize("sa,sb,regression", [
+    (-4.0, -4.0, False), (-4.0, -3.5, False), (-4.0, -5.0, True),
+    (10.0, 7.9, True), (10.0, 8.1, False), (0.0, -0.1, True),
+])
+def test_compare_separation_regression_rule(run_dir, tmp_path, sa, sb,
+                                            regression):
+    # A drop of more than a fifth of the magnitude, for either sign; a
+    # run compared with itself never regresses.
+    _, out, _ = run_dir
+    a = _edited_run(out, tmp_path / "a", "result", _with_separation(sa))
+    b = a if sb == sa else _edited_run(out, tmp_path / "b", "result",
+                                       _with_separation(sb))
+    report = compare_runs(a, b)
+    assert report["separation_db_a"] == [sa]
+    assert report["separation_db_b"] == [sb]
+    assert report["separation_regression"] is regression
+
+
+def test_compare_sees_differences_outside_the_rows(tmp_path):
+    # element-sweep writes no rows: its results differ only in extras.
+    doc = {
+        "mode": "element-sweep", "targets": ["A"],
+        "mode_params": {"counts": [4, 16]},
+        "environment": {
+            "n_elements": 16, "scatter_count": 32,
+            "attacker_position": [0.4, 0.9, 1.0],
+            "devices": {name: MINI_SCENARIO["environment"]["devices"][name]
+                        for name in ("D0", "A", "B")},
+        },
+        "optimizer": {"steps": 30, "table_size": 10},
+    }
+    outs = [tmp_path / "a", tmp_path / "b"]
+    for seed, out in zip((5, 6), outs):
+        execute(replace(parse_scenario(write_scenario(tmp_path, doc)),
+                        seed=seed), out)
+    sweeps = [json.loads((out / "result.json").read_text())["extras"]
+              ["element_sweep"]["separation_db"] for out in outs]
+    assert sweeps[0] != sweeps[1]
+    report = compare_runs(*outs)
+    assert report["identical"] is False
+    assert report["deltas"] == []
+    assert compare_runs(outs[0], outs[0])["identical"] is True
+
+
+def test_compare_identity_ignores_the_scenario_label(run_dir, tmp_path):
+    _, out, _ = run_dir
+    renamed = _edited_run(out, tmp_path / "renamed", "result",
+                          lambda r: r.update(scenario="renamed"))
+    assert compare_runs(out, renamed)["identical"] is True
 
 
 # -- compare agrees with its checks ----------------------------------------------

@@ -26,8 +26,8 @@ from risjam.optimizer import (
     _signed_square,
     run_optimizer,
 )
-from risjam.ris import RisConfig, enumerate_configs
-from risjam.scenarios import MaskedOracle, RssiOracle
+from risjam.ris import enumerate_configs
+from risjam.scenarios import RssiOracle
 
 from conftest import make_small_spec
 
@@ -116,39 +116,26 @@ def test_cost_margin_db():
     assert cost_margin_db(0.0) == 0.0
 
 
-# -- fused measurement path ----------------------------------------------------
+# -- measurement contract ------------------------------------------------------
 
 
-@pytest.mark.parametrize("sigma,quantize,non_targets,masked", [
-    (0.5, True, ("D0", "B", "C"), False),
-    (0.0, False, ("D0", "B", "C"), False),
-    (0.7, False, ("D0", "B", "C"), False),
-    (0.5, True, (), False),
-    (0.5, True, ("D0", "B", "C"), True),
-])
-def test_raw_bit_oracle_matches_plain_callable(sigma, quantize, non_targets,
-                                               masked):
-    # The RssiOracle gets the search's raw uint8 and float32 rows; the
-    # lambda hides accepts_bits, so its identically seeded twin gets a
-    # RisConfig per measurement.
-    env = synthesize_environment(make_small_spec(n_elements=24), 5)
-    active = np.arange(3, 20, 2)
-    frozen = np.random.default_rng(2).integers(0, 2, 24)
+def test_plain_oracle_gets_the_raw_rows():
+    # The founding table's rows arrive as float32 and candidates as uint8;
+    # every one is a 1-D 0/1 row, never a RisConfig.
+    seen = []
 
-    def oracle():
-        inner = RssiOracle(env, ("A",), non_targets, 15.0,
-                           np.random.default_rng([5, 1]), sigma_db=sigma,
-                           quantize=quantize)
-        return MaskedOracle(inner, active, frozen) if masked else inner
+    def oracle(row):
+        seen.append((row.dtype, row.shape, set(np.unique(row)) <= {0, 1}))
+        return np.array([-60.0 + float(row.sum())]), np.array([-70.0])
 
-    fused, twin = oracle(), oracle()
-    width = len(active) if masked else env.n_elements
-    _, a = run_optimizer(12, 300, width, fused, 7, reeval_period=50)
-    _, b = run_optimizer(12, 300, width, lambda c: twin(c), 7,
-                         reeval_period=50)
-    assert a.best_cost.tobytes() == b.best_cost.tobytes()
-    assert a.worst_cost.tobytes() == b.worst_cost.tobytes()
-    assert a.best_bits.tobytes() == b.best_bits.tobytes()
+    run_optimizer(6, 20, 9, oracle, 4, reeval_period=10)
+    assert len(seen) == 6 + 20 + 2 * 6
+    assert {shape for _, shape, _ in seen} == {(9,)}
+    assert all(is_01 for _, _, is_01 in seen)
+    dtypes = [dtype for dtype, _, _ in seen]
+    assert set(dtypes[:6]) == {np.dtype(np.float32)}
+    assert dtypes[6] == np.uint8
+    assert set(dtypes) == {np.dtype(np.float32), np.dtype(np.uint8)}
 
 
 # -- initialization ----------------------------------------------------------
@@ -233,10 +220,10 @@ def _assert_steps_as_untouched(failed, untouched):
     untouched.rng.bit_generator.state = failed.rng.bit_generator.state
     failed.reeval_period = untouched.reeval_period = 0
 
-    def working(cfg):
+    def working(row):
         # Fixed per configuration and in the range of the failed tests'
         # table costs: candidates enter at varying ranks, with ties.
-        code = int(cfg.bits @ (1 << np.arange(6)))
+        code = int(row @ (1 << np.arange(6)))
         return np.array([-40.0 + code % 13]), np.array([-70.0])
 
     for state in (failed, untouched):
@@ -357,8 +344,8 @@ class _TiedOracle:
         self.w = np.random.default_rng(seed).normal(size=(2, n_elements))
         self.noise = np.random.default_rng([seed, 1])
 
-    def __call__(self, cfg):
-        s = self.w @ (2.0 * cfg.bits - 1.0) + self.noise.normal(0, 3.0, 2)
+    def __call__(self, row):
+        s = self.w @ (2.0 * row - 1.0) + self.noise.normal(0, 3.0, 2)
         return np.round(s[:1] - 60.0), np.round(s[1:] - 60.0)
 
 
@@ -368,7 +355,7 @@ def _sorted_table_search(table_size, n_elements, oracle, seed, epsilon,
     accepted candidate, a re-sort of re-measured rows, np.where votes.
     Yields the table after initialization and after each step."""
     rng = np.random.default_rng(seed)
-    measure = lambda row: aggregate_cost(*oracle(RisConfig(row)))
+    measure = lambda row: aggregate_cost(*oracle(row))
 
     def remeasured(bits, founder):
         costs = np.array([measure(row) for row in bits])
@@ -512,8 +499,8 @@ def test_reaches_brute_force_on_small_space():
 
 def test_brute_force_single_element():
     # oracle rewards bit 1 (coefficient -1)
-    def oracle(cfg):
-        good = cfg.bits[0] == 1
+    def oracle(row):
+        good = row[0] == 1
         return (np.array([-40.0 if good else -70.0]), np.array([-60.0]))
 
     cfg, cost = brute_force_best(1, oracle)
@@ -524,8 +511,8 @@ def test_brute_force_alignment():
     # two sub-channels that cancel unless signs differ
     h = np.array([1 + 0j, -1 + 0j])
 
-    def oracle(cfg):
-        gain = abs(np.dot(cfg.coefficients(), h))
+    def oracle(row):
+        gain = abs(np.dot(1.0 - 2.0 * row, h))
         return (np.array([-60 + 20 * np.log10(max(gain, 1e-12))]),
                 np.array([-80.0]))
 
@@ -674,9 +661,8 @@ def test_packed_trace_matches_unpacked_records(tmp_path, steps, n_elements):
 
 
 class _FixedOracle:
-    """A raw-bit oracle with fixed readings: every candidate ties."""
+    """An oracle with fixed readings: every candidate ties."""
 
-    accepts_bits = True
     targets = np.array([-60.0])
     non_targets = np.array([-70.0, -75.0])
 

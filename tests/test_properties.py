@@ -259,8 +259,8 @@ def test_exploration_floor_holds_through_noisy_runs():
     # 1000 sampled steps across noisy mini-runs
     rng = np.random.default_rng(3)
 
-    def noisy_oracle(cfg):
-        base = -60.0 + 2.0 * (int(cfg.bits.sum()) - 6)
+    def noisy_oracle(row):
+        base = -60.0 + 2.0 * (int(row.sum()) - 6)
         return (np.array([base + rng.normal(0, 1)]),
                 np.array([-75.0 + rng.normal(0, 1)]))
 
@@ -281,8 +281,8 @@ def test_worst_cost_never_decreases_between_plain_steps():
     for trial in range(20):
         weights = rng.normal(size=10)
 
-        def oracle(cfg, w=weights):
-            score = float(w @ (2.0 * cfg.bits - 1.0))
+        def oracle(row, w=weights):
+            score = float(w @ (2.0 * row - 1.0))
             return (np.array([-60.0 + score]), np.array([-70.0]))
 
         state = optimizer_init(6, 10, oracle, trial, reeval_period=0)
