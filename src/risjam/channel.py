@@ -911,8 +911,9 @@ def _in_threads(work, items: Sequence) -> None:
 
     The calling thread and width - 1 workers (none at width 1) each pull
     the next item from a shared iterator, so a busy CPU takes fewer.  After
-    the first error no thread takes another item.  Every worker is joined
-    before this returns or re-raises that error.
+    the first error no thread takes another item.  Every started worker is
+    joined before this returns or re-raises that error, or the error of a
+    worker that failed to start.
     """
     width = min(_field_threads(), len(items))
     pending = iter(items)
@@ -935,8 +936,9 @@ def _in_threads(work, items: Sequence) -> None:
     workers = []
     try:
         for _ in range(width - 1):
-            workers.append(threading.Thread(target=drain))
-            workers[-1].start()
+            worker = threading.Thread(target=drain)
+            worker.start()
+            workers.append(worker)
         drain()
     finally:
         for worker in workers:
@@ -1194,12 +1196,13 @@ def environment_from_dict(doc: dict) -> Environment:
 def read_json(path, what: str, fieldpath: str = ""):
     """The JSON document in the file at ``path``.
 
-    A file that cannot be read, invalid JSON and a key given twice in one
-    object raise ScenarioError, naming ``what`` (as in "scenario") and
-    ``fieldpath``.
+    A file that cannot be read or is not UTF-8, invalid JSON (nesting too
+    deep to parse and an integer past Python's digit limit included) and a
+    key given twice in one object raise ScenarioError, naming ``what`` (as
+    in "scenario") and ``fieldpath``.
     """
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise ScenarioError(f"cannot read {what} file: {exc}",
                             fieldpath) from exc
@@ -1215,19 +1218,29 @@ def read_json(path, what: str, fieldpath: str = ""):
 
     try:
         return json.loads(text, object_pairs_hook=reject_duplicates)
-    except json.JSONDecodeError as exc:
+    except ScenarioError:
+        raise
+    except (RecursionError, ValueError) as exc:
         raise ScenarioError(f"invalid JSON: {exc}", fieldpath) from exc
 
 
-def _write_json(path, doc) -> None:
+def _write_bytes(path, text: str) -> bytes:
+    """Write ``text`` to ``path`` as UTF-8, whatever the locale, and return
+    the bytes written.  Every artifact is written through here."""
+    data = text.encode("utf-8")
+    Path(path).write_bytes(data)
+    return data
+
+
+def _write_json(path, doc) -> bytes:
     """``doc`` as JSON with sorted keys and a one-space indent, plus a
-    final newline."""
-    with open(path, "w") as fh:
-        fh.write(json.dumps(doc, sort_keys=True, indent=1) + "\n")
+    final newline; returns the bytes written."""
+    return _write_bytes(path, json.dumps(doc, sort_keys=True, indent=1) + "\n")
 
 
-def _write_table(path, header, rows) -> None:
-    """CSV with floats written ``.10g`` and every other cell as ``str``.
+def _write_table(path, header, rows) -> bytes:
+    """CSV with floats written ``.10g`` and every other cell as ``str``;
+    returns the bytes written.
 
     The file is built as one string with the bytes ``csv.writer`` (excel
     dialect) writes: lines end in ``\\r\\n``, and a cell holding ``,``,
@@ -1245,8 +1258,7 @@ def _write_table(path, header, rows) -> None:
         elif cells == [""]:
             line = '""'
         lines.append(line + "\r\n")
-    with open(path, "w", newline="") as fh:
-        fh.write("".join(lines))
+    return _write_bytes(path, "".join(lines))
 
 
 def _csv_cell(cell: str) -> str:

@@ -64,18 +64,10 @@ class RunManifest:
         return asdict(self)
 
 
-def _file_entry(path: Path, root: Path) -> dict:
-    data = path.read_bytes()
-    return {
-        "path": str(path.relative_to(root)),
-        "bytes": len(data),
-        "sha256": hashlib.sha256(data).hexdigest(),
-    }
-
-
 def execute(spec: ScenarioSpec, out_dir, threads: int = 1,
             fmt: str = "csv") -> RunManifest:
-    """Run a scenario and write its artifact set plus a manifest.
+    """Run a scenario and write its artifact set plus a manifest, which
+    lists the size and sha256 of the bytes each writer returned.
 
     ``threads`` is accepted and has no effect.
     """
@@ -85,28 +77,25 @@ def execute(spec: ScenarioSpec, out_dir, threads: int = 1,
     out.mkdir(parents=True, exist_ok=True)
     result = run_scenario(spec)
 
-    written: list[Path] = []
+    def written():  # (file name, bytes) of each artifact as it is written
+        for name, doc in (("scenario.normalized.json", scenario_to_dict(spec)),
+                          ("result.json", result.to_json_dict())):
+            yield name, _write_json(out / name, doc)
+        for name, header, rows in _tables(result, fmt):
+            yield name, _write_table(out / name, header, rows)
+        for i, trace in enumerate(result.traces):
+            name = f"trace_{i:02d}.csv"
+            yield name, trace.write_csv(out / name)
 
-    for name, doc in (("scenario.normalized.json", scenario_to_dict(spec)),
-                      ("result.json", result.to_json_dict())):
-        _write_json(out / name, doc)
-        written.append(out / name)
-
-    for name, header, rows in _tables(result, fmt):
-        _write_table(out / name, header, rows)
-        written.append(out / name)
-
-    for i, trace in enumerate(result.traces):
-        trace_path = out / f"trace_{i:02d}.csv"
-        trace.write_csv(trace_path)
-        written.append(trace_path)
-
+    outputs = [{"path": name, "bytes": len(data),
+                "sha256": hashlib.sha256(data).hexdigest()}
+               for name, data in written()]
     manifest = RunManifest(
         version=__version__,
         scenario_hash=scenario_hash(spec),
         master_seed=spec.seed,
         created_utc=datetime.datetime.now(datetime.timezone.utc).isoformat(),
-        outputs=[_file_entry(p, out) for p in written],
+        outputs=outputs,
     )
     _write_json(out / "manifest.json", manifest.to_dict())
     return manifest
@@ -217,10 +206,7 @@ def _load_run(manifest_path) -> dict:
     path = Path(manifest_path)
     if path.is_dir():
         path = path / "manifest.json"
-    try:
-        manifest = json.loads(path.read_text())
-    except (OSError, ValueError) as exc:
-        raise ScenarioError(f"cannot load manifest {path}: {exc}") from exc
+    manifest = read_json(path, "manifest")
     outputs = manifest.get("outputs") if isinstance(manifest, dict) else None
     if not (isinstance(outputs, list) and all(
             isinstance(e, dict) and isinstance(e.get("path"), str)
@@ -231,11 +217,11 @@ def _load_run(manifest_path) -> dict:
     if entry is None:
         raise ScenarioError(f"manifest {path} lists no result.json")
     result_path = path.parent / "result.json"
+    result = read_json(result_path, "result")
     try:
         data = result_path.read_bytes()
-        result = json.loads(data)
-    except (OSError, ValueError) as exc:
-        raise ScenarioError(f"cannot load {result_path}: {exc}") from exc
+    except OSError as exc:
+        raise ScenarioError(f"cannot read result file: {exc}") from exc
     if hashlib.sha256(data).hexdigest() != entry.get("sha256"):
         raise ScenarioError(f"{result_path} differs from its manifest sha256")
     devices = result.get("devices") if isinstance(result, dict) else None
@@ -359,7 +345,7 @@ def main(argv=None) -> int:
         raise ScenarioError(f"unknown command {args.command!r}")
     except ScenarioError as exc:
         return _fail(exc, EXIT_VALIDATION)
-    except (ValueError, KeyError, OSError, RuntimeError) as exc:
+    except (ValueError, KeyError, OSError, RuntimeError, MemoryError) as exc:
         return _fail(exc, EXIT_RUNTIME)
 
 

@@ -346,14 +346,15 @@ class Trace:
         drops = np.flatnonzero(np.diff(self.best_cost) < 0) + 1
         return drops
 
-    def write_csv(self, path) -> None:
+    def write_csv(self, path) -> bytes:
+        """Write the trace table to ``path``; returns the bytes written."""
         # Each row's hex is RisConfig.to_hex of its bits, cut from one hex
         # string of every packed row.
         n_chars = math.ceil(self.n_elements / 4)
         width = 2 * self.packed.shape[1]
         hexes = self.packed.tobytes().hex()
         header = ["step", "best_cost", "best_config_hex", "table_worst_cost"]
-        _write_table(path, header, (
+        return _write_table(path, header, (
             [step, best, hexes[step * width:step * width + n_chars], worst]
             for step, (best, worst) in enumerate(zip(self.best_cost,
                                                      self.worst_cost))))

@@ -608,6 +608,30 @@ def test_thread_split_reraises_a_worker_error_and_stops(monkeypatch):
     assert len(taken) < 10
 
 
+@pytest.mark.parametrize("failing_start", [1, 2])
+def test_thread_split_reraises_a_start_failure(monkeypatch, failing_start):
+    # A thread that cannot start (no memory for its stack) raises its own
+    # error, after the started threads are joined.
+    monkeypatch.setattr(channel, "_field_threads", lambda: 3)
+    start = threading.Thread.start
+    starts = []
+
+    def start_or_fail(thread):
+        starts.append(thread)
+        if len(starts) == failing_start:
+            raise RuntimeError("can't start new thread")
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", start_or_fail)
+    taken = []
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="can't start new thread"):
+        channel._in_threads(taken.append, range(100))
+    assert threading.active_count() == before
+    # The one started worker takes every item, each once.
+    assert sorted(taken) == ([] if failing_start == 1 else list(range(100)))
+
+
 def test_energy_law_matches_path_loss():
     # Ensemble-average |h|^2 over many elements approaches PL(d).
     spec = make_small_spec(n_elements=768, scatter_count=256)

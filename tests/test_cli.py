@@ -239,6 +239,19 @@ def test_runtime_error_exit_code(tmp_path):
     assert rc == EXIT_RUNTIME
 
 
+def test_memory_error_exits_3_with_one_json_line(tmp_path, capsys,
+                                                 monkeypatch):
+    def out_of_memory(spec):
+        raise MemoryError("cannot allocate")
+    monkeypatch.setattr(cli, "run_scenario", out_of_memory)
+    rc = main(["run", str(write_scenario(tmp_path)), "--out",
+               str(tmp_path / "out")])
+    assert rc == EXIT_RUNTIME
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert json.loads(err[0])["error"] == "MemoryError"
+
+
 @pytest.fixture
 def no_search(monkeypatch):
     """Makes any optimizer run fail the test."""
@@ -731,6 +744,55 @@ def test_corner_world_runs_without_a_warning(tmp_path):
     assert (proc.returncode, proc.stderr) == (EXIT_OK, "")
 
 
+# Runs the CLI after checking that the locale's encoding is not UTF-8, so
+# that a locale-independent run cannot pass vacuously.
+_NON_UTF8_CLI = """
+import locale, sys
+encoding = locale.getpreferredencoding(False)
+if encoding.replace("-", "").lower() == "utf8":
+    sys.exit(f"preferred encoding is {encoding}")
+from risjam.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def test_artifacts_are_utf8_whatever_the_locale(tmp_path):
+    # A UTF-8 scenario with a non-ASCII device id, run under an ASCII
+    # locale and in UTF-8 mode: both read it and write the same bytes.
+    devices = dict(TINY_SCENARIO["environment"]["devices"])
+    devices["Gerät"] = devices.pop("B")
+    doc = dict(TINY_SCENARIO, environment=dict(TINY_SCENARIO["environment"],
+                                               devices=devices))
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps(doc, ensure_ascii=False), encoding="utf-8")
+    src = str(Path(risjam.__file__).resolve().parent.parent)
+    base = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    outs = {}
+    for label, code, env in [
+            ("ascii", _NON_UTF8_CLI, dict(PYTHONCOERCECLOCALE="0", LC_ALL="C",
+                                          PYTHONUTF8="0")),
+            ("utf8", "import sys; from risjam.cli import main; "
+                     "sys.exit(main(sys.argv[1:]))", dict(PYTHONUTF8="1"))]:
+        outs[label] = out = tmp_path / label
+        proc = subprocess.run(
+            [sys.executable, "-c", code, "run", str(scenario), "--out",
+             str(out)], env=dict(base, **env), capture_output=True, text=True)
+        assert (proc.returncode, proc.stderr) == (EXIT_OK, "")
+    ascii_files, utf8_files = (
+        {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+         for p in out.iterdir() if p.name != "manifest.json"}
+        for out in outs.values())
+    assert ascii_files == utf8_files
+    assert any("Gerät".encode() in p.read_bytes()
+               for p in outs["ascii"].iterdir())
+    ascii_manifest, utf8_manifest = (
+        {k: v for k, v in json.loads((out / "manifest.json").read_text(
+            encoding="utf-8")).items() if k != "created_utc"}
+        for out in outs.values())
+    assert ascii_manifest == utf8_manifest
+
+
 @pytest.mark.parametrize("mode,rows", [("packet-rate", 1), ("jsr-matrix", 3)])
 def test_run_checks_the_roster_once(tmp_path, monkeypatch, mode, rows):
     calls = []
@@ -990,12 +1052,15 @@ def test_env_synth_malformed_spec_exits_2(tmp_path, capsys):
 
 
 # Unreadable files, invalid JSON and duplicate keys, for any file the CLI
-# is handed.
+# is handed.  "nested" is too deep to parse and "long-integer" is past
+# Python's integer digit limit; json.dumps can build neither.
 _BAD_FILES = {
     "missing": None,
     "directory": "",
     "not-utf8": b"\xff\xfe{}",
     "invalid-json": "{nope",
+    "nested": "[" * 100_000 + "]" * 100_000,
+    "long-integer": '{"seed": ' + "9" * 5000 + "}",
 }
 
 
@@ -1037,11 +1102,42 @@ def test_unreadable_environment_file_exits_2_before_search(
     assert not (tmp_path / "out").exists()
 
 
-def test_unreadable_scenario_exits_2(tmp_path, capsys):
+@pytest.mark.parametrize("content", _BAD_FILES.values(), ids=list(_BAD_FILES))
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_unreadable_scenario_exits_2(tmp_path, capsys, no_search, command,
+                                     content):
     path = tmp_path / "scenario.json"
-    path.write_bytes(_BAD_FILES["not-utf8"])
-    assert main(["validate", str(path)]) == EXIT_VALIDATION
-    assert len(capsys.readouterr().err.splitlines()) == 1
+    _write_bad_file(path, content)
+    argv = [command, str(path)]
+    if command == "run":
+        argv += ["--out", str(tmp_path / "out")]
+    assert main(argv) == EXIT_VALIDATION
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert json.loads(err[0])["error"] == "ScenarioError"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("content", _BAD_FILES.values(), ids=list(_BAD_FILES))
+@pytest.mark.parametrize("name", ["manifest.json", "result.json"])
+def test_compare_unreadable_run_file_exits_2(run_dir, tmp_path, capsys, name,
+                                             content):
+    # A result.json that can be read has its sha256 re-recorded, so only
+    # its content is wrong.
+    _, out, _ = run_dir
+    bad = tmp_path / "bad"
+    shutil.copytree(out, bad)
+    (bad / name).unlink()
+    _write_bad_file(bad / name, content)
+    if name == "result.json" and (bad / name).is_file():
+        manifest = json.loads((bad / "manifest.json").read_text())
+        entry, = (e for e in manifest["outputs"] if e["path"] == name)
+        entry["sha256"] = hashlib.sha256((bad / name).read_bytes()).hexdigest()
+        (bad / "manifest.json").write_text(json.dumps(manifest))
+    assert main(["compare", str(out), str(bad)]) == EXIT_VALIDATION
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert json.loads(err[0])["error"] == "ScenarioError"
 
 
 @pytest.mark.parametrize("spec_doc,field", [
