@@ -168,6 +168,8 @@ class Position(NamedTuple):
 
 
 def as_position(value) -> Position:
+    """``value`` as a Position, the one position rule: ValueError unless it
+    has 3 finite coordinates, each within MAX_ABS_COORDINATE_M of 0."""
     if isinstance(value, Position):
         pos = value
     else:
@@ -175,14 +177,16 @@ def as_position(value) -> Position:
         if len(coords) != 3:
             raise ValueError(f"position needs 3 coordinates, got {len(coords)}")
         pos = Position(*coords)
-    if not all(math.isfinite(c) for c in pos):
-        raise ValueError(f"position coordinates must be finite, got {pos}")
+    if not all(abs(c) <= MAX_ABS_COORDINATE_M for c in pos):  # NaN fails
+        if not all(math.isfinite(c) for c in pos):
+            raise ValueError(f"position coordinates must be finite, got {pos}")
+        _check_coordinates(np.array(pos))
     return pos
 
 
-def _check_coordinates(coords) -> None:
-    """Raise ValueError unless every coordinate of ``coords`` (a position
-    or an array of them) lies within MAX_ABS_COORDINATE_M of 0."""
+def _check_coordinates(coords: np.ndarray) -> None:
+    """Raise ValueError unless every coordinate of the array ``coords``
+    lies within MAX_ABS_COORDINATE_M of 0."""
     worst = np.max(np.abs(coords), initial=0.0)
     if not worst <= MAX_ABS_COORDINATE_M:
         raise ValueError(f"coordinate {worst} m lies beyond "
@@ -233,7 +237,6 @@ class EnvironmentSpec:
             raise ScenarioError("must be a string", "environment.attacker_id")
         try:
             attacker = as_position(self.attacker_position)
-            _check_coordinates(attacker)
         except (OverflowError, TypeError, ValueError) as exc:
             raise ScenarioError(str(exc),
                                 "environment.attacker_position") from exc
@@ -272,7 +275,7 @@ class Environment:
     attacker_id: str
     attacker_position: Position
     rician_k: float
-    pattern_delta: float
+    pattern_diversity: float
     ris: dict[str, np.ndarray]
     direct: dict[str, dict[str, np.ndarray]]
     pattern_weights: dict[str, np.ndarray]
@@ -280,7 +283,7 @@ class Environment:
 
     def __post_init__(self):
         for name in ("frequency_hz", "path_loss_exponent", "noise_floor_dbm",
-                     "rician_k", "pattern_delta"):
+                     "rician_k", "pattern_diversity"):
             setattr(self, name, float(getattr(self, name)))
         for name in ("master_seed", "n_elements", "scatter_count"):
             setattr(self, name, int(getattr(self, name)))
@@ -332,7 +335,6 @@ def _validated_devices(spec: EnvironmentSpec) -> dict[str, Position]:
         if dev_id in devices:
             raise ValueError(f"duplicate device id {dev_id!r}")
         devices[dev_id] = as_position(pos)
-        _check_coordinates(devices[dev_id])
     if spec.attacker_id in devices:
         raise ValueError(
             f"attacker id {spec.attacker_id!r} collides with a device id"
@@ -434,22 +436,8 @@ def synthesize_environment(spec: EnvironmentSpec, seed: int) -> Environment:
                 prng.normal(0.0, math.sqrt(0.5), (L, M)),
                 prng.normal(0.0, math.sqrt(0.5), (L, M)), delta, norm)
 
-    return Environment(
-        frequency_hz=spec.frequency_hz,
-        path_loss_exponent=spec.path_loss_exponent,
-        noise_floor_dbm=spec.noise_floor_dbm,
-        master_seed=seed,
-        n_elements=L,
-        scatter_count=M,
-        devices=spec.devices,
-        attacker_id=spec.attacker_id,
-        attacker_position=spec.attacker_position,
-        rician_k=spec.rician_k,
-        pattern_delta=spec.pattern_diversity,
-        ris=ris,
-        direct=direct,
-        pattern_weights=pattern_weights,
-    )
+    return Environment(**vars(spec), master_seed=seed, ris=ris,
+                       direct=direct, pattern_weights=pattern_weights)
 
 
 def _pattern_weights(n1: np.ndarray, n2: np.ndarray, delta: float,
@@ -1125,8 +1113,8 @@ def environment_to_dict(env: Environment) -> dict:
         "role": "attacker",
     })
     pattern = None
-    if env.pattern_delta > 0:
-        pattern = {"delta": env.pattern_delta}
+    if env.pattern_diversity > 0:
+        pattern = {"delta": env.pattern_diversity}
     return {
         "version": ENV_FORMAT_VERSION,
         "frequency_hz": env.frequency_hz,
@@ -1156,21 +1144,21 @@ def environment_from_dict(doc: dict) -> Environment:
     if doc.get("version") != ENV_FORMAT_VERSION:
         raise ValueError(f"unsupported environment format version "
                          f"{doc.get('version')!r}")
-    devices = []
-    attacker_pos = attacker_id = None
+    roles = {"device": [], "attacker": []}
     for entry in doc["devices"]:
-        pos = Position(entry["x"], entry["y"], entry["z"])
-        if entry.get("role") == "attacker":
-            attacker_pos = pos
-            attacker_id = entry["id"]
-        else:
-            devices.append((entry["id"], pos))
-    if attacker_pos is None:
-        raise ValueError("environment document lacks an attacker entry")
+        if entry.get("role") not in roles:
+            raise ValueError(f"entry {entry.get('id')!r} has role "
+                             f"{entry.get('role')!r}, not device or attacker")
+        roles[entry["role"]].append(
+            (entry["id"], Position(entry["x"], entry["y"], entry["z"])))
+    if len(roles["attacker"]) != 1:
+        raise ValueError(f"environment document needs one attacker entry, "
+                         f"got {len(roles['attacker'])}")
+    [(attacker_id, attacker_pos)] = roles["attacker"]
     ens = doc["ensembles"]
     pattern = doc.get("pattern_diversity") or {}
     spec = EnvironmentSpec(
-        devices=devices,
+        devices=roles["device"],
         attacker_position=attacker_pos,
         frequency_hz=doc["frequency_hz"],
         n_elements=ens["ris_elements"],
@@ -1194,7 +1182,13 @@ def environment_from_dict(doc: dict) -> Environment:
 
 
 def read_json(path, what: str, fieldpath: str = ""):
-    """The JSON document in the file at ``path``.
+    """The JSON document in the file at ``path`` (see _read_json_bytes)."""
+    return _read_json_bytes(path, what, fieldpath)[0]
+
+
+def _read_json_bytes(path, what: str, fieldpath: str = ""):
+    """The JSON document in the file at ``path`` and the bytes it was
+    decoded from, read once.
 
     A file that cannot be read or is not UTF-8, invalid JSON (nesting too
     deep to parse and an integer past Python's digit limit included) and a
@@ -1202,7 +1196,8 @@ def read_json(path, what: str, fieldpath: str = ""):
     in "scenario") and ``fieldpath``.
     """
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        data = Path(path).read_bytes()
+        text = data.decode("utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise ScenarioError(f"cannot read {what} file: {exc}",
                             fieldpath) from exc
@@ -1217,7 +1212,7 @@ def read_json(path, what: str, fieldpath: str = ""):
         return out
 
     try:
-        return json.loads(text, object_pairs_hook=reject_duplicates)
+        return json.loads(text, object_pairs_hook=reject_duplicates), data
     except ScenarioError:
         raise
     except (RecursionError, ValueError) as exc:

@@ -16,8 +16,8 @@ from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 from . import __version__
-from .channel import (_write_json, _write_table, save_environment,
-                      synthesize_environment)
+from .channel import (_read_json_bytes, _write_json, _write_table,
+                      save_environment, synthesize_environment)
 from .scenarios import (
     RunResult,
     ScenarioError,
@@ -217,11 +217,7 @@ def _load_run(manifest_path) -> dict:
     if entry is None:
         raise ScenarioError(f"manifest {path} lists no result.json")
     result_path = path.parent / "result.json"
-    result = read_json(result_path, "result")
-    try:
-        data = result_path.read_bytes()
-    except OSError as exc:
-        raise ScenarioError(f"cannot read result file: {exc}") from exc
+    result, data = _read_json_bytes(result_path, "result")
     if hashlib.sha256(data).hexdigest() != entry.get("sha256"):
         raise ScenarioError(f"{result_path} differs from its manifest sha256")
     devices = result.get("devices") if isinstance(result, dict) else None

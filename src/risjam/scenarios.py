@@ -30,7 +30,6 @@ from .channel import (
     Position,
     ScenarioError,
     _TINY_GAIN,
-    _check_coordinates,
     _check_entity_distances,
     _number_param,
     _read_in_place,
@@ -960,7 +959,7 @@ def _check_schedule(spec: ScenarioSpec, params: Mapping) -> None:
         else:
             _reject_unknown(event, ("time", "device", "position"), f"{path}.")
             try:
-                _check_coordinates(as_position(event.get("position")))
+                as_position(event.get("position"))
             except (TypeError, ValueError, OverflowError) as exc:
                 raise ScenarioError(str(exc), f"{path}.position") from exc
     duration = _perturbation_duration(params)

@@ -5,7 +5,7 @@ import sys
 import threading
 import time
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -13,8 +13,11 @@ from hypothesis import given, settings, strategies as st
 
 from risjam import channel
 from risjam.channel import (
+    MAX_ABS_COORDINATE_M,
+    EnvironmentSpec,
     Position,
     ScenarioError,
+    as_position,
     direct_channel,
     environment_from_dict,
     environment_to_dict,
@@ -1104,6 +1107,39 @@ def test_moved_world_equals_one_built_there():
     assert environments_equal(moved, fresh)
     assert ris_subchannels(moved, new, device="A").tobytes() \
         == ris_subchannels(fresh, new, device="A").tobytes()
+
+
+def test_environment_keeps_every_spec_field_by_name():
+    spec = make_small_spec(rician_k=2.0, pattern_diversity=0.5)
+    env = synthesize_environment(spec, 7)
+    new = Position(2.5, 1.5, 1.0)
+    moved_spec = replace(spec, devices=dict(spec.devices, A=new))
+    for world, source in ((env, spec),
+                          (perturb_environment(env, 0.5, 3), spec),
+                          (move_device(env, "A", new), moved_spec)):
+        for field in fields(EnvironmentSpec):
+            assert getattr(world, field.name) == getattr(source, field.name)
+
+
+def test_as_position_bounds_every_coordinate():
+    assert as_position((MAX_ABS_COORDINATE_M, -MAX_ABS_COORDINATE_M, 0)) \
+        == (1e6, -1e6, 0.0)
+    for far in ((2e6, 0, 0), (0, -2e6, 0), Position(0, 0, 2e6)):
+        with pytest.raises(ValueError, match="coordinate 2000000.0 m lies "
+                                             "beyond ±1e\\+06 m"):
+            as_position(far)
+
+
+@pytest.mark.parametrize("evaluate", [
+    lambda env, far: move_device(env, "A", far),
+    lambda env, far: ris_subchannels(env, far),
+    lambda env, far: direct_channel(env, "A", far),
+    lambda env, far: spatial_correlation(env, far, [0.0], 100),
+], ids=["move_device", "ris_subchannels", "direct_channel",
+        "spatial_correlation"])
+def test_positions_beyond_the_bound_raise(small_env, evaluate):
+    with pytest.raises(ValueError, match="lies beyond"):
+        evaluate(small_env, Position(2e6, 1.0, 1.0))
 
 
 def test_path_loss_db_reference():

@@ -583,6 +583,38 @@ def test_two_worlds_exit_2_before_search(tmp_path, capsys, no_search,
                     field)
 
 
+# A stored world holds one attacker entry, and every other entry is a
+# device.  Each of these entries goes in just before the attacker, with the
+# error it raises.
+STRAY_ENTRIES = {
+    "second-attacker": ({"id": "ATT2", "x": 0.2, "y": 0.2, "z": 1.0,
+                         "role": "attacker"}, "one attacker entry, got 2"),
+    "unknown-role": ({"id": "J", "x": 0.2, "y": 0.2, "z": 1.0,
+                      "role": "jammer"}, "role 'jammer', not device"),
+}
+
+
+@pytest.mark.parametrize("source", ["environment_document",
+                                    "environment_file"])
+@pytest.mark.parametrize("entry,message", STRAY_ENTRIES.values(),
+                         ids=list(STRAY_ENTRIES))
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_stored_world_roles_exit_2_before_search(tmp_path, capsys, no_search,
+                                                 command, entry, message,
+                                                 source):
+    world = json.loads(json.dumps(SMALL_WORLD))
+    world["devices"].insert(-1, entry)
+    del world["ensembles"]["draw_counter"]  # only the roles may reject it
+    with pytest.raises(ValueError, match=message):
+        environment_from_dict(world)
+    (tmp_path / "world.json").write_text(json.dumps(world))
+    sources = {"environment_document": world,
+               "environment_file": "world.json"}
+    doc = dict(WORLDLESS, **{source: sources[source]})
+    _assert_exits_2(tmp_path, capsys, command, write_scenario(tmp_path, doc),
+                    source)
+
+
 def _assert_exits_2(tmp_path, capsys, command, scenario, field):
     """``command`` on ``scenario`` exits 2 with one JSON error naming
     ``field`` on stderr."""
@@ -1138,6 +1170,22 @@ def test_compare_unreadable_run_file_exits_2(run_dir, tmp_path, capsys, name,
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1
     assert json.loads(err[0])["error"] == "ScenarioError"
+
+
+def test_compare_reads_each_result_once(run_dir, monkeypatch, capsys):
+    _, out, _ = run_dir
+    opened = []
+    real_open = Path.open
+
+    def counting_open(self, *args, **kwargs):
+        if self.name == "result.json":
+            opened.append(self)
+        return real_open(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "open", counting_open)
+    assert main(["compare", str(out), str(out)]) == EXIT_OK
+    capsys.readouterr()
+    assert opened == [out / "result.json"] * 2
 
 
 @pytest.mark.parametrize("spec_doc,field", [

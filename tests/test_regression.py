@@ -255,3 +255,41 @@ def test_artifacts_match_pinned_hashes(tmp_path, name):
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["run", str(path), "--out", str(out)]) == EXIT_OK
     assert _hashes(out) == expected
+
+
+# The Rician and pattern-diversity world as `env synth --spec` writes it,
+# and the normalized scenario of a run that holds that world as a stored
+# document.  Both pass through environment_to_dict.
+RICIAN = dict(ENVIRONMENT, rician_k=3.0, pattern_diversity=0.5)
+WORLD_SHA256 = ("42bf51d4b2b5662b4f5c95aced981a7d"
+                "8668944e6293f6b69b56a502a3d414cb")
+NORMALIZED_SHA256 = ("a20ffead6fdada4b3148438aa003d65a"
+                     "04ca177f19fd6272456124fe1ddf5f4c")
+
+
+def _sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_synthesized_world_matches_pinned_hash(tmp_path):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(RICIAN))
+    world = tmp_path / "world.json"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["env", "synth", "--spec", str(spec), "--seed", "3",
+                     "--out", str(world)]) == EXIT_OK
+    assert _sha256(world) == WORLD_SHA256
+
+
+def test_normalized_scenario_matches_pinned_hash(tmp_path):
+    world = environment_to_dict(
+        synthesize_environment(EnvironmentSpec(**RICIAN), 3))
+    doc = _document("stored-rician", {
+        "mode": "packet-rate", "targets": ["B"], "environment": None,
+        "environment_document": world})
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["run", str(path), "--out", str(out)]) == EXIT_OK
+    assert _sha256(out / "scenario.normalized.json") == NORMALIZED_SHA256
