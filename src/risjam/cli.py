@@ -11,7 +11,9 @@ import datetime
 import hashlib
 import json
 import math
+import shutil
 import sys
+import tempfile
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
@@ -69,36 +71,78 @@ def execute(spec: ScenarioSpec, out_dir, threads: int = 1,
     """Run a scenario and write its artifact set plus a manifest, which
     lists the size and sha256 of the bytes each writer returned.
 
+    ``out_dir`` ends up holding exactly this run.  The set is written into
+    a fresh sibling directory and moved into place once its manifest is
+    written, so a failed run leaves ``out_dir`` as it was.  An existing
+    ``out_dir`` is replaced only if it is empty or a previous run (see
+    _check_out), which is checked before the search.
+
     ``threads`` is accepted and has no effect.
     """
     if fmt not in ("csv", "json"):
         raise ScenarioError(f"unknown format {fmt!r}; valid: csv, json")
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    result = run_scenario(spec)
+    out = Path(out_dir).resolve()
+    _check_out(out)
+    out.parent.mkdir(parents=True, exist_ok=True)
+    work = Path(tempfile.mkdtemp(prefix=f".{out.name}.", dir=out.parent))
+    try:
+        # mkdtemp's directory is private; the run's gets the default mode.
+        stage = work / "run"
+        stage.mkdir()
+        result = run_scenario(spec)
 
-    def written():  # (file name, bytes) of each artifact as it is written
-        for name, doc in (("scenario.normalized.json", scenario_to_dict(spec)),
-                          ("result.json", result.to_json_dict())):
-            yield name, _write_json(out / name, doc)
-        for name, header, rows in _tables(result, fmt):
-            yield name, _write_table(out / name, header, rows)
-        for i, trace in enumerate(result.traces):
-            name = f"trace_{i:02d}.csv"
-            yield name, trace.write_csv(out / name)
+        def written():  # (file name, bytes) of each artifact as written
+            for name, doc in (
+                    ("scenario.normalized.json", scenario_to_dict(spec)),
+                    ("result.json", result.to_json_dict())):
+                yield name, _write_json(stage / name, doc)
+            for name, header, rows in _tables(result, fmt):
+                yield name, _write_table(stage / name, header, rows)
+            for i, trace in enumerate(result.traces):
+                name = f"trace_{i:02d}.csv"
+                yield name, trace.write_csv(stage / name)
 
-    outputs = [{"path": name, "bytes": len(data),
-                "sha256": hashlib.sha256(data).hexdigest()}
-               for name, data in written()]
-    manifest = RunManifest(
-        version=__version__,
-        scenario_hash=scenario_hash(spec),
-        master_seed=spec.seed,
-        created_utc=datetime.datetime.now(datetime.timezone.utc).isoformat(),
-        outputs=outputs,
-    )
-    _write_json(out / "manifest.json", manifest.to_dict())
+        outputs = [{"path": name, "bytes": len(data),
+                    "sha256": hashlib.sha256(data).hexdigest()}
+                   for name, data in written()]
+        manifest = RunManifest(
+            version=__version__,
+            scenario_hash=scenario_hash(spec),
+            master_seed=spec.seed,
+            created_utc=datetime.datetime.now(
+                datetime.timezone.utc).isoformat(),
+            outputs=outputs,
+        )
+        _write_json(stage / "manifest.json", manifest.to_dict())
+        if out.exists():
+            out.rename(work / "previous")
+        stage.rename(out)
+    finally:
+        shutil.rmtree(work, ignore_errors=True)
     return manifest
+
+
+def _check_out(out: Path) -> None:
+    """Raise ScenarioError, naming --out, unless ``out`` is missing, an
+    empty directory, or a previous run: a manifest.json and only the files
+    it lists."""
+    if out.exists() and not out.is_dir():
+        raise ScenarioError(f"--out {out} is not a directory")
+    entries = list(out.iterdir()) if out.exists() else []
+    if not entries:
+        return
+    try:
+        listed = {e["path"] for e in _manifest_outputs(out / "manifest.json")}
+        listed.add("manifest.json")
+    except ScenarioError:
+        listed = set()
+    stray = sorted(p.name for p in entries
+                   if p.name not in listed or not p.is_file())
+    if stray:
+        raise ScenarioError(
+            f"--out {out} is neither empty nor a previous run ({stray[0]!r} "
+            f"is not a file its manifest.json lists); only such a directory "
+            f"is replaced")
 
 
 def _tables(result: RunResult, fmt: str):
@@ -206,14 +250,8 @@ def _load_run(manifest_path) -> dict:
     path = Path(manifest_path)
     if path.is_dir():
         path = path / "manifest.json"
-    manifest = read_json(path, "manifest")
-    outputs = manifest.get("outputs") if isinstance(manifest, dict) else None
-    if not (isinstance(outputs, list) and all(
-            isinstance(e, dict) and isinstance(e.get("path"), str)
-            for e in outputs)):
-        raise ScenarioError(f"manifest {path} needs a list of objects, each "
-                            f"with a string path", "outputs")
-    entry = next((e for e in outputs if e["path"] == "result.json"), None)
+    entry = next((e for e in _manifest_outputs(path)
+                  if e["path"] == "result.json"), None)
     if entry is None:
         raise ScenarioError(f"manifest {path} lists no result.json")
     result_path = path.parent / "result.json"
@@ -238,6 +276,19 @@ def _load_run(manifest_path) -> dict:
                 raise ScenarioError(f"{result_path} row {i} needs a number "
                                     f"per device", f"rows[{i}].{metric}")
     return result
+
+
+def _manifest_outputs(path: Path) -> list[dict]:
+    """The outputs of the manifest at ``path``: objects, each with a string
+    path."""
+    manifest = read_json(path, "manifest")
+    outputs = manifest.get("outputs") if isinstance(manifest, dict) else None
+    if not (isinstance(outputs, list) and all(
+            isinstance(e, dict) and isinstance(e.get("path"), str)
+            for e in outputs)):
+        raise ScenarioError(f"manifest {path} needs a list of objects, each "
+                            f"with a string path", "outputs")
+    return outputs
 
 
 def _strings(value) -> bool:

@@ -236,21 +236,20 @@ def optimizer_init(table_size: int, n_elements: int, oracle: MeasurementOracle,
 def optimizer_step(state: OptimizerState, oracle: MeasurementOracle) -> OptimizerState:
     """One candidate generation / measurement / table update.
 
-    All oracle calls happen before any mutation, so a raised measurement
+    Every oracle call comes before any write, so a raised measurement
     error leaves the state untouched.  An accepted candidate is written
     into the evicted worst row's slot, the one row the step writes, and
     the ranks below its own shift down in ``order``, ``costs`` and
     ``founder``.  When the completed-step counter hits a multiple of
-    reeval_period, the whole table is re-measured in its new rank order and
-    re-ranked as part of this step.  ``probs`` is recomputed after an
-    acceptance or a re-ranking, and kept otherwise.
+    reeval_period, the whole table is re-measured in its post-acceptance
+    rank order and re-ranked as part of this step.  ``probs`` is
+    recomputed after an acceptance or a re-ranking, and kept otherwise.
     """
     # The comparison's bytes are the 0/1 bits: a view, not a cast.
     candidate = (state.rng.random(state.n_elements) < state.probs).view(
         np.uint8)
     cand_cost = _measure(oracle, candidate, state.weights, state.noise_floor_dbm)
 
-    table = state.table
     order = state.order
     costs = state.costs
     founder = state.founder
@@ -263,30 +262,28 @@ def optimizer_step(state: OptimizerState, oracle: MeasurementOracle) -> Optimize
         # sorted, so the newcomer goes before the first entry it does not
         # beat.
         i = int((-costs[:-1]).searchsorted(-cand_cost, side="left"))
+    if reeval:
+        # The post-acceptance ranking, read from the unwritten table: the
+        # newcomer's uint8 candidate, whose bits every oracle reads as it
+        # reads a table row's, at rank i and the evicted worst row left out.
+        rows = [state.table[s] for s in order]
+        if accepted:
+            rows[i:] = [candidate, *rows[i:-1]]
+        fresh = np.array([
+            _measure(oracle, row, state.weights, state.noise_floor_dbm)
+            for row in rows
+        ])
+
+    # The last oracle call is done: write the state in one block.
+    if accepted:
         slot = order[-1]
-        if reeval:
-            # Oracle calls follow: update copies, not the state.
-            order, costs, founder = order.copy(), costs.copy(), founder.copy()
-        else:
-            table[slot] = candidate
+        state.table[slot] = candidate
         order[i + 1:] = order[i:-1]
         costs[i + 1:] = costs[i:-1]
         founder[i + 1:] = founder[i:-1]
         order[i], costs[i], founder[i] = slot, cand_cost, False
-
     if reeval:
-        # The newcomer is measured from its uint8 candidate, whose bits
-        # every oracle reads as it reads the table row's.
-        costs = np.array([
-            _measure(oracle,
-                     candidate if accepted and r == i else table[order[r]],
-                     state.weights, state.noise_floor_dbm)
-            for r in range(len(order))
-        ])
-        if accepted:
-            table[slot] = candidate
-        state.order, state.founder = order, founder
-        state._rank(costs)
+        state._rank(fresh)
     elif accepted:
         state.probs = element_probabilities(state)
     state.step = next_step
@@ -295,9 +292,6 @@ def optimizer_step(state: OptimizerState, oracle: MeasurementOracle) -> Optimize
 
 # Set bits of each byte value, for Hamming distances of packed rows.
 _POPCOUNT = np.array([bin(v).count("1") for v in range(256)], dtype=np.uint8)
-
-# Best configurations run_optimizer gathers as uint8 rows before packing.
-_TRACE_CHUNK = 256
 
 
 class Trace:
@@ -368,9 +362,10 @@ def run_optimizer(table_size: int, steps: int, n_elements: int,
                   noise_floor_dbm: float = -95.0) -> tuple[RisConfig, Trace]:
     """Initialized search for the given number of steps; returns best + trace.
 
-    Each step's best configuration is copied into a block of _TRACE_CHUNK
-    uint8 rows, and each full block is packed into the trace, so the
-    search never holds a (steps + 1, L) byte array.
+    The best row is packed again only when the best slot changes: a step
+    writes only the evicted worst slot, never the best one (the table holds
+    at least two rows), so the search never holds a (steps + 1, L) byte
+    array or repacks an unchanged row.
     """
     if steps < 0:
         raise ValueError("steps must be >= 0")
@@ -381,17 +376,16 @@ def run_optimizer(table_size: int, steps: int, n_elements: int,
     best_cost = np.empty(steps + 1)
     worst_cost = np.empty(steps + 1)
     packed = np.empty((steps + 1, (n_elements + 7) // 8), dtype=np.uint8)
-    rows = np.empty((min(_TRACE_CHUNK, steps + 1), n_elements),
-                    dtype=np.uint8)
+    best_slot = -1
     for i in range(steps + 1):
         if i:
             optimizer_step(state, oracle)
         best_cost[i] = state.best_cost()
         worst_cost[i] = state.worst_cost()
-        j = i % _TRACE_CHUNK
-        rows[j] = state.table[state.order[0]]
-        if j == _TRACE_CHUNK - 1 or i == steps:
-            packed[i - j:i + 1] = _pack(rows[:j + 1])
+        if state.order[0] != best_slot:
+            best_slot = state.order[0]
+            best_row = _pack(state.table[best_slot].astype(np.uint8))
+        packed[i] = best_row
     return state.best_config(), Trace(best_cost, worst_cost, packed,
                                       n_elements)
 

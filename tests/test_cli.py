@@ -205,6 +205,80 @@ def test_heatmap_grid_csv_shape(tmp_path):
     assert len(lines[1].split(",")) == 1 + 11
 
 
+# -- the output directory -----------------------------------------------------
+
+QUICK = {"steps": 5, "reeval_period": 2, "table_size": 8}
+
+
+def _files(out):
+    return {p.name: p.read_bytes() if p.is_file() else None
+            for p in out.iterdir()}
+
+
+def test_out_reused_across_modes_holds_exactly_the_last_run(tmp_path):
+    out = tmp_path / "out"
+    for doc in (dict(MINI_SCENARIO, mode="heatmap", optimizer=QUICK,
+                     mode_params={"x_extent_m": 0.02, "y_extent_m": 0.02,
+                                  "step_m": 0.01}),
+                dict(MINI_SCENARIO, optimizer=QUICK)):
+        rc, err = _exit_and_errors(["run", str(write_scenario(tmp_path, doc)),
+                                    "--out", str(out)])
+        assert (rc, err) == (EXIT_OK, [])
+    manifest = read_json(out / "manifest.json", "manifest")
+    assert set(_files(out)) == {e["path"] for e in manifest["outputs"]} \
+        | {"manifest.json"}
+    assert "grid.csv" not in _files(out)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out",
+                                                          "scenario.json"]
+
+
+def test_out_keeps_the_previous_run_when_a_writer_fails(tmp_path,
+                                                        monkeypatch):
+    path = write_scenario(tmp_path, dict(MINI_SCENARIO, optimizer=QUICK))
+    out = tmp_path / "out"
+    assert _exit_and_errors(["run", str(path), "--out", str(out)]) \
+        == (EXIT_OK, [])
+    before = _files(out)
+
+    def full_disk(*args):
+        raise OSError("No space left on device")
+    monkeypatch.setattr(cli, "_write_table", full_disk)
+    rc, err = _exit_and_errors(["run", str(path), "--out", str(out),
+                                "--seed", "6"])
+    assert rc == EXIT_RUNTIME
+    assert json.loads(err[0])["error"] == "OSError"
+    assert _files(out) == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out",
+                                                          "scenario.json"]
+
+
+@pytest.mark.parametrize("content", ["stray", "no-manifest", "bad-manifest",
+                                     "subdir", "file"])
+def test_out_that_is_not_a_run_exits_2_before_the_search(tmp_path, no_search,
+                                                         content):
+    path = write_scenario(tmp_path)
+    out = tmp_path / "out"
+    if content == "file":
+        out.write_text("notes")
+    else:
+        out.mkdir()
+        (out / "notes.txt").write_text("notes")
+        manifest = {"outputs": [{"path": "notes.txt"}]}
+        if content == "stray":
+            manifest = {"outputs": []}
+        elif content == "bad-manifest":
+            manifest = {"outputs": "notes.txt"}
+        elif content == "subdir":
+            (out / "sub").mkdir()
+        if content != "no-manifest":
+            (out / "manifest.json").write_text(json.dumps(manifest))
+    before = out.read_bytes() if content == "file" else _files(out)
+    rc, err = _exit_and_errors(["run", str(path), "--out", str(out)])
+    assert rc == EXIT_VALIDATION
+    assert "--out" in json.loads(err[0])["message"]
+    assert before == (out.read_bytes() if content == "file" else _files(out))
+
+
 def test_sweep_csv_row_count(run_dir):
     tmp, out, _ = run_dir
     lines = (out / "sweep.csv").read_text().splitlines()

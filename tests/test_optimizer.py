@@ -22,7 +22,6 @@ from risjam.optimizer import (
     element_probabilities,
     optimizer_init,
     optimizer_step,
-    _TRACE_CHUNK,
     _signed_square,
     run_optimizer,
 )
@@ -389,6 +388,7 @@ def _sorted_table_search(table_size, n_elements, oracle, seed, epsilon,
     *((b, n, r, 60) for b in (2, 5, 100) for n in (7, 768)
       for r in (0, 1, 7)),
     (100, 768, 1000, 1200),
+    (2, 7, 1, 0), (2, 7, 1, 1), (5, 768, 1, 1),
 ])
 def test_steps_match_the_sorted_table_search(table_size, n_elements,
                                              reeval_period, steps):
@@ -636,8 +636,7 @@ def _write_unpacked_csv(path, best_cost, worst_cost, best_bits):
 
 
 @pytest.mark.parametrize("n_elements", [1, 7, 8, 9, 77])
-@pytest.mark.parametrize("steps", [0, 1, _TRACE_CHUNK - 1, _TRACE_CHUNK,
-                                   _TRACE_CHUNK + 1, 2 * _TRACE_CHUNK + 3])
+@pytest.mark.parametrize("steps", [0, 1, 255, 256, 257, 515])
 def test_packed_trace_matches_unpacked_records(tmp_path, steps, n_elements):
     best_cost, worst_cost, rows = _reference_records(
         6, steps, n_elements, make_oracle(3, n_elements, 0.5, True), 2)

@@ -7,7 +7,7 @@ the command line in a fresh process, and one sha256 per file they write.
 
 The set covers every mode, the search and field settings whose bits differ
 (quantize off at zero and non-zero noise, a masked element sweep, the
-line-of-sight term and pattern weights, searches across trace blocks,
+line-of-sight term and pattern weights, searches across re-evaluations,
 perturbation fractions and a device move), a stored world, the json table
 format, two synthesized worlds, desk-size grids and rails, and the corner
 world at the frequency and coordinate bounds.  Each variant runs once per
